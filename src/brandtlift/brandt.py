@@ -21,6 +21,21 @@ from .orders import ClassSet
 from .shortvec import vector_counts
 
 
+# One count pass over the pair lattices serves every degree up to this bound.
+COUNT_BOUND = 60
+
+
+def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
+    """Primitive integer basis of ker(B - a) inside span(basis), given images[k] = B basis[k]."""
+    h = len(basis[0])
+    # column k is (B - a) basis[k]; a kernel vector holds the coordinates
+    diffs = [[img[i] - a * v[i] for img, v in zip(images, basis)] for i in range(h)]
+    return [
+        primitive_vector([sum(c[k] * v[i] for k, v in enumerate(basis)) for i in range(h)])
+        for c in rational_nullspace(diffs)
+    ]
+
+
 @dataclass(frozen=True)
 class HeckeMatrix:
     """Exact integer matrix of T_p (p coprime to the level) or U_p (p | level)."""
@@ -36,11 +51,10 @@ class HeckeMatrix:
 class BrandtModule:
     """Caches pair lattices and their norm counts for one class set."""
 
-    def __init__(self, classes: ClassSet, count_bound: int = 60):
+    def __init__(self, classes: ClassSet):
         self.classes = classes
         self.h = classes.h
         self.level = classes.q * classes.M
-        self._default_bound = count_bound
         self._pairs: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
         self._matrices: dict[int, HeckeMatrix] = {}
 
@@ -57,10 +71,8 @@ class BrandtModule:
         assert unit.denominator == 1
         unit = int(unit)
         counts = vector_counts(prod.reduced_gram()[0], nmax * unit)
-        out: dict[int, int] = {}
-        for val, cnt in counts.items():
-            assert val % unit == 0, "element norm outside the ideal norm lattice"
-            out[val // unit] = cnt
+        assert all(val % unit == 0 for val in counts), "element norm outside the ideal norm lattice"
+        out = {val // unit: cnt for val, cnt in counts.items()}
         self._pairs[(i, j)] = (nmax, out)
         return out
 
@@ -70,7 +82,7 @@ class BrandtModule:
             raise ValueError(f"need a prime degree, got {p}")
         if p in self._matrices:
             return self._matrices[p]
-        nmax = max(p, self._default_bound)
+        nmax = max(p, COUNT_BOUND)
         w = self.classes.weights
         rows = []
         for i in range(self.h):
@@ -104,22 +116,23 @@ class BrandtModule:
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
-        stacked = []
-        for p, ap in eigendata:
-            mat = self.brandt_matrix(p).entries
-            for i in range(self.h):
-                stacked.append([mat[i][j] - (ap if i == j else 0) for j in range(self.h)])
-        kernel = rational_nullspace(stacked)
-        if not kernel:
-            raise ValueError("no such eigenform for the given eigendata")
-        if len(kernel) > 1:
-            raise ValueError(f"underdetermined eigendata: residual dimension {len(kernel)}")
-        return primitive_vector(kernel[0])
+        mats = [self.brandt_matrix(p).entries for p, _ in eigendata]
+        basis = self._unit_vectors()
+        for mat, (_, ap) in zip(mats, eigendata):
+            basis = _restrict_kernel(basis, [mat_vec(mat, v) for v in basis], ap)
+            if not basis:
+                raise ValueError("no such eigenform for the given eigendata")
+        if len(basis) > 1:
+            raise ValueError(f"underdetermined eigendata: residual dimension {len(basis)}")
+        return basis[0]
+
+    def _unit_vectors(self) -> list[list[int]]:
+        """The standard basis of the whole module, where every split starts."""
+        return [[1 if i == k else 0 for i in range(self.h)] for k in range(self.h)]
 
     def eigenvalue_of(self, phi, p: int) -> int:
         """The B(p) eigenvalue of an exact eigenvector phi."""
-        mat = self.brandt_matrix(p).entries
-        image = mat_vec([list(r) for r in mat], list(phi))
+        image = mat_vec(self.brandt_matrix(p).entries, list(phi))
         pivot = next((k for k, x in enumerate(phi) if x), None)
         if pivot is None:
             raise ValueError("zero vector is not an eigenvector")
@@ -154,39 +167,25 @@ class BrandtModule:
         Eisenstein direction) and reports the one-dimensional pieces.
         """
         primes = [p for p in range(2, pmax + 1) if isprime(p) and self.level % p]
-        spaces = [[[Fraction(1 if i == k else 0) for i in range(self.h)] for k in range(self.h)]]
-        labels = [{}]
+        spaces = [self._unit_vectors()]
         for p in primes:
             mat = self.brandt_matrix(p).entries
-            next_spaces, next_labels = [], []
-            for basis, label in zip(spaces, labels):
+            candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
+            split = []
+            for basis in spaces:
                 if len(basis) == 1:
-                    next_spaces.append(basis)
-                    next_labels.append(label)
+                    split.append(basis)
                     continue
-                candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
+                images = [mat_vec(mat, v) for v in basis]
                 for a in candidates:
-                    images = []
-                    for v in basis:
-                        bv = mat_vec([list(r) for r in mat], v)
-                        images.append([x - a * y for x, y in zip(bv, v)])
-                    # restrict ker(B(p) - a) to the span of basis
-                    coords = rational_nullspace(
-                        [[images[k][i] for k in range(len(basis))] for i in range(self.h)]
-                    )
-                    if not coords:
-                        continue
-                    sub = [
-                        [sum(c[k] * basis[k][i] for k in range(len(basis))) for i in range(self.h)]
-                        for c in coords
-                    ]
-                    next_spaces.append(sub)
-                    next_labels.append({**label, p: a})
-            spaces, labels = next_spaces, next_labels
+                    sub = _restrict_kernel(basis, images, a)
+                    if sub:
+                        split.append(sub)
+            spaces = split
         out = []
-        for basis, label in zip(spaces, labels):
+        for basis in spaces:
             if len(basis) == 1:
-                vec = primitive_vector(basis[0])
+                vec = basis[0]
                 full = {p: self.eigenvalue_of(vec, p) for p in primes}
                 out.append((full, vec))
         out.sort(key=lambda t: sorted(t[0].items()))

@@ -3,7 +3,9 @@
 Outputs are deterministic: the same invocation always produces byte
 identical text, so files written here can serve as regression goldens.
 Exit codes: 0 success (and all checks passing), 1 a congruence check
-failed, 2 usage or input errors.
+failed, 2 usage or input errors, including an output path that cannot be
+written, 3 an internal failure (a RuntimeError or a failed assertion inside
+the computation).  Codes 2 and 3 print a one-line "error:" message.
 """
 
 from __future__ import annotations
@@ -221,9 +223,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        detail = " ".join(str(exc).split()) or "no detail"
+        print(f"error: internal failure ({type(exc).__name__}): {detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

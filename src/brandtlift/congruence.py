@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime, primerange
+from sympy import factorint, isprime, prevprime, primerange
 
 from .brandt import BrandtModule
 from .lift import LiftResult, scale_congruent_pair, waldspurger_lift
@@ -220,14 +220,17 @@ def run_congruence_checks(
         raise ValueError(f"ell must be prime, got {ell}")
     classes = module.classes
     N = classes.q * classes.M
+    sturm = sturm_bound(2, N)
+    irr_bound = max(sturm, 20)
+    # the checks read degrees up to irr_bound: ask for the largest first, so
+    # one count pass over the pair lattices covers all of them
+    module.brandt_matrix(prevprime(irr_bound + 1))
     phi_f = module.eigenvector(eigendata_f)
     phi_g = module.eigenvector(eigendata_g)
     phi_f, phi_g_scaled, c_phi = scale_congruent_pair(phi_f, phi_g, ell)
     thetas = [theta_series(trace_zero_lattice(o), bound) for o in classes.right_orders]
     wf = waldspurger_lift(phi_f, thetas)
     wg = waldspurger_lift(phi_g_scaled, thetas)
-    sturm = sturm_bound(2, N)
-    irr_bound = max(sturm, 20)
     return CongruenceReport(
         N=N,
         q=classes.q,

@@ -3,6 +3,8 @@
 Everything operates on plain lists of lists.  Integer routines stay in int,
 rational ones use fractions.Fraction, and nothing here ever touches a float.
 Matrices are row based throughout: a lattice basis is a list of row vectors.
+One Gauss-Jordan routine over F_p or Q serves the echelon forms, kernels
+and inverses; HNF and the determinant are separate integer algorithms.
 """
 
 from __future__ import annotations
@@ -95,31 +97,6 @@ def det_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def mat_inv(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, entries coerced to Fraction."""
-    n = len(rows)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        scale = a[c][c]
-        a[c] = [x / scale for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
-
-
 def mat_mul(a, b):
     """Matrix product, type-agnostic (int stays int, Fraction stays exact)."""
     bt = list(zip(*b))
@@ -141,89 +118,99 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _gauss_jordan(m: list[list], ncols: int, p: int | None = None) -> list[int]:
+    """Reduce m in place to reduced row echelon form; return the pivot columns.
+
+    Over F_p when p is given (int entries already in [0, p)), over Q when p
+    is None (Fraction entries).  Pivots are sought in the first ncols
+    columns only, so reducing [A | I] with ncols = n inverts A.  The field
+    is chosen once per row operation, never per entry.
+    """
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        if p is None:
+            scale = m[r][c]
+            row = m[r] = [x / scale for x in m[r]]
+        else:
+            inv = pow(m[r][c], -1, p)
+            row = m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                if p is None:
+                    m[i] = [x - f * y for x, y in zip(m[i], row)]
+                else:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _nullspace(m: list[list], p: int | None = None) -> list[list]:
+    """Right kernel basis of m over F_p or Q, one vector per free column.
+
+    m holds entries already in the field (see _gauss_jordan) and is reduced
+    in place.
+    """
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivots = _gauss_jordan(m, ncols, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] if p is None else -m[r][fc] % p
+        basis.append(v)
+    return basis
+
+
 def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p: (nonzero rows, pivot columns)."""
     m = [[x % p for x in row] for row in rows]
     if not m:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    pivots = _gauss_jordan(m, len(m[0]), p)
+    return m[: len(pivots)], pivots
 
 
 def nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : A v = 0 over F_p}, entries in [0, p)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ech, pivots = rref_mod(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-ech[r][fc]) % p
-        basis.append(v)
-    return basis
+    return _nullspace([[x % p for x in row] for row in rows], p)
 
 
 def rational_nullspace(rows) -> list[list[Fraction]]:
     """Basis of the right kernel of a matrix over Q."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -m[rr][fc]
-        basis.append(v)
-    return basis
+    return _nullspace([[Fraction(x) for x in row] for row in rows])
+
+
+def mat_inv(rows) -> list[list[Fraction]]:
+    """Exact inverse of a square matrix, entries coerced to Fraction.
+
+    Reduces [A | I] over Q; raises ValueError when A is singular.
+    """
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if len(_gauss_jordan(m, n)) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]
 
 
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -263,23 +250,27 @@ def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int
             return g, u
 
 
+def clear_denominators(values) -> tuple[int, list[int]]:
+    """(den, ints) with den the least common denominator and ints = den * values.
+
+    values are rationals (int or Fraction).
+    """
+    den = 1
+    for x in values:
+        d = x.denominator
+        den = den * d // gcd(den, d)
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def primitive_vector(v) -> list[int]:
     """Scale a rational vector to a primitive integer one, first nonzero > 0.
 
     Raises ValueError on the zero vector.
     """
-    fracs = [Fraction(x) for x in v]
-    if not any(fracs):
+    _, ints = clear_denominators([Fraction(x) for x in v])
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive form")
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [x // g for x in ints]

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import chain, combinations, product
 from math import gcd, isqrt
 
-from sympy import factorint, isprime, primerange
+from sympy import factorint, primerange
 
-from .linalg import det_int, greedy_reduce, hnf, mat_inv, nullspace_mod, rref_mod, transpose, vec_mat
+from .linalg import clear_denominators, det_int, greedy_reduce, hnf, mat_inv
+from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
 from .qalg import AlgebraPresentation, QuaternionElement, finite_ramified_primes
 from .shortvec import exists_value, vector_counts
 
@@ -33,19 +36,17 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
 class OrderLattice:
     """Full rank-4 lattice in the algebra, in canonical HNF form.
 
-    kind is one of "maximal-order", "eichler-order", "right-ideal" or the
-    generic "lattice"; level is set for orders (reduced discriminant) and
-    norm for ideals.  Equality and hashing ignore the metadata and compare
+    level is set for orders (reduced discriminant) and norm for ideals, both
+    at construction.  Equality and hashing ignore the metadata and compare
     the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "kind", "level", "norm", "_basis", "_inv", "_gram", "_red")
+    __slots__ = ("alg", "den", "rows", "level", "norm", "_basis", "_inv", "_gram", "_red")
 
-    def __init__(self, alg: AlgebraPresentation, den: int, rows, kind="lattice", level=None, norm=None):
+    def __init__(self, alg: AlgebraPresentation, den: int, rows, level=None, norm=None):
         self.alg = alg
         self.den = den
         self.rows = tuple(tuple(r) for r in rows)
-        self.kind = kind
         self.level = level
         self.norm = norm
         self._basis = None
@@ -58,10 +59,7 @@ class OrderLattice:
         reduced = hnf(rows)
         if len(reduced) != 4:
             raise ValueError("lattice is not of full rank 4")
-        g = den
-        for row in reduced:
-            for x in row:
-                g = gcd(g, x)
+        g = gcd(den, *(x for row in reduced for x in row))
         if g > 1:
             den //= g
             reduced = [[x // g for x in row] for row in reduced]
@@ -69,12 +67,8 @@ class OrderLattice:
 
     @classmethod
     def from_elements(cls, alg, elems, **meta) -> "OrderLattice":
-        den = 1
-        for e in elems:
-            for c in e.coeffs:
-                den = den * c.denominator // gcd(den, c.denominator)
-        rows = [[int(c * den) for c in e.coeffs] for e in elems]
-        return cls.from_rows(alg, den, rows, **meta)
+        den, flat = clear_denominators([c for e in elems for c in e.coeffs])
+        return cls.from_rows(alg, den, [flat[k : k + 4] for k in range(0, len(flat), 4)], **meta)
 
     def __eq__(self, other):
         return (
@@ -88,7 +82,7 @@ class OrderLattice:
         return hash((self.alg, self.den, self.rows))
 
     def __repr__(self):
-        return f"OrderLattice(kind={self.kind}, den={self.den}, rows={self.rows})"
+        return f"OrderLattice(den={self.den}, rows={self.rows})"
 
     def with_meta(self, **meta) -> "OrderLattice":
         return OrderLattice(self.alg, self.den, self.rows, **meta)
@@ -100,6 +94,10 @@ class OrderLattice:
                 self.alg.element(*(Fraction(x, d) for x in row)) for row in self.rows
             )
         return self._basis
+
+    def element(self, coords) -> QuaternionElement:
+        """The lattice element with the given coordinates over the basis."""
+        return self.alg.element(*(Fraction(x, self.den) for x in vec_mat(coords, self.rows)))
 
     def _basis_inverse(self):
         if self._inv is None:
@@ -142,10 +140,7 @@ class OrderLattice:
         """Counts of nonzero lattice vectors by reduced norm, up to max_norm."""
         scale = 2 * self.den**2
         raw = vector_counts(self.reduced_gram()[0], Fraction(max_norm) * scale)
-        out: dict = {}
-        for val, cnt in raw.items():
-            out[Fraction(val, scale)] = cnt
-        return out
+        return {Fraction(val, scale): cnt for val, cnt in raw.items()}
 
     def minimal_vector(self) -> QuaternionElement:
         """A nonzero lattice element of smallest reduced norm."""
@@ -157,8 +152,7 @@ class OrderLattice:
 
         for coords, val in iter_short_vectors(gram, target):
             if val == target:
-                cv = vec_mat(vec_mat(coords, umat), self.rows)
-                return self.alg.element(*(Fraction(x, self.den) for x in cv))
+                return self.element(vec_mat(coords, umat))
         raise AssertionError("minimal vector enumeration came back empty")
 
     # lattice arithmetic ------------------------------------------------
@@ -173,8 +167,8 @@ class OrderLattice:
     def dual(self) -> "OrderLattice":
         # dual for the coordinate dot product: den * inverse transpose
         inv = mat_inv([list(row) for row in self.rows])
-        mat = [[self.den * inv[j][i] for j in range(4)] for i in range(4)]
-        return _from_fraction_matrix(self.alg, mat)
+        den, flat = clear_denominators([self.den * inv[j][i] for i in range(4) for j in range(4)])
+        return OrderLattice.from_rows(self.alg, den, [flat[k : k + 4] for k in range(0, 16, 4)])
 
     def intersect(self, other: "OrderLattice") -> "OrderLattice":
         return self.dual().add(other.dual()).dual()
@@ -203,18 +197,12 @@ class OrderLattice:
         return OrderLattice.from_rows(self.alg, self.den, rows)
 
     def left_order(self) -> "OrderLattice":
-        out = None
-        for v in self.basis():
-            cand = self.mul_element(v.inverse(), "right")
-            out = cand if out is None else out.intersect(cand)
-        return out.with_meta(kind="lattice")
+        cands = (self.mul_element(v.inverse(), "right") for v in self.basis())
+        return reduce(OrderLattice.intersect, cands)
 
     def right_order(self) -> "OrderLattice":
-        out = None
-        for v in self.basis():
-            cand = self.mul_element(v.inverse(), "left")
-            out = cand if out is None else out.intersect(cand)
-        return out.with_meta(kind="lattice")
+        cands = (self.mul_element(v.inverse(), "left") for v in self.basis())
+        return reduce(OrderLattice.intersect, cands)
 
     def reduced_discriminant(self) -> int:
         d2 = Fraction(abs(det_int(self.gram_int())), self.den**8)
@@ -230,21 +218,9 @@ class OrderLattice:
         return all(self.contains(x * y) for x in bas for y in bas)
 
 
-def _from_fraction_matrix(alg, mat) -> OrderLattice:
-    den = 1
-    for row in mat:
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // gcd(den, f.denominator)
-    rows = [[int(Fraction(x) * den) for x in row] for row in mat]
-    return OrderLattice.from_rows(alg, den, rows)
-
-
 def standard_order(alg: AlgebraPresentation) -> OrderLattice:
     """The obvious order Z<1, i, j, k>."""
-    return OrderLattice(
-        alg, 1, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], kind="lattice"
-    )
+    return OrderLattice(alg, 1, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
 
 
 def ideal_norm(ideal: OrderLattice, reference: OrderLattice) -> Fraction:
@@ -273,33 +249,16 @@ def eichler_mass(q: int, M: int) -> Fraction:
 def _projective_points(p: int):
     """Representatives of P^3(F_p): first nonzero coordinate equal to 1."""
     for lead in range(4):
-        head = [0] * lead + [1]
-        tail_len = 3 - lead
-        idx = [0] * tail_len
-        while True:
-            yield head + idx[:]
-            for t in range(tail_len - 1, -1, -1):
-                idx[t] += 1
-                if idx[t] < p:
-                    break
-                idx[t] = 0
-            else:
-                break
-            continue
+        for tail in product(range(p), repeat=3 - lead):
+            yield [0] * lead + [1, *tail]
 
 
 def _try_overorder(order: OrderLattice, vecs: list[list[int]], p: int) -> OrderLattice | None:
-    elems = list(order.basis())
-    extra = []
-    for c in vecs:
-        e = sum((ci * b for ci, b in zip(c, elems)), start=order.alg.element(0, 0, 0, 0)) / p
-        if not e.is_integral():
-            return None
-        extra.append(e)
-    cand = OrderLattice.from_elements(order.alg, elems + extra)
-    if not cand.is_order():
+    extra = [order.element(c) / p for c in vecs]
+    if not all(e.is_integral() for e in extra):
         return None
-    return cand
+    cand = OrderLattice.from_elements(order.alg, list(order.basis()) + extra)
+    return cand if cand.is_order() else None
 
 
 def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
@@ -312,27 +271,20 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
     for _ in range(64):
         d = order.reduced_discriminant()
         if d == q:
-            return order.with_meta(kind="maximal-order", level=q)
+            return order.with_meta(level=q)
         assert d % q == 0
         p = min(factorint(d // q).keys())
-        singles = [c for c in _projective_points(p)]
-        grown = None
-        for c in singles:
-            grown = _try_overorder(order, [c], p)
+        singles = list(_projective_points(p))
+        # index p: one p-denominator element; index p^2 fallback: two
+        # independent ones
+        tries = chain(
+            ([c] for c in singles),
+            (list(ab) for ab in combinations(singles, 2) if len(rref_mod(ab, p)[1]) == 2),
+        )
+        for vecs in tries:
+            grown = _try_overorder(order, vecs, p)
             if grown is not None:
                 break
-        if grown is None:
-            # index p^2 fallback: adjoin two independent p-denominator elements
-            for a_i in range(len(singles)):
-                for b_i in range(a_i + 1, len(singles)):
-                    ech, piv = rref_mod([singles[a_i], singles[b_i]], p)
-                    if len(piv) != 2:
-                        continue
-                    grown = _try_overorder(order, [singles[a_i], singles[b_i]], p)
-                    if grown is not None:
-                        break
-                if grown is not None:
-                    break
         if grown is None:
             raise RuntimeError(f"saturation failed at p={p} (discriminant {d})")
         order = grown
@@ -363,10 +315,7 @@ def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
     if zero_div is None:
         raise RuntimeError(f"norm form anisotropic mod {p}; is p coprime to the level?")
 
-    def as_element(c):
-        return sum((ci * b for ci, b in zip(c, bas)), start=order.alg.element(0, 0, 0, 0))
-
-    x = as_element(zero_div)
+    x = order.element(zero_div)
     if int(x.trace()) % p == 0:
         # slide to a rank-1 element of nonzero trace; some basis multiple works
         for b in bas:
@@ -388,7 +337,7 @@ def _level_raise(order: OrderLattice, p: int) -> OrderLattice:
     alg = order.alg
     bas = order.basis()
     idem = _split_idempotent(order, p)
-    e = sum((ci * b for ci, b in zip(idem, bas)), start=alg.element(0, 0, 0, 0))
+    e = order.element(idem)
     ee = order.coordinates(e * e - e)
     assert all(v.denominator == 1 and int(v) % p == 0 for v in ee), "not idempotent mod p"
     f = alg.one() - e
@@ -419,11 +368,11 @@ def eichler_order(order: OrderLattice, M: int) -> OrderLattice:
     if any(e > 1 for e in fac.values()):
         raise ValueError(f"level N={q * M} must be square-free")
     if M == 1:
-        return order.with_meta(kind="eichler-order", level=q)
+        return order.with_meta(level=q)
     current = order
     for p in sorted(fac.keys()):
         current = _level_raise(current, p)
-    return current.with_meta(kind="eichler-order", level=q * M)
+    return current.with_meta(level=q * M)
 
 
 # ideal class enumeration ------------------------------------------------
@@ -465,18 +414,16 @@ def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> O
     rows = [[p * x for x in row] for row in ideal.rows]
     for c in sub_rows:
         rows.append(vec_mat(c, ideal.rows))
-    out = OrderLattice.from_rows(ideal.alg, ideal.den, rows, kind="right-ideal")
-    out.norm = ideal.norm * p
-    return out
+    return OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
 
 
 def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     """Replace an ideal by a small equivalent integral one inside base."""
     alpha = ideal.minimal_vector()
-    small = ideal.mul_element(alpha.conjugate() / ideal.norm, "left")
-    small.kind = "right-ideal"
-    small.norm = alpha.norm() / ideal.norm
-    assert small.norm.denominator == 1
+    x = alpha.conjugate() / ideal.norm
+    norm = alpha.norm() / ideal.norm
+    assert norm.denominator == 1
+    small = OrderLattice.from_elements(ideal.alg, [x * v for v in ideal.basis()], norm=norm)
     assert ideal_norm(small, base) == small.norm
     return small
 
@@ -553,9 +500,9 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     target_mass = eichler_mass(q, M)
     p = next(r for r in primerange(2, 1000) if N % r)
 
-    first = base.with_meta(kind="right-ideal", norm=Fraction(1))
+    first = base.with_meta(norm=Fraction(1))
     classes = [first]
-    orders = [first.left_order().with_meta(kind="eichler-order", level=N)]
+    orders = [first.left_order().with_meta(level=N)]
     weights = [unit_weight(orders[0])]
     profiles = [_norm_profile(first)]
     acc = Fraction(1, weights[0])
@@ -573,7 +520,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
             )
             if known:
                 continue
-            left = reduced.left_order().with_meta(kind="eichler-order", level=N)
+            left = reduced.left_order().with_meta(level=N)
             w = unit_weight(left)
             classes.append(reduced)
             orders.append(left)

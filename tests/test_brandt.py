@@ -191,6 +191,8 @@ def test_discover_finds_both_newforms(module174, phi174_f, phi174_g):
     for system, vec in found:
         for p, ap in system.items():
             assert module174.eigenvalue_of(vec, p) == ap
+        # the eigendata path cuts out the same vector from the full system
+        assert module174.eigenvector(sorted(system.items())) == vec
 
 
 def test_hecke_matrix_json(module174):

@@ -143,6 +143,29 @@ def test_usage_errors(capsys):
     assert "bad eigendata" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    assert main(["classes", "--q", "2", "--m", "1", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
+def test_internal_failure_exits_3(monkeypatch, capsys):
+    import brandtlift.cli as cli
+
+    for exc in (RuntimeError("class enumeration ended at mass 1/2,\nexpected 1"),
+                AssertionError("column sum 3 != 4 at j=0")):
+        def broken(base, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "right_ideal_classes", broken)
+        assert main(["classes", "--q", "2", "--m", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: internal failure ({type(exc).__name__}): ")
+        assert err.count("\n") == 1
+
+
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

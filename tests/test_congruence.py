@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from brandtlift.brandt import BrandtModule
 from brandtlift.congruence import (
     CongruenceReport,
     check_eigenvalue_congruence,
@@ -13,9 +15,10 @@ from brandtlift.congruence import (
     sturm_bound,
 )
 from brandtlift.lift import scale_congruent_pair, waldspurger_lift
+from brandtlift.orders import OrderLattice
 from brandtlift.theta import QSeries
 
-from conftest import EIGEN_170_F, EIGEN_170_G
+from conftest import EIGEN_170_F, EIGEN_170_G, build_classes
 
 
 def test_sturm_bound_values():
@@ -154,6 +157,27 @@ def test_irreducibility_heuristic(module170, phi170_f):
 def test_run_congruence_checks_validates_ell(module170):
     with pytest.raises(ValueError, match="prime"):
         run_congruence_checks(module170, EIGEN_170_F, EIGEN_170_G, 4)
+
+
+def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
+    # N=222: the Sturm bound 76 lies above the count bound 60, so the check
+    # reads T_61 ... T_73, and each pair lattice I_i conj(I_j) is still
+    # built once
+    classes = build_classes(2, 111)
+    module = BrandtModule(classes)
+    builds = Counter()
+    multiply = OrderLattice.multiply
+
+    def counted(self, other):
+        builds[(self, other)] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(OrderLattice, "multiply", counted)
+    report = run_congruence_checks(module, [(5, -4)], [(5, 2)], 3, bound=10)
+    assert report.sturm == 76
+    assert report.eigenvalue_check.compared_primes[-1] == 73
+    assert len(builds) == classes.h * (classes.h + 1) // 2
+    assert set(builds.values()) == {1}
 
 
 def test_report_serialization(report174):

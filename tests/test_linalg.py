@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brandtlift.linalg import (
+    clear_denominators,
     det_int,
     hnf,
     mat_inv,
@@ -141,6 +142,13 @@ def test_rref_mod_known():
     ech, pivots = rref_mod([[2, 4], [1, 3]], 5)
     assert pivots == [0, 1]
     assert ech == [[1, 0], [0, 1]]
+    assert rref_mod([[2, 4, 6], [1, 3, 5]], 7) == ([[1, 0, 6], [0, 1, 2]], [0, 1])
+    # the same elimination over Q: a full-rank kernel is empty, a rank-2
+    # 2x3 matrix has a one-dimensional kernel, and the inverse is exact
+    assert rational_nullspace([[2, 4], [1, 3]]) == []
+    assert rational_nullspace([[2, 4, 6], [1, 3, 5]]) == [[1, -2, 1]]
+    assert rational_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[Fraction(-2, 3), 1]]
+    assert mat_inv([[2, 4], [1, 3]]) == [[Fraction(3, 2), -2], [Fraction(-1, 2), 1]]
 
 
 def test_nullspace_mod_annihilates():
@@ -153,6 +161,16 @@ def test_nullspace_mod_annihilates():
             assert len(basis) == 4 - len(pivots)
             for v in basis:
                 assert all(x % p == 0 for x in mat_vec(m, v))
+    # Q inputs: rows with denominators; the kernel dimension over Q is read
+    # off the denominator-free rows mod a large prime
+    for _ in range(15):
+        m = [[Fraction(x, rng.randint(1, 6)) for x in row]
+             for row in random_matrix(rng, rng.randint(1, 3), 4)]
+        basis = rational_nullspace(m)
+        rank = len(rref_mod([clear_denominators(row)[1] for row in m], 10**9 + 7)[1])
+        assert len(basis) == 4 - rank
+        for v in basis:
+            assert all(x == 0 for x in mat_vec(m, v))
 
 
 def test_rational_nullspace_annihilates():
@@ -173,3 +191,5 @@ def test_primitive_vector():
     assert primitive_vector([0, Fraction(-5, 7)]) == [0, 1]
     with pytest.raises(ValueError):
         primitive_vector([0, 0])
+    assert clear_denominators([Fraction(1, 6), 2, Fraction(-3, 4)]) == (12, [2, 24, -9])
+    assert clear_denominators([3, -1]) == (1, [3, -1])
