@@ -54,6 +54,11 @@ def _validate_level(q: int, m: int) -> None:
         raise ValueError(f"level {n} = q*m must be square-free")
 
 
+def _validate_ell(ell: int) -> None:
+    if not isprime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+
+
 def _build_module(q: int, m: int) -> BrandtModule:
     alg = choose_presentation(q)
     base = eichler_order(maximal_order(alg), m)
@@ -99,6 +104,8 @@ def _lift_header(q: int, m: int, bound: int) -> str:
 
 def cmd_lift(args) -> int:
     _validate_level(args.q, args.m)
+    if args.ell is not None:
+        _validate_ell(args.ell)
     module = _build_module(args.q, args.m)
     cs = module.classes
     if args.discover:
@@ -167,6 +174,7 @@ def cmd_check(args) -> int:
         raise ValueError("check needs both --eigen-f and --eigen-g")
     if not args.ell:
         raise ValueError("check needs --ell")
+    _validate_ell(args.ell)
     module = _build_module(args.q, args.m)
     report = run_congruence_checks(
         module,
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="output path (prefix for lift files)")
         if with_eigen:
-            p.add_argument("--ell", type=int, help="congruence modulus")
+            p.add_argument("--ell", type=int, help="congruence modulus, a prime")
             p.add_argument("--eigen-f", help="eigendata p:a,p:a,... for the first form")
             p.add_argument("--eigen-g", help="eigendata p:a,p:a,... for the second form")
 

@@ -22,7 +22,7 @@ from sympy import factorint, primerange
 from .linalg import clear_denominators, det_int, greedy_reduce, hnf, mat_inv
 from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
 from .qalg import AlgebraPresentation, QuaternionElement, finite_ramified_primes
-from .shortvec import exists_value, vector_counts
+from .shortvec import exists_value, iter_short_vectors, vector_counts
 
 
 def _sqrt_fraction(x: Fraction) -> Fraction:
@@ -146,14 +146,11 @@ class OrderLattice:
         """A nonzero lattice element of smallest reduced norm."""
         gram, umat = self.reduced_gram()
         bound = min(gram[m][m] for m in range(4))
-        counts = vector_counts(gram, bound)
-        target = min(counts)
-        from .shortvec import iter_short_vectors
-
-        for coords, val in iter_short_vectors(gram, target):
-            if val == target:
-                return self.element(vec_mat(coords, umat))
-        raise AssertionError("minimal vector enumeration came back empty")
+        # min keeps the first vector of least value in walk order
+        best = min(iter_short_vectors(gram, bound), key=lambda cv: cv[1], default=None)
+        if best is None:
+            raise AssertionError("minimal vector enumeration came back empty")
+        return self.element(vec_mat(best[0], umat))
 
     # lattice arithmetic ------------------------------------------------
 

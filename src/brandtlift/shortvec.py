@@ -1,17 +1,27 @@
 """Enumeration of short vectors of a positive definite quadratic form.
 
 The form is given by its Gram matrix G (integer or Fraction entries) and
-evaluated as Q(x) = x G x^T on integer row vectors.  Enumeration walks the
-standard LDL cone: with G = L D L^T the value splits as a sum of
-D_j * (x_j + c_j)^2 terms, which gives exact interval bounds for each
-coordinate once the later ones are fixed.  All square roots are taken with
-math.isqrt on cleared denominators, so the bounds are exact.
+evaluated as Q(x) = x G x^T on integer row vectors.  A Gram with Fraction
+entries is scaled once, at entry, by the common denominator d of its
+entries (and the bound b becomes floor(d*b)), so the walk runs on plain
+ints only.
+
+The walk is Fincke and Pohst's (Math. Comp. 44 (1985); Cohen, GTM 138,
+2.7.3) in integer form.  With G = L D L^T and Delta_k the leading
+principal minors, D_j = Delta_{j+1}/Delta_j, and the term of coordinate j
+is (Delta_{j+1} x_j + C_j)^2 / (Delta_j Delta_{j+1}), where
+C_j = Delta_{j+1} * sum_{i>j} L_ij x_i is an integer linear form in the
+coordinates fixed before it.  Times M = lcm_j(Delta_j Delta_{j+1}) every
+partial norm is an integer, and each coordinate range comes from one
+math.isqrt, so the bounds are exact.  Coordinates are fixed from the last
+to the first; the first is handed to the consumer as a run of consecutive
+values along which Q is an integer quadratic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import floor, isqrt, lcm
 from typing import Iterator
 
 
@@ -35,57 +45,75 @@ def ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
     return L, D
 
 
-def floor_plus_sqrt(c: Fraction, r: Fraction) -> int:
-    """Exact floor(c + sqrt(r)) for rational c and rational r >= 0.
+def _scaled(gram, bound) -> tuple[list[list[int]], int, int]:
+    """(d*G, floor(d*bound), d) for the common denominator d of G's entries."""
+    d = lcm(*(Fraction(v).denominator for row in gram for v in row))
+    g = [[int(Fraction(v) * d) for v in row] for row in gram]
+    return g, floor(Fraction(bound) * d), d
 
-    Writing c = su/sd (sd > 0) and r = tn/td, the value is
-    (su*td + sqrt(tn*td*sd^2)) / (sd*td); replacing the square root by its
-    integer part does not move the floor since any integer boundary crossed
-    between the two would itself be a better integer part.
+
+def _value(q: int, d: int):
+    """Q(x) from the scaled value d*Q(x): an int whenever it is integral."""
+    return q // d if q % d == 0 else Fraction(q, d)
+
+
+def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """Walk the nonzero x with Q(x) <= bound for an integer Gram g.
+
+    Yields (tail, lo, hi, b, rest): tail = (x_1, ..., x_{n-1}) is fixed,
+    and x = (x_0,) + tail for x_0 in [lo, hi] are exactly the vectors with
+    that tail and Q(x) <= bound, where Q(x) = g00*x_0^2 + b*x_0 + rest.
+    Of each pair {x, -x} only the one whose last nonzero coordinate is
+    positive is walked.
     """
-    c = Fraction(c)
-    r = Fraction(r)
-    if r < 0:
-        raise ValueError("negative radicand")
-    su, sd = c.numerator, c.denominator
-    tn, td = r.numerator, r.denominator
-    m = isqrt(tn * td * sd * sd)
-    return (su * td + m) // (sd * td)
+    n = len(g)
+    if n == 0:
+        return
+    L, D = ldl(g)
+    delta = [1]
+    for dj in D:
+        delta.append(int(delta[-1] * dj))
+    coef = [[int(delta[j + 1] * L[i][j]) for i in range(j + 1, n)] for j in range(n)]
+    m = lcm(*(delta[j] * delta[j + 1] for j in range(n)))
+    weight = [m // (delta[j] * delta[j + 1]) for j in range(n)]
+    mbound = m * bound
+    x = [0] * n
+
+    def level(j: int, used: int, zero: bool):
+        # used: M times the norm of the terms of coordinates j+1, ..., n-1
+        c = sum(a * xi for a, xi in zip(coef[j], x[j + 1 :]))
+        s = isqrt((mbound - used) // weight[j])
+        dj = delta[j + 1]
+        hi = (s - c) // dj
+        if j == 0:
+            lo = 1 if zero else -((s + c) // dj)
+            if lo <= hi:
+                yield tuple(x[1:]), lo, hi, 2 * c, (used + weight[0] * c * c) // m
+            return
+        wj = weight[j]
+        for xj in range(0 if zero else -((s + c) // dj), hi + 1):
+            x[j] = xj
+            t = dj * xj + c
+            yield from level(j - 1, used + wj * t * t, zero and xj == 0)
+        x[j] = 0
+
+    yield from level(n - 1, 0, True)
 
 
-def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
     """Yield (x, Q(x)) over nonzero integer x with 0 <= Q(x) <= bound.
 
     Exactly one of each pair {x, -x} is produced: the one whose highest
-    indexed nonzero coordinate is positive.
+    indexed nonzero coordinate is positive.  Q(x) is an int whenever it is
+    integral.
     """
-    n = len(gram)
-    bound = Fraction(bound)
-    if bound < 0:
+    g, b, d = _scaled(gram, bound)
+    if b < 0:
         return
-    L, D = ldl(gram)
-    x = [0] * n
-
-    def rec(j: int, used: Fraction, leading_zero: bool):
-        if j < 0:
-            if not leading_zero:
-                yield tuple(x), used
-            return
-        c = sum(L[i][j] * x[i] for i in range(j + 1, n))
-        r = (bound - used) / D[j]
-        hi = floor_plus_sqrt(-c, r)
-        lo = 0 if leading_zero else -floor_plus_sqrt(c, r)
-        for xj in range(lo, hi + 1):
-            x[j] = xj
-            y = xj + c
-            yield from rec(j - 1, used + D[j] * y * y, leading_zero and xj == 0)
-        x[j] = 0
-
-    yield from rec(n - 1, Fraction(0), True)
-
-
-def _as_key(value: Fraction):
-    return int(value) if value.denominator == 1 else value
+    a = g[0][0] if g else 0
+    for tail, lo, hi, lin, rest in _runs(g, b):
+        for x0 in range(lo, hi + 1):
+            yield (x0,) + tail, _value((a * x0 + lin) * x0 + rest, d)
 
 
 def vector_counts(gram, bound) -> dict:
@@ -94,46 +122,35 @@ def vector_counts(gram, bound) -> dict:
     Both signs are counted, so every count is even.  Keys are ints whenever
     the value is integral (always the case for an integer Gram matrix).
     """
+    g, b, d = _scaled(gram, bound)
     counts: dict = {}
-    for _, val in iter_short_vectors(gram, bound):
-        key = _as_key(val)
-        counts[key] = counts.get(key, 0) + 2
-    return counts
+    if b < 0:
+        return counts
+    get = counts.get
+    a = g[0][0] if g else 0
+    for _, lo, hi, lin, rest in _runs(g, b):
+        for x0 in range(lo, hi + 1):
+            q = (a * x0 + lin) * x0 + rest
+            counts[q] = get(q, 0) + 2
+    if d == 1:
+        return counts
+    return {_value(q, d): cnt for q, cnt in counts.items()}
 
 
 def exists_value(gram, value) -> bool:
     """Whether some integer vector has Q(x) exactly equal to value."""
-    n = len(gram)
-    target = Fraction(value)
-    if target < 0:
+    value = Fraction(value)
+    if value <= 0:
+        return value == 0
+    g, t, d = _scaled(gram, value)
+    if t != value * d:
         return False
-    if target == 0:
-        return True
-    L, D = ldl(gram)
-    x = [0] * n
-
-    def rec(j: int, used: Fraction) -> bool:
-        rem = target - used
-        if j == 0:
-            # solve D_0 * (x_0 + c)^2 == rem for integer x_0
-            c = sum(L[i][0] * x[i] for i in range(1, n))
-            q = rem / D[0]
-            num, den = q.numerator, q.denominator
-            root = isqrt(num * den)
-            if root * root != num * den:
-                return False
-            s = Fraction(root, den)
-            return (s - c).denominator == 1 or (-s - c).denominator == 1
-        c = sum(L[i][j] * x[i] for i in range(j + 1, n))
-        r = rem / D[j]
-        hi = floor_plus_sqrt(-c, r)
-        lo = -floor_plus_sqrt(c, r)
-        for xj in range(lo, hi + 1):
-            x[j] = xj
-            y = xj + c
-            if rec(j - 1, used + D[j] * y * y):
-                return True
-        x[j] = 0
-        return False
-
-    return rec(n - 1, Fraction(0))
+    a2 = 2 * g[0][0]
+    for _, _, _, lin, rest in _runs(g, t):
+        # an integer root of g00*x0^2 + lin*x0 + rest - t; the run is not
+        # empty, so the discriminant is not negative
+        disc = lin * lin - 2 * a2 * (rest - t)
+        r = isqrt(disc)
+        if r * r == disc and ((r - lin) % a2 == 0 or (r + lin) % a2 == 0):
+            return True
+    return False

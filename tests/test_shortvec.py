@@ -5,7 +5,63 @@ from math import isqrt
 import pytest
 
 from brandtlift.linalg import mat_inv, mat_mul, transpose
-from brandtlift.shortvec import exists_value, floor_plus_sqrt, iter_short_vectors, ldl, vector_counts
+from brandtlift.shortvec import exists_value, iter_short_vectors, ldl, vector_counts
+
+
+def floor_plus_sqrt(c: Fraction, r: Fraction) -> int:
+    """Exact floor(c + sqrt(r)) for rational c and rational r >= 0.
+
+    Writing c = su/sd (sd > 0) and r = tn/td, the value is
+    (su*td + sqrt(tn*td*sd^2)) / (sd*td); replacing the square root by its
+    integer part does not move the floor since any integer boundary crossed
+    between the two would itself be a better integer part.
+    """
+    c = Fraction(c)
+    r = Fraction(r)
+    if r < 0:
+        raise ValueError("negative radicand")
+    su, sd = c.numerator, c.denominator
+    tn, td = r.numerator, r.denominator
+    m = isqrt(tn * td * sd * sd)
+    return (su * td + m) // (sd * td)
+
+
+def reference_short_vectors(gram, bound):
+    # reference walk: the LDL cone in Fraction arithmetic, one recursion
+    # level per coordinate, the same order as the integer walk
+    n = len(gram)
+    bound = Fraction(bound)
+    if bound < 0:
+        return []
+    L, D = ldl(gram)
+    x = [0] * n
+    out = []
+
+    def rec(j, used, leading_zero):
+        if j < 0:
+            if not leading_zero:
+                out.append((tuple(x), used))
+            return
+        c = sum(L[i][j] * x[i] for i in range(j + 1, n))
+        r = (bound - used) / D[j]
+        hi = floor_plus_sqrt(-c, r)
+        lo = 0 if leading_zero else -floor_plus_sqrt(c, r)
+        for xj in range(lo, hi + 1):
+            x[j] = xj
+            y = xj + c
+            rec(j - 1, used + D[j] * y * y, leading_zero and xj == 0)
+        x[j] = 0
+
+    rec(n - 1, Fraction(0), True)
+    return out
+
+
+def reference_counts(gram, bound):
+    counts = {}
+    for _, val in reference_short_vectors(gram, bound):
+        key = int(val) if val.denominator == 1 else val
+        counts[key] = counts.get(key, 0) + 2
+    return counts
 
 
 def box_counts(gram, bound):
@@ -94,7 +150,7 @@ def test_counts_identity_form():
 
 def test_counts_match_box_oracle():
     rng = random.Random(9)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(8):
             g = random_pd_gram(rng, n)
             bound = rng.randint(5, 25)
@@ -129,3 +185,40 @@ def test_fractional_gram():
     assert counts[Fraction(1, 2)] == 4
     assert counts[1] == 4
     assert counts[2] == 4
+
+
+def _assert_matches_reference(g, bound):
+    ref = reference_short_vectors(g, bound)
+    got = list(iter_short_vectors(g, bound))
+    assert len(got) == len(ref)
+    for (v, val), (rv, rval) in zip(got, ref):
+        assert v == rv and val == rval
+    ref_counts = reference_counts(g, bound)
+    counts = vector_counts(g, bound)
+    assert counts == ref_counts
+    assert list(counts) == list(ref_counts)
+    assert all(type(k) is type(rk) for k, rk in zip(counts, ref_counts))
+    return ref_counts
+
+
+def test_walk_matches_reference():
+    rng = random.Random(21)
+    for scale in (1, Fraction(1, 2), Fraction(1, 3)):
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                g = [[v * scale for v in row] for row in random_pd_gram(rng, n)]
+                bound = Fraction(rng.randint(0, 40), rng.choice((1, 2, 3)))
+                ref_counts = _assert_matches_reference(g, bound)
+                for k in range(-1, 6 * int(bound) + 1):
+                    v = Fraction(k, 6)
+                    assert exists_value(g, v) == (v == 0 or v in ref_counts)
+    assert list(iter_short_vectors([[1]], -1)) == []
+    assert vector_counts([[1]], Fraction(-1, 2)) == {}
+
+
+def test_walk_matches_reference_ternary_large_bound():
+    g = [[4, 1, 1], [1, 12, 5], [1, 5, 30]]
+    counts = _assert_matches_reference(g, 2000)
+    assert all(type(k) is int for k in counts)
+    for v in range(1900, 2001):
+        assert exists_value(g, v) == (v in counts)
