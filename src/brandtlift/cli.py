@@ -13,15 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from sympy import factorint, isprime
+from sympy import isprime
 
 from .brandt import BrandtModule
 from .congruence import run_congruence_checks
-from .lift import scale_congruent_pair, waldspurger_lift
-from .orders import eichler_order, maximal_order, right_ideal_classes
+from .lift import lift_eigenforms
+from .orders import eichler_mass, eichler_order, maximal_order, right_ideal_classes
 from .qalg import choose_presentation
-from .theta import theta_series, trace_zero_lattice
 
 
 def parse_eigendata(text: str) -> list[tuple[int, int]]:
@@ -44,22 +44,19 @@ def parse_eigendata(text: str) -> list[tuple[int, int]]:
     return out
 
 
-def _validate_level(q: int, m: int) -> None:
-    if not isprime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    n = q * m
-    if any(e > 1 for e in factorint(n).values()):
-        raise ValueError(f"level {n} = q*m must be square-free")
+def _eigendata(args) -> dict[str, list[tuple[int, int]]]:
+    """--ell checked and --eigen-f / --eigen-g parsed, keyed "f" / "g".
 
-
-def _validate_ell(ell: int) -> None:
-    if not isprime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
+    Runs before the module is built, so bad input fails before the class walk.
+    """
+    if args.ell is not None and not isprime(args.ell):
+        raise ValueError(f"ell must be prime, got {args.ell}")
+    given = (("f", args.eigen_f), ("g", args.eigen_g))
+    return {name: parse_eigendata(text) for name, text in given if text}
 
 
 def _build_module(q: int, m: int) -> BrandtModule:
+    # the library rejects a bad level: q prime, m positive, q*m square-free
     alg = choose_presentation(q)
     base = eichler_order(maximal_order(alg), m)
     return BrandtModule(right_ideal_classes(base))
@@ -74,7 +71,6 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_classes(args) -> int:
-    _validate_level(args.q, args.m)
     module = _build_module(args.q, args.m)
     cs = module.classes
     if args.json:
@@ -84,15 +80,14 @@ def cmd_classes(args) -> int:
         for w in cs.weights:
             mult[w] = mult.get(w, 0) + 1
         weight_str = " ".join(f"{w}:{mult[w]}" for w in sorted(mult))
-        from .orders import eichler_mass
-
+        mass = sum(Fraction(1, w) for w in cs.weights)
         formula = eichler_mass(cs.q, cs.M)
-        ok = "ok" if cs.mass == formula else "MISMATCH"
+        ok = "ok" if mass == formula else "MISMATCH"
         text = (
             f"N={cs.q * cs.M} q={cs.q} M={cs.M} presentation=({cs.presentation.a},{cs.presentation.b})\n"
             f"h={cs.h}\n"
             f"weight multiset: {weight_str}\n"
-            f"mass: {cs.mass} (formula {formula}) {ok}\n"
+            f"mass: {mass} (formula {formula}) {ok}\n"
         )
     _emit(text, args.out)
     return 0
@@ -103,9 +98,9 @@ def _lift_header(q: int, m: int, bound: int) -> str:
 
 
 def cmd_lift(args) -> int:
-    _validate_level(args.q, args.m)
-    if args.ell is not None:
-        _validate_ell(args.ell)
+    eigendata = _eigendata(args)
+    if not args.discover and not eigendata:
+        raise ValueError("lift needs --eigen-f and/or --eigen-g (or --discover)")
     module = _build_module(args.q, args.m)
     cs = module.classes
     if args.discover:
@@ -125,27 +120,11 @@ def cmd_lift(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    if not args.eigen_f and not args.eigen_g:
-        raise ValueError("lift needs --eigen-f and/or --eigen-g (or --discover)")
-    vectors: dict[str, list[int]] = {}
-    eigendata: dict[str, list[tuple[int, int]]] = {}
-    if args.eigen_f:
-        eigendata["f"] = parse_eigendata(args.eigen_f)
-        vectors["f"] = module.eigenvector(eigendata["f"])
-    if args.eigen_g:
-        eigendata["g"] = parse_eigendata(args.eigen_g)
-        vectors["g"] = module.eigenvector(eigendata["g"])
-    scale_note = "primitive"
-    if args.ell and "f" in vectors and "g" in vectors:
-        vf, vg, c = scale_congruent_pair(vectors["f"], vectors["g"], args.ell)
-        if c is not None:
-            vectors["g"] = vg
-            scale_note = f"g rescaled by {c} to match f mod {args.ell}"
-    thetas = [theta_series(trace_zero_lattice(o), args.bound) for o in cs.right_orders]
+    lifts, c = lift_eigenforms(module, eigendata, args.bound, args.ell)
+    scale_note = "primitive" if c is None else f"g rescaled by {c} to match f mod {args.ell}"
     header = _lift_header(args.q, args.m, args.bound)
     meta_all = {}
-    for name in sorted(vectors):
-        lifted = waldspurger_lift(vectors[name], thetas)
+    for name, lifted in lifts.items():
         meta = lifted.metadata(
             cs.q * cs.M,
             cs.q,
@@ -169,20 +148,13 @@ def cmd_lift(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _validate_level(args.q, args.m)
     if not args.eigen_f or not args.eigen_g:
         raise ValueError("check needs both --eigen-f and --eigen-g")
     if not args.ell:
         raise ValueError("check needs --ell")
-    _validate_ell(args.ell)
+    eigendata = _eigendata(args)
     module = _build_module(args.q, args.m)
-    report = run_congruence_checks(
-        module,
-        parse_eigendata(args.eigen_f),
-        parse_eigendata(args.eigen_g),
-        args.ell,
-        bound=args.bound,
-    )
+    report = run_congruence_checks(module, eigendata["f"], eigendata["g"], args.ell, bound=args.bound)
     text = report.to_json() if args.json else report.to_text()
     _emit(text, args.out)
     return 0 if report.ok else 1
@@ -198,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_eigen: bool):
         p.add_argument("--q", type=int, required=True, help="ramified prime")
         p.add_argument("--m", type=int, required=True, help="cofactor of the level, coprime to q")
-        p.add_argument("--bound", type=int, default=100, help="q-expansion truncation bound")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="output path (prefix for lift files)")
         if with_eigen:
+            p.add_argument("--bound", type=int, default=100, help="q-expansion truncation bound")
             p.add_argument("--ell", type=int, help="congruence modulus, a prime")
             p.add_argument("--eigen-f", help="eigendata p:a,p:a,... for the first form")
             p.add_argument("--eigen-g", help="eigendata p:a,p:a,... for the second form")

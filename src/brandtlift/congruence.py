@@ -16,8 +16,7 @@ from fractions import Fraction
 from sympy import factorint, isprime, prevprime, primerange
 
 from .brandt import BrandtModule
-from .lift import LiftResult, scale_congruent_pair, waldspurger_lift
-from .theta import QSeries, theta_series, trace_zero_lattice
+from .lift import LiftResult, lift_eigenforms
 
 
 def sturm_bound(k: int, N: int) -> int:
@@ -225,12 +224,10 @@ def run_congruence_checks(
     # the checks read degrees up to irr_bound: ask for the largest first, so
     # one count pass over the pair lattices covers all of them
     module.brandt_matrix(prevprime(irr_bound + 1))
-    phi_f = module.eigenvector(eigendata_f)
-    phi_g = module.eigenvector(eigendata_g)
-    phi_f, phi_g_scaled, c_phi = scale_congruent_pair(phi_f, phi_g, ell)
-    thetas = [theta_series(trace_zero_lattice(o), bound) for o in classes.right_orders]
-    wf = waldspurger_lift(phi_f, thetas)
-    wg = waldspurger_lift(phi_g_scaled, thetas)
+    lifts, c_phi = lift_eigenforms(module, {"f": eigendata_f, "g": eigendata_g}, bound, ell)
+    wf, wg = lifts["f"], lifts["g"]
+    # g carries the unit c_phi; eigenvalues do not see the scaling
+    phi_f, phi_g = wf.phi, wg.phi
     return CongruenceReport(
         N=N,
         q=classes.q,
@@ -238,14 +235,14 @@ def run_congruence_checks(
         ell=ell,
         bound=bound,
         sturm=sturm,
-        phi_f=tuple(phi_f),
-        phi_g=tuple(phi_g_scaled),
+        phi_f=phi_f,
+        phi_g=phi_g,
         phi_scale_witness=c_phi,
         eigenvalue_check=check_eigenvalue_congruence(module, phi_f, phi_g, ell),
         lift_check=check_lift_congruence(wf, wg, ell),
         norm_divisibility=(
             check_norm_divisibility(module, phi_f, ell),
-            check_norm_divisibility(module, phi_g_scaled, ell),
+            check_norm_divisibility(module, phi_g, ell),
         ),
         hypothesis_flags=check_hypotheses(N, classes.q, ell),
         irreducibility_f=irreducibility_heuristic(module, phi_f, ell, irr_bound),

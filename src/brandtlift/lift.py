@@ -4,7 +4,8 @@ The lift of a vector phi on the class set is sum(phi_i * theta_i), taken
 with exact integer coefficients.  Because eigenvectors are only defined up
 to scale, the module also provides the unit rescaling mod ell that aligns
 two congruent eigenvectors entrywise, which is how printed data and pairing
-values at a fixed normalization are reproduced.
+values at a fixed normalization are reproduced.  lift_eigenforms chains the
+two: eigendata to eigenvectors, the pair aligned mod ell, then the lifts.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import primitive_vector
-from .theta import QSeries
+from .theta import QSeries, theta_series, trace_zero_lattice
 
 
 @dataclass(frozen=True)
@@ -80,3 +81,22 @@ def scale_congruent_pair(phi_f, phi_g, ell: int) -> tuple[list[int], list[int], 
             if all((a - c * b) % ell == 0 for a, b in zip(f, g)):
                 return f, [c * b for b in g], c
     return f, g, None
+
+
+def lift_eigenforms(
+    module, eigendata: dict, bound: int, ell: int | None = None
+) -> tuple[dict[str, LiftResult], int | None]:
+    """Lift the eigenforms cut out by eigendata {"f": pairs, "g": pairs}.
+
+    Each name gets the primitive eigenvector of its (p, a_p) pairs.  With
+    ell given and both forms present, g is rescaled by the unit c of
+    scale_congruent_pair.  The class theta series are built once, to the
+    given bound.  Returns ({name: LiftResult}, c), with c None when nothing
+    was rescaled.
+    """
+    phis = {name: module.eigenvector(data) for name, data in sorted(eigendata.items())}
+    c = None
+    if ell is not None and "f" in phis and "g" in phis:
+        _, phis["g"], c = scale_congruent_pair(phis["f"], phis["g"], ell)
+    thetas = [theta_series(trace_zero_lattice(o), bound) for o in module.classes.right_orders]
+    return {name: waldspurger_lift(phi, thetas) for name, phi in phis.items()}, c

@@ -359,13 +359,9 @@ def eichler_order(order: OrderLattice, M: int) -> OrderLattice:
     q = order.reduced_discriminant()
     if M < 1:
         raise ValueError("level cofactor M must be positive")
-    if gcd(M, q) != 1:
-        raise ValueError(f"M={M} must be coprime to the ramified prime {q}")
     fac = factorint(M)
-    if any(e > 1 for e in fac.values()):
-        raise ValueError(f"level N={q * M} must be square-free")
-    if M == 1:
-        return order.with_meta(level=q)
+    if gcd(M, q) != 1 or any(e > 1 for e in fac.values()):
+        raise ValueError(f"level N={q * M} = q*M must be square-free")
     current = order
     for p in sorted(fac.keys()):
         current = _level_raise(current, p)

@@ -3,8 +3,9 @@
 An algebra is presented by two negative integers a, b with i^2 = a, j^2 = b
 and k = ij = -ji.  Elements carry exact rational coordinates.  Local
 behaviour is read off Hilbert symbols: at an odd prime by the Legendre
-symbol formula, at 2 by testing primitive solvability of
-z^2 = a x^2 + b y^2 modulo 64, and at the real place by the signs of a, b.
+symbol formula, at 2 by Serre's closed form in the 2-adic valuations and
+the unit parts mod 8 (A Course in Arithmetic, III.1.2), and at the real
+place by the signs of a, b.
 choose_presentation searches for the smallest pair whose finite ramified
 set is exactly one given prime.
 """
@@ -18,9 +19,6 @@ from itertools import count
 from sympy import factorint, isprime
 
 Rational = int | Fraction
-
-_SQ64 = {(z * z) % 64 for z in range(64)}
-_SQ64_ODD = {(z * z) % 64 for z in range(1, 64, 2)}
 
 
 def _squarefree_core(x: Rational) -> int:
@@ -36,47 +34,34 @@ def _legendre(u: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
+def _split(n: int, p: int) -> tuple[int, int]:
+    """(v_p(n), n / p^v_p(n)) for a nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
 def _hilbert_odd(a: int, b: int, p: int) -> int:
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
-    sign = 1
-    if alpha % 2 and beta % 2 and p % 4 == 3:
-        sign = -sign
+    alpha, u = _split(a, p)
+    beta, v = _split(b, p)
+    sign = -1 if alpha % 2 and beta % 2 and p % 4 == 3 else 1
     if beta % 2:
-        sign *= _legendre(a, p)
+        sign *= _legendre(u, p)
     if alpha % 2:
-        sign *= _legendre(b, p)
+        sign *= _legendre(v, p)
     return sign
 
 
-def _reduce_dyadic(n: int) -> int:
-    # strip square powers of 2, then shrink the odd part mod 64; both moves
-    # multiply by a 2-adic square so the symbol is unchanged
-    alpha = 0
-    while n % 2 == 0:
-        n //= 2
-        alpha ^= 1
-    return (2 if alpha else 1) * (n % 64)
-
-
 def _hilbert_two(a: int, b: int) -> int:
-    aa, bb = _reduce_dyadic(a), _reduce_dyadic(b)
-    for x in range(64):
-        for y in range(64):
-            w = (aa * x * x + bb * y * y) % 64
-            if x % 2 or y % 2:
-                if w in _SQ64:
-                    return 1
-            elif w in _SQ64_ODD:
-                # x, y both even forces z odd in a primitive solution
-                return 1
-    return -1
+    # (-1)^(eps(u) eps(v) + alpha omega(v) + beta omega(u)) for a = 2^alpha u,
+    # b = 2^beta v, with eps(w) = (w - 1)/2 and omega(w) = (w^2 - 1)/8 mod 2
+    alpha, u = _split(a, 2)
+    beta, v = _split(b, 2)
+    eps_u, eps_v = (u - 1) // 2, (v - 1) // 2
+    omega_u, omega_v = (u * u - 1) // 8, (v * v - 1) // 8
+    return -1 if (eps_u * eps_v + alpha * omega_v + beta * omega_u) % 2 else 1
 
 
 def hilbert_symbol(a: Rational, b: Rational, place) -> int:
@@ -215,7 +200,7 @@ def choose_presentation(q: int) -> AlgebraPresentation:
     is deterministic.
     """
     if not isprime(q):
-        raise ValueError(f"ramified prime must be prime, got {q}")
+        raise ValueError(f"q must be prime, got {q}")
     for s in count(2):
         if s > 8 * q + 64:
             raise RuntimeError(f"no presentation found for q={q} within search bound")

@@ -10,9 +10,8 @@ short unimodular bases) provides the deterministic class ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .linalg import greedy_reduce, hnf, vec_mat
+from .linalg import greedy_reduce, hnf
 from .shortvec import iter_short_vectors, vector_counts
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -171,6 +172,43 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: internal failure ({type(exc).__name__}): ")
         assert err.count("\n") == 1
+
+
+def test_usage_errors_come_before_the_class_walk(monkeypatch, capsys):
+    import brandtlift.cli as cli
+
+    def unreachable(q):
+        raise RuntimeError("the module must not be built")
+
+    monkeypatch.setattr(cli, "choose_presentation", unreachable)
+    assert main(["check", "--q", "3", "--m", "58", "--ell", "5",
+                 "--eigen-f", "3:x", "--eigen-g", "3:0"]) == 2
+    assert "error: bad eigendata entry '3:x'" in capsys.readouterr().err
+    assert main(["lift", "--q", "2", "--m", "1"]) == 2
+    assert "error: lift needs --eigen-f and/or --eigen-g" in capsys.readouterr().err
+    assert main(["lift", "--q", "2", "--m", "1", "--discover", "--eigen-f", "3:x"]) == 2
+    assert "error: bad eigendata entry '3:x'" in capsys.readouterr().err
+
+
+def test_classes_rejects_bound(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["classes", "--q", "2", "--m", "1", "--bound", "5"])
+    assert info.value.code == 2
+    assert "--bound" in capsys.readouterr().err
+
+
+def test_classes_mass_line_sums_the_weights(monkeypatch, capsys):
+    import brandtlift.cli as cli
+
+    real = cli.right_ideal_classes
+
+    def one_weight_off(base):
+        cs = real(base)
+        return dataclasses.replace(cs, weights=[2 * cs.weights[0]] + cs.weights[1:])
+
+    monkeypatch.setattr(cli, "right_ideal_classes", one_weight_off)
+    assert main(["classes", "--q", "2", "--m", "1"]) == 0
+    assert "mass: 1/48 (formula 1/24) MISMATCH" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits():

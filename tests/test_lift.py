@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from brandtlift.lift import LiftResult, normalize_phi, scale_congruent_pair, waldspurger_lift
+from brandtlift.lift import (
+    LiftResult,
+    lift_eigenforms,
+    normalize_phi,
+    scale_congruent_pair,
+    waldspurger_lift,
+)
 from brandtlift.theta import QSeries
+from conftest import EIGEN_174_F, EIGEN_174_G
 
 # reference weight-3/2 expansions, truncated at exponent 99; each was
 # published at a fixed normalization, recorded here as a multiplier against
@@ -138,3 +145,23 @@ def test_metadata_shape(phi174_g, thetas174):
     assert meta["phi"] == list(phi174_g)
     assert isinstance(meta["sign_convention"], str)
     assert isinstance(result, LiftResult)
+
+
+def test_lift_eigenforms_174(module174, phi174_f, phi174_g, thetas174):
+    primitive = {"f": waldspurger_lift(phi174_f, thetas174),
+                 "g": waldspurger_lift(phi174_g, thetas174)}
+    pair = {"f": EIGEN_174_F, "g": EIGEN_174_G}
+    for name in ("f", "g"):
+        lifts, c = lift_eigenforms(module174, {name: pair[name]}, 99, ell=5)
+        assert c is None
+        assert lifts == {name: primitive[name]}
+    lifts, c = lift_eigenforms(module174, pair, 99, ell=5)
+    assert c == -2
+    assert lifts["f"] == primitive["f"]
+    assert lifts["g"].phi == tuple(-2 * x for x in phi174_g)
+    assert lifts["g"].series == -2 * primitive["g"].series
+    # no unit aligns the pair mod 7, and without ell nothing is rescaled
+    for ell in (7, None):
+        lifts, c = lift_eigenforms(module174, pair, 99, ell=ell)
+        assert c is None
+        assert lifts == primitive

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -12,21 +13,38 @@ from brandtlift.qalg import (
 )
 
 
-def hilbert_two_formula(a, b):
-    # independent route: the classical epsilon/omega exponent formula at 2
-    def split(n):
-        alpha = 0
-        while n % 2 == 0:
-            n //= 2
-            alpha += 1
-        return alpha % 2, n
+# independent route: primitive solvability of z^2 = a x^2 + b y^2 mod 64,
+# which decides the 2-adic symbol (the library uses the closed formula)
+_SQ64 = {(z * z) % 64 for z in range(64)}
+_SQ64_ODD = {(z * z) % 64 for z in range(1, 64, 2)}
 
-    alpha, u = split(a)
-    beta, v = split(b)
-    eps = lambda w: ((w - 1) // 2) % 2
-    omega = lambda w: ((w * w - 1) // 8) % 2
-    e = eps(u) * eps(v) + alpha * omega(v) + beta * omega(u)
-    return -1 if e % 2 else 1
+
+def _reduce_dyadic(n):
+    # strip square powers of 2, then shrink the odd part mod 64; both moves
+    # multiply by a 2-adic square so the symbol is unchanged
+    alpha = 0
+    while n % 2 == 0:
+        n //= 2
+        alpha ^= 1
+    return (2 if alpha else 1) * (n % 64)
+
+
+@lru_cache(maxsize=None)
+def _search_reduced(aa, bb):
+    for x in range(64):
+        for y in range(64):
+            w = (aa * x * x + bb * y * y) % 64
+            if x % 2 or y % 2:
+                if w in _SQ64:
+                    return 1
+            elif w in _SQ64_ODD:
+                # x, y both even forces z odd in a primitive solution
+                return 1
+    return -1
+
+
+def hilbert_two_search(a, b):
+    return _search_reduced(_reduce_dyadic(a), _reduce_dyadic(b))
 
 
 def random_element(rng, alg):
@@ -113,7 +131,11 @@ def test_hilbert_two_against_formula():
         b = rng.randint(-200, 200)
         if a == 0 or b == 0:
             continue
-        assert hilbert_symbol(a, b, 2) == hilbert_two_formula(a, b)
+        assert hilbert_symbol(a, b, 2) == hilbert_two_search(a, b)
+    for a in range(-400, 401):
+        for b in range(-120, 121):
+            if a and b:
+                assert hilbert_symbol(a, b, 2) == hilbert_two_search(a, b), (a, b)
 
 
 def test_hilbert_rational_arguments():
