@@ -23,6 +23,8 @@ from .lift import lift_eigenforms
 from .orders import eichler_mass, eichler_order, maximal_order, right_ideal_classes
 from .qalg import choose_presentation
 
+DEFAULT_BOUND = 100
+
 
 def parse_eigendata(text: str) -> list[tuple[int, int]]:
     """Parse "p:a,p:a,..." into a list of (prime, eigenvalue) pairs."""
@@ -45,12 +47,14 @@ def parse_eigendata(text: str) -> list[tuple[int, int]]:
 
 
 def _eigendata(args) -> dict[str, list[tuple[int, int]]]:
-    """--ell checked and --eigen-f / --eigen-g parsed, keyed "f" / "g".
+    """--ell and --bound checked and --eigen-f / --eigen-g parsed, keyed "f" / "g".
 
     Runs before the module is built, so bad input fails before the class walk.
     """
     if args.ell is not None and not isprime(args.ell):
         raise ValueError(f"ell must be prime, got {args.ell}")
+    if args.bound is not None and args.bound < 0:
+        raise ValueError(f"bound must be nonnegative, got {args.bound}")
     given = (("f", args.eigen_f), ("g", args.eigen_g))
     return {name: parse_eigendata(text) for name, text in given if text}
 
@@ -99,7 +103,13 @@ def _lift_header(q: int, m: int, bound: int) -> str:
 
 def cmd_lift(args) -> int:
     eigendata = _eigendata(args)
-    if not args.discover and not eigendata:
+    if args.discover:
+        flags = {"--eigen-f": args.eigen_f, "--eigen-g": args.eigen_g}
+        flags.update({"--ell": args.ell, "--bound": args.bound})
+        ignored = [flag for flag, value in flags.items() if value is not None]
+        if ignored:
+            raise ValueError(f"lift --discover takes none of {', '.join(ignored)}")
+    elif not eigendata:
         raise ValueError("lift needs --eigen-f and/or --eigen-g (or --discover)")
     module = _build_module(args.q, args.m)
     cs = module.classes
@@ -120,9 +130,10 @@ def cmd_lift(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
         return 0
 
-    lifts, c = lift_eigenforms(module, eigendata, args.bound, args.ell)
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    lifts, c = lift_eigenforms(module, eigendata, bound, args.ell)
     scale_note = "primitive" if c is None else f"g rescaled by {c} to match f mod {args.ell}"
-    header = _lift_header(args.q, args.m, args.bound)
+    header = _lift_header(args.q, args.m, bound)
     meta_all = {}
     for name, lifted in lifts.items():
         meta = lifted.metadata(
@@ -154,7 +165,8 @@ def cmd_check(args) -> int:
         raise ValueError("check needs --ell")
     eigendata = _eigendata(args)
     module = _build_module(args.q, args.m)
-    report = run_congruence_checks(module, eigendata["f"], eigendata["g"], args.ell, bound=args.bound)
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    report = run_congruence_checks(module, eigendata["f"], eigendata["g"], args.ell, bound=bound)
     text = report.to_json() if args.json else report.to_text()
     _emit(text, args.out)
     return 0 if report.ok else 1
@@ -173,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--out", help="output path (prefix for lift files)")
         if with_eigen:
-            p.add_argument("--bound", type=int, default=100, help="q-expansion truncation bound")
+            p.add_argument(
+                "--bound", type=int, help=f"q-expansion truncation bound (default {DEFAULT_BOUND})"
+            )
             p.add_argument("--ell", type=int, help="congruence modulus, a prime")
             p.add_argument("--eigen-f", help="eigendata p:a,p:a,... for the first form")
             p.add_argument("--eigen-g", help="eigendata p:a,p:a,... for the second form")

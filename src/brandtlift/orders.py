@@ -1,12 +1,15 @@
 """Lattices and orders in a definite quaternion algebra over Q.
 
-A lattice is stored as a denominator together with the Hermite normal form
-of an integer matrix whose rows are coordinates in the 1, i, j, k basis, so
-lattice equality is tuple equality.  On top of the lattice arithmetic sit
-the three construction stages: saturating the obvious order to a maximal
-one, cutting an Eichler order of square-free level, and walking the
-p-neighbor graph to enumerate the right ideal classes with their unit
-weights, certified complete by the mass formula.
+A lattice is a denominator together with the Hermite normal form of an
+integer matrix whose rows are coordinates in the 1, i, j, k basis, so
+lattice equality is tuple equality.  The integer rows are the only
+representation: products, trace Grams and membership run on them through
+the algebra's product and trace pairing, and coordinates come from forward
+substitution on the triangular HNF.  QuaternionElement appears only at the
+API edge.  On top sit the three construction stages: saturating the obvious
+order to a maximal one, cutting an Eichler order of square-free level, and
+walking the p-neighbor graph to enumerate the right ideal classes with their
+unit weights, certified complete by the mass formula.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from sympy import factorint, primerange
 
@@ -34,28 +37,25 @@ def _sqrt_fraction(x: Fraction) -> Fraction:
 
 
 class OrderLattice:
-    """Full rank-4 lattice in the algebra, in canonical HNF form.
+    """Full rank-4 lattice (rows) / den in the algebra, rows in canonical HNF.
 
-    level is set for orders (reduced discriminant) and norm for ideals, both
-    at construction.  Equality and hashing ignore the metadata and compare
-    the lattice itself.
+    The rows are upper triangular with positive pivots on the diagonal.
+    norm is set for ideals at construction.  Equality and hashing ignore it
+    and compare the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "level", "norm", "_basis", "_inv", "_gram", "_red")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red")
 
-    def __init__(self, alg: AlgebraPresentation, den: int, rows, level=None, norm=None):
+    def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
         self.den = den
         self.rows = tuple(tuple(r) for r in rows)
-        self.level = level
         self.norm = norm
-        self._basis = None
-        self._inv = None
         self._gram = None
         self._red = None
 
     @classmethod
-    def from_rows(cls, alg, den: int, rows, **meta) -> "OrderLattice":
+    def from_rows(cls, alg, den: int, rows, norm=None) -> "OrderLattice":
         reduced = hnf(rows)
         if len(reduced) != 4:
             raise ValueError("lattice is not of full rank 4")
@@ -63,12 +63,7 @@ class OrderLattice:
         if g > 1:
             den //= g
             reduced = [[x // g for x in row] for row in reduced]
-        return cls(alg, den, reduced, **meta)
-
-    @classmethod
-    def from_elements(cls, alg, elems, **meta) -> "OrderLattice":
-        den, flat = clear_denominators([c for e in elems for c in e.coeffs])
-        return cls.from_rows(alg, den, [flat[k : k + 4] for k in range(0, len(flat), 4)], **meta)
+        return cls(alg, den, reduced, norm)
 
     def __eq__(self, other):
         return (
@@ -84,36 +79,37 @@ class OrderLattice:
     def __repr__(self):
         return f"OrderLattice(den={self.den}, rows={self.rows})"
 
-    def with_meta(self, **meta) -> "OrderLattice":
-        return OrderLattice(self.alg, self.den, self.rows, **meta)
-
     def basis(self) -> tuple[QuaternionElement, ...]:
-        if self._basis is None:
-            d = self.den
-            self._basis = tuple(
-                self.alg.element(*(Fraction(x, d) for x in row)) for row in self.rows
-            )
-        return self._basis
+        return tuple(self.alg.element(*(Fraction(x, self.den) for x in row)) for row in self.rows)
 
     def element(self, coords) -> QuaternionElement:
         """The lattice element with the given coordinates over the basis."""
         return self.alg.element(*(Fraction(x, self.den) for x in vec_mat(coords, self.rows)))
 
-    def _basis_inverse(self):
-        if self._inv is None:
-            mat = [[Fraction(x, self.den) for x in row] for row in self.rows]
-            self._inv = mat_inv(mat)
-        return self._inv
+    def _solve(self, num, d: int = 1) -> list[int] | None:
+        """Integer coordinates of the element num / d, or None when it is off the lattice.
+
+        The rows are upper triangular, so c . rows = den * num / d is solved
+        by forward substitution.
+        """
+        rows, c = self.rows, []
+        for j in range(4):
+            s = self.den * num[j] - d * sum(ci * rows[i][j] for i, ci in enumerate(c))
+            q, r = divmod(s, d * rows[j][j])
+            if r:
+                return None
+            c.append(q)
+        return c
 
     def coordinates(self, elem: QuaternionElement) -> list[Fraction]:
         """Coefficients of elem over the lattice basis."""
-        return vec_mat(list(elem.coeffs), self._basis_inverse())
-
-    def contains(self, elem: QuaternionElement) -> bool:
-        return all(c.denominator == 1 for c in self.coordinates(elem))
+        d, num = clear_denominators(elem.coeffs)
+        # rows^-1 = adj / det and |det| is the pivot product, so piv * d * coordinates are integers
+        piv = prod(self.rows[j][j] for j in range(4))
+        return [Fraction(x, piv * d) for x in self._solve([piv * x for x in num])]
 
     def covolume(self) -> Fraction:
-        return Fraction(abs(det_int(self.rows)), self.den**4)
+        return Fraction(prod(self.rows[j][j] for j in range(4)), self.den**4)
 
     def gram_int(self) -> list[list[int]]:
         """Integer Gram [tr(r_m conj(r_n))] over the numerator rows.
@@ -123,11 +119,8 @@ class OrderLattice:
         the solutions of the integer form at value 2 den^2 n.
         """
         if self._gram is None:
-            elems = [self.alg.element(*row) for row in self.rows]
-            conjs = [e.conjugate() for e in elems]
-            g = [[(elems[m] * conjs[n]).trace() for n in range(4)] for m in range(4)]
-            assert all(v.denominator == 1 for row in g for v in row)
-            self._gram = [[int(v) for v in row] for row in g]
+            pair = self.alg.trace_pairing
+            self._gram = [[pair(r, s) for s in self.rows] for r in self.rows]
         return self._gram
 
     def reduced_gram(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -172,17 +165,20 @@ class OrderLattice:
 
     def multiply(self, other: "OrderLattice") -> "OrderLattice":
         assert self.alg == other.alg
-        prods = [x * y for x in self.basis() for y in other.basis()]
-        return OrderLattice.from_elements(self.alg, prods)
+        mul = self.alg.mul
+        prods = [mul(x, y) for x in self.rows for y in other.rows]
+        return OrderLattice.from_rows(self.alg, self.den * other.den, prods)
 
     def mul_element(self, x: QuaternionElement, side: str) -> "OrderLattice":
+        d, xrow = clear_denominators(x.coeffs)
+        mul = self.alg.mul
         if side == "right":
-            elems = [v * x for v in self.basis()]
+            prods = [mul(r, xrow) for r in self.rows]
         elif side == "left":
-            elems = [x * v for v in self.basis()]
+            prods = [mul(xrow, r) for r in self.rows]
         else:
             raise ValueError("side must be 'left' or 'right'")
-        return OrderLattice.from_elements(self.alg, elems)
+        return OrderLattice.from_rows(self.alg, self.den * d, prods)
 
     def scaled(self, c: Fraction) -> "OrderLattice":
         c = Fraction(c)
@@ -208,11 +204,10 @@ class OrderLattice:
         return int(_sqrt_fraction(d2))
 
     def is_order(self) -> bool:
-        one = self.alg.one()
-        if not self.contains(one):
+        if self._solve((1, 0, 0, 0)) is None:
             return False
-        bas = self.basis()
-        return all(self.contains(x * y) for x in bas for y in bas)
+        mul, d = self.alg.mul, self.den**2
+        return all(self._solve(mul(x, y), d) is not None for x in self.rows for y in self.rows)
 
 
 def standard_order(alg: AlgebraPresentation) -> OrderLattice:
@@ -251,10 +246,10 @@ def _projective_points(p: int):
 
 
 def _try_overorder(order: OrderLattice, vecs: list[list[int]], p: int) -> OrderLattice | None:
-    extra = [order.element(c) / p for c in vecs]
-    if not all(e.is_integral() for e in extra):
+    if not all((order.element(c) / p).is_integral() for c in vecs):
         return None
-    cand = OrderLattice.from_elements(order.alg, list(order.basis()) + extra)
+    rows = [[p * x for x in row] for row in order.rows] + [vec_mat(c, order.rows) for c in vecs]
+    cand = OrderLattice.from_rows(order.alg, order.den * p, rows)
     return cand if cand.is_order() else None
 
 
@@ -268,7 +263,7 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
     for _ in range(64):
         d = order.reduced_discriminant()
         if d == q:
-            return order.with_meta(level=q)
+            return order
         assert d % q == 0
         p = min(factorint(d // q).keys())
         singles = list(_projective_points(p))
@@ -290,19 +285,13 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
 
 def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
     """Coordinates mod p of a rank-1 idempotent in order/p ~ M_2(F_p)."""
-    bas = order.basis()
-    conj = [b.conjugate() for b in bas]
-    norm_diag = [b.norm() for b in bas]
-    pair = [[(bas[m] * conj[n]).trace() for n in range(4)] for m in range(4)]
-    assert all(v.denominator == 1 for v in norm_diag)
+    gram, scale = order.gram_int(), 2 * order.den**2
 
     def norm_mod(c):
-        total = 0
-        for m in range(4):
-            total += int(norm_diag[m]) * c[m] * c[m]
-            for n in range(m + 1, 4):
-                total += int(pair[m][n]) * c[m] * c[n]
-        return total % p
+        # reduced norm of the element with coordinates c is c G c^T / (2 den^2)
+        total = sum(c[m] * gram[m][n] * c[n] for m in range(4) for n in range(4))
+        assert total % scale == 0
+        return total // scale % p
 
     zero_div = None
     for c in _projective_points(p):
@@ -315,7 +304,7 @@ def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
     x = order.element(zero_div)
     if int(x.trace()) % p == 0:
         # slide to a rank-1 element of nonzero trace; some basis multiple works
-        for b in bas:
+        for b in order.basis():
             y = x * b
             if int(y.trace()) % p != 0:
                 x = y
@@ -365,20 +354,18 @@ def eichler_order(order: OrderLattice, M: int) -> OrderLattice:
     current = order
     for p in sorted(fac.keys()):
         current = _level_raise(current, p)
-    return current.with_meta(level=q * M)
+    return current
 
 
 # ideal class enumeration ------------------------------------------------
 
 
 def _right_action_matrices(ideal: OrderLattice, base: OrderLattice) -> list[list[list[int]]]:
+    mul, d = ideal.alg.mul, ideal.den * base.den
     mats = []
-    for r in base.basis():
-        rows = []
-        for v in ideal.basis():
-            coords = ideal.coordinates(v * r)
-            assert all(c.denominator == 1 for c in coords), "lattice is not a right ideal"
-            rows.append([int(c) for c in coords])
+    for r in base.rows:
+        rows = [ideal._solve(mul(v, r), d) for v in ideal.rows]
+        assert None not in rows, "lattice is not a right ideal"
         mats.append(rows)
     return mats
 
@@ -416,7 +403,8 @@ def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     x = alpha.conjugate() / ideal.norm
     norm = alpha.norm() / ideal.norm
     assert norm.denominator == 1
-    small = OrderLattice.from_elements(ideal.alg, [x * v for v in ideal.basis()], norm=norm)
+    small = ideal.mul_element(x, "left")
+    small = OrderLattice(small.alg, small.den, small.rows, norm)
     assert ideal_norm(small, base) == small.norm
     return small
 
@@ -485,7 +473,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     the whole walk certified complete by the Eichler mass formula.
     """
     alg = base.alg
-    N = base.level if base.level is not None else base.reduced_discriminant()
+    N = base.reduced_discriminant()
     ram = finite_ramified_primes(alg.a, alg.b)
     assert len(ram) == 1
     q = ram[0]
@@ -493,9 +481,9 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     target_mass = eichler_mass(q, M)
     p = next(r for r in primerange(2, 1000) if N % r)
 
-    first = base.with_meta(norm=Fraction(1))
+    first = OrderLattice(alg, base.den, base.rows, Fraction(1))
     classes = [first]
-    orders = [first.left_order().with_meta(level=N)]
+    orders = [first.left_order()]
     weights = [unit_weight(orders[0])]
     profiles = [_norm_profile(first)]
     acc = Fraction(1, weights[0])
@@ -513,7 +501,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
             )
             if known:
                 continue
-            left = reduced.left_order().with_meta(level=N)
+            left = reduced.left_order()
             w = unit_weight(left)
             classes.append(reduced)
             orders.append(left)

@@ -1,11 +1,13 @@
 """Definite rational quaternion algebras (a, b | Q) and their local invariants.
 
 An algebra is presented by two negative integers a, b with i^2 = a, j^2 = b
-and k = ij = -ji.  Elements carry exact rational coordinates.  Local
-behaviour is read off Hilbert symbols: at an odd prime by the Legendre
-symbol formula, at 2 by Serre's closed form in the 2-adic valuations and
-the unit parts mod 8 (A Course in Arithmetic, III.1.2), and at the real
-place by the signs of a, b.
+and k = ij = -ji.  The presentation holds the one product formula and the
+one trace pairing, both on bare coordinate 4-tuples, so integer lattice
+rows multiply without Fractions; elements carry exact rational coordinates
+and call the same two.  Local behaviour is read off Hilbert symbols: at an
+odd prime by the Legendre symbol formula, at 2 by Serre's closed form in
+the 2-adic valuations and the unit parts mod 8 (A Course in Arithmetic,
+III.1.2), and at the real place by the signs of a, b.
 choose_presentation searches for the smallest pair whose finite ramified
 set is exactly one given prime.
 """
@@ -114,6 +116,23 @@ class AlgebraPresentation:
             self.element(0, 0, 0, 1),
         )
 
+    def mul(self, u, v) -> tuple:
+        """Product of two coordinate 4-tuples over 1, i, j, k; ints stay ints."""
+        a, b = self.a, self.b
+        t1, x1, y1, z1 = u
+        t2, x2, y2, z2 = v
+        return (
+            t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+            t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
+            t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
+            t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2,
+        )
+
+    def trace_pairing(self, u, v):
+        """tr(u conj(v)) for two coordinate 4-tuples; twice the reduced norm when u = v."""
+        a, b = self.a, self.b
+        return 2 * (u[0] * v[0] - a * u[1] * v[1] - b * u[2] * v[2] + a * b * u[3] * v[3])
+
 
 @dataclass(frozen=True)
 class QuaternionElement:
@@ -139,17 +158,7 @@ class QuaternionElement:
     def __mul__(self, other):
         if isinstance(other, QuaternionElement):
             assert self.alg == other.alg
-            a, b = Fraction(self.alg.a), Fraction(self.alg.b)
-            t1, x1, y1, z1 = self.coeffs
-            t2, x2, y2, z2 = other.coeffs
-            return self._wrap(
-                (
-                    t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
-                    t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
-                    t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
-                    t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2,
-                )
-            )
+            return self._wrap(self.alg.mul(self.coeffs, other.coeffs))
         return self._wrap(s * Fraction(other) for s in self.coeffs)
 
     def __rmul__(self, other) -> "QuaternionElement":
@@ -167,9 +176,7 @@ class QuaternionElement:
         return 2 * self.coeffs[0]
 
     def norm(self) -> Fraction:
-        t, x, y, z = self.coeffs
-        a, b = self.alg.a, self.alg.b
-        return t * t - a * x * x - b * y * y + a * b * z * z
+        return self.alg.trace_pairing(self.coeffs, self.coeffs) / 2
 
     def is_integral(self) -> bool:
         """Whether the reduced characteristic polynomial has integer coefficients."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import greedy_reduce, hnf
+from .linalg import greedy_reduce, hnf, vec_mat
 from .shortvec import iter_short_vectors, vector_counts
 
 
@@ -27,12 +27,7 @@ class TernaryLattice:
         assert all(g[i][j] == g[j][i] for i in range(3) for j in range(3))
 
     def determinant(self) -> int:
-        g = self.gram
-        return (
-            g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
-            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
-            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
-        )
+        return _det3(*self.gram)
 
 
 @dataclass(frozen=True)
@@ -128,30 +123,24 @@ def trace_zero_lattice(order) -> TernaryLattice:
     every member of the lattice has norm congruent to 0 or 3 mod 4; the
     diagonal entries are the reduced norms of the basis vectors.
     """
-    alg = order.alg
-    ambient_elems = [alg.one()] + [2 * b for b in order.basis()]
     from .orders import OrderLattice
 
-    ambient = OrderLattice.from_elements(alg, ambient_elems)
-    traces = [b.trace() for b in ambient.basis()]
-    assert all(t.denominator == 1 for t in traces)
-    aug = [[int(traces[m])] + [1 if n == m else 0 for n in range(4)] for m in range(4)]
-    reduced = hnf(aug)
-    kernel = [row[1:] for row in reduced if row[0] == 0]
+    alg, d = order.alg, order.den
+    # Z + 2R, with 1 = (d, 0, 0, 0) / d; a member row / den has trace 2 row[0] / den
+    ambient_rows = [(d, 0, 0, 0)] + [[2 * x for x in row] for row in order.rows]
+    ambient = OrderLattice.from_rows(alg, d, ambient_rows)
+    den = ambient.den
+    assert all(2 * row[0] % den == 0 for row in ambient.rows)
+    traces = [2 * row[0] // den for row in ambient.rows]
+    aug = [[traces[m]] + [int(n == m) for n in range(4)] for m in range(4)]
+    kernel = [row[1:] for row in hnf(aug) if row[0] == 0]
     assert len(kernel) == 3, "trace functional must have a rank-3 kernel"
-    vecs = [
-        sum((ci * b for ci, b in zip(c, ambient.basis())), start=alg.element(0, 0, 0, 0))
-        for c in kernel
-    ]
-    gram = []
-    for x in vecs:
-        row = []
-        for y in vecs:
-            t = (x * y.conjugate()).trace()
-            assert t.denominator == 1 and int(t) % 2 == 0
-            row.append(int(t) // 2)
-        gram.append(tuple(row))
-    out = TernaryLattice(tuple(gram))
+    vecs = [vec_mat(c, ambient.rows) for c in kernel]
+    # tr(x conj(y)) / 2 for the members vecs / den
+    scale = 2 * den**2
+    gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]
+    assert all(t % scale == 0 for row in gram for t in row)
+    out = TernaryLattice(tuple(tuple(t // scale for t in row) for row in gram))
     assert out.determinant() > 0
     return out
 

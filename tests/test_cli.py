@@ -188,6 +188,18 @@ def test_usage_errors_come_before_the_class_walk(monkeypatch, capsys):
     assert "error: lift needs --eigen-f and/or --eigen-g" in capsys.readouterr().err
     assert main(["lift", "--q", "2", "--m", "1", "--discover", "--eigen-f", "3:x"]) == 2
     assert "error: bad eigendata entry '3:x'" in capsys.readouterr().err
+    assert main(["lift", "--q", "2", "--m", "1", "--eigen-f", "3:4", "--bound", "-1"]) == 2
+    assert "error: bound must be nonnegative, got -1" in capsys.readouterr().err
+    assert main(["check", "--q", "2", "--m", "1", "--eigen-f", "3:4", "--eigen-g", "3:1",
+                 "--ell", "5", "--bound", "-1"]) == 2
+    assert "error: bound must be nonnegative, got -1" in capsys.readouterr().err
+    assert main(["lift", "--q", "2", "--m", "1", "--discover", "--eigen-f", "3:0",
+                 "--ell", "5", "--bound", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: lift --discover takes none of --eigen-f, --ell, --bound\n"
+    for flag, value in (("--eigen-g", "3:0"), ("--ell", "5"), ("--bound", "100")):
+        assert main(["lift", "--q", "2", "--m", "1", "--discover", flag, value]) == 2
+        assert f"error: lift --discover takes none of {flag}\n" in capsys.readouterr().err
 
 
 def test_classes_rejects_bound(capsys):

@@ -1,9 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brandtlift.linalg import clear_denominators, hnf, mat_inv, vec_mat
 from brandtlift.orders import (
     ClassSet,
+    OrderLattice,
     eichler_mass,
     eichler_order,
     equivalent_ideals,
@@ -12,7 +17,8 @@ from brandtlift.orders import (
     right_ideal_classes,
     unit_weight,
 )
-from brandtlift.qalg import choose_presentation
+from brandtlift.qalg import AlgebraPresentation, choose_presentation
+from brandtlift.theta import trace_zero_lattice
 
 from conftest import build_classes
 
@@ -121,3 +127,178 @@ def test_class_set_json_shape(classes174):
         # entries must parse back as exact rationals
         Fraction(entry["ideal_basis"][0][0])
     assert [e["weight"] for e in doc["classes"]] == classes174.weights
+
+
+# Reference: the element-based Fraction route (products of QuaternionElement
+# bases, coordinates through mat_inv), independent of the integer-row code and
+# with its own copy of the product formula.
+
+
+def ref_mul(a, b, u, v):
+    """The quaternion product formula, kept here independent of the library."""
+    a, b = Fraction(a), Fraction(b)
+    t1, x1, y1, z1 = u
+    t2, x2, y2, z2 = v
+    return (
+        t1 * t2 + a * x1 * x2 + b * y1 * y2 - a * b * z1 * z2,
+        t1 * x2 + x1 * t2 - b * y1 * z2 + b * z1 * y2,
+        t1 * y2 + y1 * t2 + a * x1 * z2 - a * z1 * x2,
+        t1 * z2 + x1 * y2 - y1 * x2 + z1 * t2,
+    )
+
+
+def _conj(u):
+    return (u[0], -u[1], -u[2], -u[3])
+
+
+def _ref_times(x, y):
+    alg = x.alg
+    return alg.element(*ref_mul(alg.a, alg.b, x.coeffs, y.coeffs))
+
+
+def _ref_trace_of_product(x, y):
+    """tr(x conj(y)) for two elements, through the reference product."""
+    return _ref_times(x, y.conjugate()).trace()
+
+
+def _from_elements(alg, elems):
+    den, flat = clear_denominators([c for e in elems for c in e.coeffs])
+    return OrderLattice.from_rows(alg, den, [flat[k : k + 4] for k in range(0, len(flat), 4)])
+
+
+def _ref_basis(latt):
+    return [latt.alg.element(*(Fraction(x, latt.den) for x in row)) for row in latt.rows]
+
+
+def ref_gram(latt):
+    elems = [latt.alg.element(*row) for row in latt.rows]
+    gram = [[_ref_trace_of_product(x, y) for y in elems] for x in elems]
+    assert all(v.denominator == 1 for row in gram for v in row)
+    return [[int(v) for v in row] for row in gram]
+
+
+def ref_multiply(lhs, rhs):
+    prods = [_ref_times(x, y) for x in _ref_basis(lhs) for y in _ref_basis(rhs)]
+    return _from_elements(lhs.alg, prods)
+
+
+def ref_mul_element(latt, x, side):
+    bas = _ref_basis(latt)
+    elems = [_ref_times(v, x) for v in bas] if side == "right" else [_ref_times(x, v) for v in bas]
+    return _from_elements(latt.alg, elems)
+
+
+def ref_coordinates(latt, elem):
+    basis = [[Fraction(x, latt.den) for x in row] for row in latt.rows]
+    return vec_mat(list(elem.coeffs), mat_inv(basis))
+
+
+def ref_is_order(latt):
+    def contains(elem):
+        return all(c.denominator == 1 for c in ref_coordinates(latt, elem))
+
+    bas = _ref_basis(latt)
+    return contains(latt.alg.one()) and all(contains(_ref_times(x, y)) for x in bas for y in bas)
+
+
+def ref_trace_zero_gram(order):
+    alg = order.alg
+    ambient = _from_elements(alg, [alg.one()] + [2 * b for b in _ref_basis(order)])
+    amb = _ref_basis(ambient)
+    traces = [b.trace() for b in amb]
+    assert all(t.denominator == 1 for t in traces)
+    aug = [[int(traces[m])] + [1 if n == m else 0 for n in range(4)] for m in range(4)]
+    kernel = [row[1:] for row in hnf(aug) if row[0] == 0]
+    vecs = [sum((ci * b for ci, b in zip(c, amb)), start=alg.element(0, 0, 0, 0)) for c in kernel]
+    gram = []
+    for x in vecs:
+        row = []
+        for y in vecs:
+            t = _ref_trace_of_product(x, y)
+            assert t.denominator == 1 and int(t) % 2 == 0
+            row.append(int(t) // 2)
+        gram.append(tuple(row))
+    return tuple(gram)
+
+
+def _random_element(alg, rng):
+    return alg.element(*(Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)))
+
+
+def _lattices(cs):
+    """Class reps, right orders and pair products I_i conj(I_j) of a class set."""
+    h = cs.h
+    pairs = [cs.reps[i].multiply(cs.reps[(5 * i + 3) % h].conjugated()) for i in range(h)]
+    return list(cs.reps) + list(cs.right_orders) + pairs
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174"])
+def test_integer_rows_match_the_fraction_reference(fixture, request):
+    cs = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    lattices = _lattices(cs)
+    h = cs.h
+    for latt in lattices:
+        assert latt.gram_int() == ref_gram(latt)
+        for _ in range(2):
+            x = _random_element(latt.alg, rng)
+            if x.is_zero():
+                continue
+            assert latt.coordinates(x) == ref_coordinates(latt, x)
+            for side in ("left", "right"):
+                assert latt.mul_element(x, side) == ref_mul_element(latt, x, side)
+        assert latt.coordinates(latt.element([1, -2, 3, 5])) == [1, -2, 3, 5]
+    for latt in lattices + [latt.scaled(Fraction(1, 2)) for latt in cs.right_orders[:4]]:
+        assert latt.is_order() == ref_is_order(latt)
+    assert all(o.is_order() for o in cs.right_orders)
+    assert not all(latt.is_order() for latt in lattices)
+    for i in range(h):
+        rhs = cs.reps[(3 * i + 1) % h].conjugated()
+        assert cs.reps[i].multiply(rhs) == ref_multiply(cs.reps[i], rhs)
+        order, rep = cs.right_orders[i], cs.reps[i]
+        assert order.multiply(rep) == ref_multiply(order, rep)
+    for order in cs.right_orders:
+        assert trace_zero_lattice(order).gram == ref_trace_zero_gram(order)
+
+
+_fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_coordinate = st.one_of(st.integers(-60, 60), _fraction)
+_coords = st.tuples(_coordinate, _coordinate, _coordinate, _coordinate)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(-40, -1), b=st.integers(-40, -1), u=_coords, v=_coords)
+def test_product_and_trace_pairing_match_the_reference_formula(a, b, u, v):
+    alg = AlgebraPresentation(a, b)
+    assert alg.mul(u, v) == ref_mul(a, b, u, v)
+    assert alg.trace_pairing(u, v) == 2 * ref_mul(a, b, u, _conj(v))[0]
+    x, y = alg.element(*u), alg.element(*v)
+    assert (x * y).coeffs == ref_mul(a, b, x.coeffs, y.coeffs)
+    assert x.norm() == ref_mul(a, b, u, _conj(u))[0]
+    ints = tuple(int(c) for c in u), tuple(int(c) for c in v)
+    assert all(type(c) is int for c in alg.mul(*ints))
+    assert type(alg.trace_pairing(*ints)) is int
+
+
+_row = st.tuples(*[st.integers(-9, 9)] * 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(_row, min_size=4, max_size=5), den=st.integers(1, 6), u=_coords, v=_coords)
+def test_random_lattices_match_the_fraction_reference(rows, den, u, v):
+    alg = AlgebraPresentation(-1, -3)
+    try:
+        latt = OrderLattice.from_rows(alg, den, rows)
+    except ValueError:
+        return  # not of full rank
+    other = OrderLattice.from_rows(alg, 1, [(2, 0, 0, 0), (0, 1, 0, 0), (1, 0, 3, 0), (0, 0, 1, 2)])
+    x = alg.element(*u)
+    assert latt.coordinates(x) == ref_coordinates(latt, x)
+    assert latt.gram_int() == ref_gram(latt)
+    assert latt.is_order() == ref_is_order(latt)
+    assert latt.multiply(other) == ref_multiply(latt, other)
+    assert other.multiply(latt) == ref_multiply(other, latt)
+    y = alg.element(*v)
+    if not y.is_zero():
+        for side in ("left", "right"):
+            assert latt.mul_element(y, side) == ref_mul_element(latt, y, side)
