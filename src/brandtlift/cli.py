@@ -161,7 +161,7 @@ def cmd_lift(args) -> int:
 def cmd_check(args) -> int:
     if not args.eigen_f or not args.eigen_g:
         raise ValueError("check needs both --eigen-f and --eigen-g")
-    if not args.ell:
+    if args.ell is None:
         raise ValueError("check needs --ell")
     eigendata = _eigendata(args)
     module = _build_module(args.q, args.m)

@@ -4,12 +4,22 @@ A lattice is a denominator together with the Hermite normal form of an
 integer matrix whose rows are coordinates in the 1, i, j, k basis, so
 lattice equality is tuple equality.  The integer rows are the only
 representation: products, trace Grams and membership run on them through
-the algebra's product and trace pairing, and coordinates come from forward
-substitution on the triangular HNF.  QuaternionElement appears only at the
-API edge.  On top sit the three construction stages: saturating the obvious
-order to a maximal one, cutting an Eichler order of square-free level, and
-walking the p-neighbor graph to enumerate the right ideal classes with their
-unit weights, certified complete by the mass formula.
+the algebra's product and trace pairing, coordinates come from forward
+substitution on the triangular HNF, and the dual (hence intersections and
+left and right orders) from the integer adjugate found by the same
+substitution.  QuaternionElement appears only at the API edge.  On top sit
+the three construction stages: saturating the obvious order to a maximal
+one, cutting an Eichler order of square-free level, and walking the
+p-neighbor graph to enumerate the right ideal classes with their unit
+weights, certified complete by the mass formula.
+
+The walk prime p does not divide the level, so O/pO is M_2(F_p) for the
+Eichler order O, and a right ideal I, being locally principal, has I/pI
+free of rank 1 over it.  Its p-neighbours are the preimages of the p+1
+two-dimensional right submodules, which are the cyclic modules v (O/pO)
+for the p+1 lines v of (I/pI) e, e a rank-1 idempotent of O/pO found once
+per walk (Kirschmer and Voight, SIAM J. Comput. 39 (2010)).  So each class
+costs O(p) small echelon forms.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from math import gcd, isqrt, prod
 
 from sympy import factorint, primerange
 
-from .linalg import clear_denominators, det_int, greedy_reduce, hnf, mat_inv
+from .linalg import clear_denominators, det_int, greedy_reduce, hnf
 from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
 from .qalg import AlgebraPresentation, QuaternionElement, finite_ramified_primes
 from .shortvec import exists_value, iter_short_vectors, vector_counts
@@ -155,10 +165,16 @@ class OrderLattice:
         return OrderLattice.from_rows(self.alg, d, rows)
 
     def dual(self) -> "OrderLattice":
-        # dual for the coordinate dot product: den * inverse transpose
-        inv = mat_inv([list(row) for row in self.rows])
-        den, flat = clear_denominators([self.den * inv[j][i] for i in range(4) for j in range(4)])
-        return OrderLattice.from_rows(self.alg, den, [flat[k : k + 4] for k in range(0, 16, 4)])
+        """Dual for the coordinate dot product: den * rows^-T.
+
+        rows^-1 = adj / det with det the pivot product, and row j of the
+        integer adjugate solves c . rows = det * e_j, so the dual is
+        (den * adj^T) / det without Fractions.
+        """
+        det = prod(self.rows[j][j] for j in range(4))
+        adj = [self._solve([det if m == j else 0 for m in range(4)], self.den) for j in range(4)]
+        rows = [[self.den * adj[j][i] for j in range(4)] for i in range(4)]
+        return OrderLattice.from_rows(self.alg, det, rows)
 
     def intersect(self, other: "OrderLattice") -> "OrderLattice":
         return self.dual().add(other.dual()).dual()
@@ -370,23 +386,34 @@ def _right_action_matrices(ideal: OrderLattice, base: OrderLattice) -> list[list
     return mats
 
 
-def _neighbor_submodules(ideal: OrderLattice, base: OrderLattice, p: int) -> list[list[list[int]]]:
-    """The p+1 two-dimensional right submodules of ideal/p ideal."""
+def _neighbor_submodules(
+    ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int]
+) -> list[list[list[int]]]:
+    """The p+1 two-dimensional right submodules of ideal/p ideal, as sorted echelon bases.
+
+    p does not divide the level, so base/p base is M_2(F_p) and ideal/p ideal
+    is free of rank 1 over it.  With idem the coordinates of a rank-1
+    idempotent e of base mod p, the image V = (ideal/p ideal) e is a plane,
+    and the 2-dimensional right submodules are exactly the cyclic ones
+    v (base/p base) for the p+1 lines v of V: in M_2(F_p), v M_2 holds the
+    matrices whose column space lies in that of v, and the column spaces of
+    the lines of M_2 e run once through the lines of F_p^2.
+    """
     mats = _right_action_matrices(ideal, base)
-    found = {}
-    for line in _projective_points(p):
-        span = [line]
-        while True:
-            new_rows = [vec_mat(v, m) for v in span for m in mats]
-            ech, piv = rref_mod(span + new_rows, p)
-            if len(piv) == len(span) and ech == span:
-                break
-            span = ech
-        if len(span) == 2:
-            key = tuple(tuple(r) for r in span)
-            found[key] = span
-    subs = [found[k] for k in sorted(found)]
-    assert len(subs) == p + 1, f"expected {p + 1} neighbor submodules, found {len(subs)}"
+    # right multiplication by e, in the ideal's coordinates mod p
+    right_e = [[sum(c * m[i][j] for c, m in zip(idem, mats)) for j in range(4)] for i in range(4)]
+    image, piv = rref_mod(right_e, p)
+    assert len(piv) == 2, "image of the idempotent is not 2-dimensional"
+    b1, b2 = image
+    lines = [b2] + [[(x + t * y) % p for x, y in zip(b1, b2)] for t in range(p)]
+    subs = []
+    for v in lines:
+        span, piv = rref_mod([vec_mat(v, m) for m in mats], p)
+        assert len(piv) == 2, "cyclic submodule is not 2-dimensional"
+        subs.append(span)
+    subs.sort()
+    distinct = len({tuple(map(tuple, span)) for span in subs})
+    assert distinct == p + 1, f"expected {p + 1} neighbor submodules, found {distinct}"
     return subs
 
 
@@ -481,32 +508,31 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     target_mass = eichler_mass(q, M)
     p = next(r for r in primerange(2, 1000) if N % r)
 
+    idem = _split_idempotent(base, p)
+
     first = OrderLattice(alg, base.den, base.rows, Fraction(1))
     classes = [first]
     orders = [first.left_order()]
     weights = [unit_weight(orders[0])]
-    profiles = [_norm_profile(first)]
+    # class indices by norm profile, in discovery order
+    by_profile = {_norm_profile(first): [0]}
     acc = Fraction(1, weights[0])
     frontier = [first]
 
     while frontier and acc < target_mass:
         current = frontier.pop(0)
-        for sub in _neighbor_submodules(current, base, p):
+        for sub in _neighbor_submodules(current, base, p, idem):
             neighbor = _neighbor_ideal(current, sub, p)
             reduced = _reduce_ideal(neighbor, base)
-            prof = _norm_profile(reduced)
-            known = any(
-                profiles[k] == prof and equivalent_ideals(classes[k], reduced)
-                for k in range(len(classes))
-            )
-            if known:
+            same = by_profile.setdefault(_norm_profile(reduced), [])
+            if any(equivalent_ideals(classes[k], reduced) for k in same):
                 continue
             left = reduced.left_order()
             w = unit_weight(left)
+            same.append(len(classes))
             classes.append(reduced)
             orders.append(left)
             weights.append(w)
-            profiles.append(prof)
             acc += Fraction(1, w)
             frontier.append(reduced)
             if acc >= target_mass:

@@ -193,8 +193,13 @@ class QuaternionElement:
 
 
 def certify_presentation(a: int, b: int, q: int) -> bool:
-    """Check that (a, b | Q) is definite and ramified exactly at q and infinity."""
-    if a >= 0 or b >= 0:
+    """Check that (a, b | Q) is definite and ramified exactly at the prime q and infinity.
+
+    Most candidates split at q, and one Hilbert symbol rejects them before
+    2ab is factored for the full ramified set.  Like hilbert_symbol, this
+    raises ValueError when q is not prime.
+    """
+    if a >= 0 or b >= 0 or hilbert_symbol(a, b, q) != -1:
         return False
     return finite_ramified_primes(a, b) == [q]
 

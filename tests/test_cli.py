@@ -142,7 +142,7 @@ def test_usage_errors(capsys):
     assert main(["check", "--q", "2", "--m", "1", "--ell", "5",
                  "--eigen-f", "3:x", "--eigen-g", "3:0"]) == 2
     assert "bad eigendata" in capsys.readouterr().err
-    for ell in ("4", "-5"):
+    for ell in ("0", "4", "-5"):
         assert main(["lift", "--q", "11", "--m", "1", "--eigen-f", "2:-2",
                      "--eigen-g", "2:3", "--ell", ell]) == 2
         assert f"error: ell must be prime, got {ell}" in capsys.readouterr().err

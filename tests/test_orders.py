@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brandtlift.linalg import clear_denominators, hnf, mat_inv, vec_mat
+from brandtlift.linalg import clear_denominators, hnf, mat_inv, rref_mod, vec_mat
 from brandtlift.orders import (
     ClassSet,
     OrderLattice,
+    _neighbor_ideal,
+    _neighbor_submodules,
+    _projective_points,
+    _right_action_matrices,
+    _split_idempotent,
     eichler_mass,
     eichler_order,
     equivalent_ideals,
@@ -193,6 +199,22 @@ def ref_coordinates(latt, elem):
     return vec_mat(list(elem.coeffs), mat_inv(basis))
 
 
+def ref_dual(latt):
+    inv = mat_inv([list(row) for row in latt.rows])
+    den, flat = clear_denominators([latt.den * inv[j][i] for i in range(4) for j in range(4)])
+    return OrderLattice.from_rows(latt.alg, den, [flat[k : k + 4] for k in range(0, 16, 4)])
+
+
+def ref_intersect(lhs, rhs):
+    return ref_dual(ref_dual(lhs).add(ref_dual(rhs)))
+
+
+def ref_colon_order(latt, side):
+    """{x : x L in L} for side "right" (the left order), {x : L x in L} for "left"."""
+    cands = (ref_mul_element(latt, v.inverse(), side) for v in _ref_basis(latt))
+    return reduce(ref_intersect, cands)
+
+
 def ref_is_order(latt):
     def contains(elem):
         return all(c.denominator == 1 for c in ref_coordinates(latt, elem))
@@ -240,6 +262,7 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
     h = cs.h
     for latt in lattices:
         assert latt.gram_int() == ref_gram(latt)
+        assert latt.dual() == ref_dual(latt)
         for _ in range(2):
             x = _random_element(latt.alg, rng)
             if x.is_zero():
@@ -257,6 +280,9 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
         assert cs.reps[i].multiply(rhs) == ref_multiply(cs.reps[i], rhs)
         order, rep = cs.right_orders[i], cs.reps[i]
         assert order.multiply(rep) == ref_multiply(order, rep)
+        assert rep.intersect(rhs) == ref_intersect(rep, rhs)
+        assert rep.left_order() == ref_colon_order(rep, "right") == order
+        assert rep.right_order() == ref_colon_order(rep, "left")
     for order in cs.right_orders:
         assert trace_zero_lattice(order).gram == ref_trace_zero_gram(order)
 
@@ -298,7 +324,60 @@ def test_random_lattices_match_the_fraction_reference(rows, den, u, v):
     assert latt.is_order() == ref_is_order(latt)
     assert latt.multiply(other) == ref_multiply(latt, other)
     assert other.multiply(latt) == ref_multiply(other, latt)
+    assert latt.dual() == ref_dual(latt)
+    assert latt.intersect(other) == ref_intersect(latt, other)
+    assert latt.left_order() == ref_colon_order(latt, "right")
+    assert latt.right_order() == ref_colon_order(latt, "left")
     y = alg.element(*v)
     if not y.is_zero():
         for side in ("left", "right"):
             assert latt.mul_element(y, side) == ref_mul_element(latt, y, side)
+
+
+# Reference for the neighbour scan: the right-submodule closure of every point
+# of P^3(F_p), which needs no idempotent and no M_2(F_p) structure.
+
+
+def ref_neighbor_submodules(ideal, base, p):
+    mats = _right_action_matrices(ideal, base)
+    found = {}
+    for line in _projective_points(p):
+        span = [line]
+        while True:
+            new_rows = [vec_mat(v, m) for v in span for m in mats]
+            ech, piv = rref_mod(span + new_rows, p)
+            if len(piv) == len(span) and ech == span:
+                break
+            span = ech
+        if len(span) == 2:
+            found[tuple(tuple(r) for r in span)] = span
+    return [found[k] for k in sorted(found)]
+
+
+def _first_reps(q, m, p, count):
+    """The base order of level q*m and the first few of its p-neighbours."""
+    base = eichler_order(maximal_order(choose_presentation(q)), m)
+    first = OrderLattice(base.alg, base.den, base.rows, Fraction(1))
+    subs = ref_neighbor_submodules(first, base, p)
+    return [first] + [_neighbor_ideal(first, sub, p) for sub in subs[:count]]
+
+
+@pytest.mark.parametrize("level", [11, 170, 174, 30, 210])
+def test_neighbor_scan_matches_the_projective_space_closure(level, request):
+    p = next(r for r in (2, 3, 5, 7, 11) if level % r)
+    if level == 11:
+        reps = build_classes(11, 1).reps
+    elif level in (170, 174):
+        reps = request.getfixturevalue(f"classes{level}").reps
+    else:
+        q, m = {30: (3, 10), 210: (5, 42)}[level]
+        reps = _first_reps(q, m, p, 2)
+    base = reps[0]
+    idem = _split_idempotent(base, p)
+    for rep in reps:
+        subs = _neighbor_submodules(rep, base, p, idem)
+        assert subs == ref_neighbor_submodules(rep, base, p)
+        mats = _right_action_matrices(rep, base)
+        for span in subs:
+            # closed under the right action of base: the rank stays 2
+            assert len(rref_mod(span + [vec_mat(v, m) for v in span for m in mats], p)[1]) == 2

@@ -197,3 +197,13 @@ def test_naive_pair_for_17_is_wrong():
     # (-1, -17) ramifies at 2, not at 17, so certification must reject it
     assert not certify_presentation(-1, -17, 17)
     assert finite_ramified_primes(-1, -17) == [2]
+
+
+def test_certify_presentation_matches_the_ramified_set():
+    # the Hilbert-symbol reject at q must not change any verdict
+    ramified = {(a, b): finite_ramified_primes(a, b) for a in range(-60, 0) for b in range(-60, 0)}
+    for q in (2, 3, 5, 7, 11, 13, 107):
+        for (a, b), ram in ramified.items():
+            assert certify_presentation(a, b, q) == (ram == [q])
+    with pytest.raises(ValueError):
+        certify_presentation(-1, -1, 4)
