@@ -16,7 +16,7 @@ from math import isqrt
 
 from sympy import isprime
 
-from .linalg import mat_vec, primitive_vector, rational_nullspace
+from .linalg import clear_denominators, mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet
 from .shortvec import vector_counts
 
@@ -30,9 +30,11 @@ def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
     h = len(basis[0])
     # column k is (B - a) basis[k]; a kernel vector holds the coordinates
     diffs = [[img[i] - a * v[i] for img, v in zip(images, basis)] for i in range(h)]
+    # positive integer multiples of the kernel vectors: the same primitive forms
+    kernel = [clear_denominators(c)[1] for c in rational_nullspace(diffs)]
     return [
-        primitive_vector([sum(c[k] * v[i] for k, v in enumerate(basis)) for i in range(h)])
-        for c in rational_nullspace(diffs)
+        primitive_vector([sum(ck * v[i] for ck, v in zip(c, basis)) for i in range(h)])
+        for c in kernel
     ]
 
 

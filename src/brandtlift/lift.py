@@ -57,10 +57,14 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
             raise ValueError("phi must have integer entries")
         ints.append(int(x))
     bound = min((t.bound for t in thetas), default=0)
-    out = QSeries(bound, {})
+    # one pass over the coefficients; QSeries drops zeros and n > bound
+    acc: dict[int, int] = {}
+    get = acc.get
     for c, t in zip(ints, thetas):
-        out = out + c * t
-    return LiftResult(series=out, phi=tuple(ints), class_count=len(ints))
+        if c:
+            for n, a in t.coeffs.items():
+                acc[n] = get(n, 0) + c * a
+    return LiftResult(series=QSeries(bound, acc), phi=tuple(ints), class_count=len(ints))
 
 
 def scale_congruent_pair(phi_f, phi_g, ell: int) -> tuple[list[int], list[int], int | None]:

@@ -1,7 +1,10 @@
 """Small exact linear algebra toolkit: integer HNF, kernels, inverses.
 
-Everything operates on plain lists of lists.  Integer routines stay in int,
-rational ones use fractions.Fraction, and nothing here ever touches a float.
+Everything operates on plain lists of lists and nothing here ever touches
+a float.  HNF, the determinant and the eliminations compute in int: over
+Q, rows are cleared of denominators at entry and eliminated fraction-free,
+and Fractions are formed only in the results of rational_nullspace and
+mat_inv.
 Matrices are row based throughout: a lattice basis is a list of row vectors.
 One Gauss-Jordan routine over F_p or Q serves the echelon forms, kernels
 and inverses; HNF and the determinant are separate integer algorithms.
@@ -118,11 +121,16 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def _gauss_jordan(m: list[list], ncols: int, p: int | None = None) -> list[int]:
+def _gauss_jordan(m: list[list[int]], ncols: int, p: int | None = None) -> list[int]:
     """Reduce m in place to reduced row echelon form; return the pivot columns.
 
-    Over F_p when p is given (int entries already in [0, p)), over Q when p
-    is None (Fraction entries).  Pivots are sought in the first ncols
+    Over F_p when p is given (entries already in [0, p)); each pivot is
+    scaled to 1.  Over Q when p is None, fraction-free on integer rows
+    (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2): a row is
+    eliminated as r_i <- (a/g) r_i - (f/g) r_r, with a the pivot, f the
+    entry it clears and g = gcd(a, f), and then divided by its content.
+    Each row stays a nonzero multiple of the row of the rational reduction,
+    with its pivot not scaled to 1.  Pivots are sought in the first ncols
     columns only, so reducing [A | I] with ncols = n inverts A.  The field
     is chosen once per row operation, never per entry.
     """
@@ -137,8 +145,8 @@ def _gauss_jordan(m: list[list], ncols: int, p: int | None = None) -> list[int]:
             continue
         m[r], m[piv] = m[piv], m[r]
         if p is None:
-            scale = m[r][c]
-            row = m[r] = [x / scale for x in m[r]]
+            row = m[r]
+            a = row[c]
         else:
             inv = pow(m[r][c], -1, p)
             row = m[r] = [(x * inv) % p for x in m[r]]
@@ -146,7 +154,10 @@ def _gauss_jordan(m: list[list], ncols: int, p: int | None = None) -> list[int]:
             f = m[i][c]
             if i != r and f:
                 if p is None:
-                    m[i] = [x - f * y for x, y in zip(m[i], row)]
+                    g = gcd(a, f)
+                    new = [(a // g) * x - (f // g) * y for x, y in zip(m[i], row)]
+                    k = gcd(*new)
+                    m[i] = [x // k for x in new] if k > 1 else new
                 else:
                     m[i] = [(x - f * y) % p for x, y in zip(m[i], row)]
         pivots.append(c)
@@ -156,11 +167,20 @@ def _gauss_jordan(m: list[list], ncols: int, p: int | None = None) -> list[int]:
     return pivots
 
 
-def _nullspace(m: list[list], p: int | None = None) -> list[list]:
+def _integer_row(row) -> list[int]:
+    """The positive rational multiple of row with coprime integer entries."""
+    if not all(isinstance(x, int) for x in row):
+        row = clear_denominators([Fraction(x) for x in row])[1]
+    k = gcd(*row)
+    return [x // k for x in row] if k > 1 else list(row)
+
+
+def _nullspace(m: list[list[int]], p: int | None = None) -> list[list]:
     """Right kernel basis of m over F_p or Q, one vector per free column.
 
-    m holds entries already in the field (see _gauss_jordan) and is reduced
-    in place.
+    m holds entries in [0, p) over F_p, or integer rows over Q (see
+    _gauss_jordan), and is reduced in place.  Over Q the entry at pivot
+    column pc of row r is -m[r][fc] / m[r][pc], a Fraction.
     """
     if not m:
         return []
@@ -174,7 +194,7 @@ def _nullspace(m: list[list], p: int | None = None) -> list[list]:
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc] if p is None else -m[r][fc] % p
+            v[pc] = Fraction(-m[r][fc], m[r][pc]) if p is None else -m[r][fc] % p
         basis.append(v)
     return basis
 
@@ -194,23 +214,21 @@ def nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
 
 
 def rational_nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel of a matrix over Q."""
-    return _nullspace([[Fraction(x) for x in row] for row in rows])
+    """Basis of the right kernel of a matrix over Q, with Fraction entries."""
+    return _nullspace([_integer_row(row) for row in rows])
 
 
 def mat_inv(rows) -> list[list[Fraction]]:
-    """Exact inverse of a square matrix, entries coerced to Fraction.
+    """Exact inverse of a square matrix, with Fraction entries.
 
-    Reduces [A | I] over Q; raises ValueError when A is singular.
+    Reduces [A | I] over Q on integer rows and divides each row by its
+    pivot; raises ValueError when A is singular.
     """
     n = len(rows)
-    m = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
+    m = [_integer_row(list(row) + [int(i == j) for j in range(n)]) for i, row in enumerate(rows)]
     if len(_gauss_jordan(m, n)) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]
 
 
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -267,10 +285,8 @@ def primitive_vector(v) -> list[int]:
 
     Raises ValueError on the zero vector.
     """
-    _, ints = clear_denominators([Fraction(x) for x in v])
-    g = gcd(*ints)
-    if g == 0:
+    ints = _integer_row(v)
+    lead = next((x for x in ints if x), 0)
+    if lead == 0:
         raise ValueError("zero vector has no primitive form")
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return [x // g for x in ints]
+    return [-x for x in ints] if lead < 0 else ints

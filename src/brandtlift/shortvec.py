@@ -1,17 +1,20 @@
 """Enumeration of short vectors of a positive definite quadratic form.
 
 The form is given by its Gram matrix G (integer or Fraction entries) and
-evaluated as Q(x) = x G x^T on integer row vectors.  A Gram with Fraction
-entries is scaled once, at entry, by the common denominator d of its
-entries (and the bound b becomes floor(d*b)), so the walk runs on plain
-ints only.
+evaluated as Q(x) = x G x^T on integer row vectors.  An integer Gram is
+used as it is; a Gram with Fraction entries is scaled once, at entry, by
+the common denominator d of its entries (and the bound b becomes
+floor(d*b)), so the walk runs on plain ints only.
 
 The walk is Fincke and Pohst's (Math. Comp. 44 (1985); Cohen, GTM 138,
 2.7.3) in integer form.  With G = L D L^T and Delta_k the leading
 principal minors, D_j = Delta_{j+1}/Delta_j, and the term of coordinate j
 is (Delta_{j+1} x_j + C_j)^2 / (Delta_j Delta_{j+1}), where
 C_j = Delta_{j+1} * sum_{i>j} L_ij x_i is an integer linear form in the
-coordinates fixed before it.  Times M = lcm_j(Delta_j Delta_{j+1}) every
+coordinates fixed before it.  The minors Delta_k and the coefficients
+Delta_{j+1} L_ij of C_j come from one fraction-free elimination of the
+integer Gram (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2), so no
+rational number is formed.  Times M = lcm_j(Delta_j Delta_{j+1}) every
 partial norm is an integer, and each coordinate range comes from one
 math.isqrt, so the bounds are exact.  Coordinates are fixed from the last
 to the first; the first is handed to the consumer as a run of consecutive
@@ -25,28 +28,13 @@ from math import floor, isqrt, lcm
 from typing import Iterator
 
 
-def ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """LDL^T decomposition of a symmetric positive definite matrix.
-
-    Returns (L, D) with L unit lower triangular and D the positive diagonal,
-    both exact.  Raises ValueError if the matrix is not positive definite.
-    """
-    n = len(gram)
-    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        d = Fraction(gram[j][j]) - sum(L[j][k] ** 2 * D[k] for k in range(j))
-        if d <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        D[j] = d
-        for i in range(j + 1, n):
-            s = Fraction(gram[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
-            L[i][j] = s / d
-    return L, D
-
-
 def _scaled(gram, bound) -> tuple[list[list[int]], int, int]:
-    """(d*G, floor(d*bound), d) for the common denominator d of G's entries."""
+    """(d*G, floor(d*bound), d) for the common denominator d of G's entries.
+
+    An all-int Gram comes back as it is, with d = 1.
+    """
+    if all(isinstance(v, int) for row in gram for v in row):
+        return gram, floor(bound), 1
     d = lcm(*(Fraction(v).denominator for row in gram for v in row))
     g = [[int(Fraction(v) * d) for v in row] for row in gram]
     return g, floor(Fraction(bound) * d), d
@@ -55,6 +43,32 @@ def _scaled(gram, bound) -> tuple[list[list[int]], int, int]:
 def _value(q: int, d: int):
     """Q(x) from the scaled value d*Q(x): an int whenever it is integral."""
     return q // d if q % d == 0 else Fraction(q, d)
+
+
+def _minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(Delta, C) of an integer Gram g by one Bareiss elimination.
+
+    Delta[k] is the k-th leading principal minor (Delta[0] = 1) and
+    C[j] = [Delta_{j+1} * L_ij for i > j], both integers: after step k the
+    pivot a[k][k] is Delta_{k+1} and a[i][k] is Delta_{k+1} * L_ik.  Raises
+    ValueError if g is not positive definite (a pivot <= 0, by Sylvester's
+    criterion).
+    """
+    n = len(g)
+    a = [list(row) for row in g]
+    prev = 1
+    for k in range(n):
+        ak = a[k]
+        p = ak[k]
+        if p <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
 
 
 def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
@@ -69,11 +83,7 @@ def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int
     n = len(g)
     if n == 0:
         return
-    L, D = ldl(g)
-    delta = [1]
-    for dj in D:
-        delta.append(int(delta[-1] * dj))
-    coef = [[int(delta[j + 1] * L[i][j]) for i in range(j + 1, n)] for j in range(n)]
+    delta, coef = _minors(g)
     m = lcm(*(delta[j] * delta[j + 1] for j in range(n)))
     weight = [m // (delta[j] * delta[j + 1]) for j in range(n)]
     mbound = m * bound
@@ -139,7 +149,8 @@ def vector_counts(gram, bound) -> dict:
 
 def exists_value(gram, value) -> bool:
     """Whether some integer vector has Q(x) exactly equal to value."""
-    value = Fraction(value)
+    if not isinstance(value, int):
+        value = Fraction(value)
     if value <= 0:
         return value == 0
     g, t, d = _scaled(gram, value)

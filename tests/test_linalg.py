@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brandtlift.linalg import (
     clear_denominators,
@@ -32,6 +34,79 @@ def det_cofactor(m):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += (-1) ** j * m[0][j] * det_cofactor(minor)
     return total
+
+
+def ref_gauss_jordan(m, ncols):
+    # reference: Gauss-Jordan over Q in Fraction arithmetic, each pivot
+    # scaled to 1; m is reduced in place to its reduced row echelon form
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        scale = m[r][c]
+        row = m[r] = [x / scale for x in m[r]]
+        for i in range(nrows):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [x - f * y for x, y in zip(m[i], row)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def ref_nullspace(rows):
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0])
+    pivots = ref_gauss_jordan(m, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def ref_mat_inv(rows):
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    if len(ref_gauss_jordan(m, n)) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]
+
+
+_entry = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@st.composite
+def q_matrices(draw, square=False):
+    # int and Fraction entries up to 6x7; zero rows and repeated (rescaled)
+    # rows make rank-deficient inputs common
+    nrows = draw(st.integers(1, 6))
+    ncols = nrows if square else draw(st.integers(1, 7))
+    m = [draw(st.lists(_entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(nrows):
+        kind = draw(st.sampled_from(("keep",) * 4 + ("zero", "repeat")))
+        if kind == "zero":
+            m[i] = [0] * ncols
+        elif kind == "repeat":
+            c = draw(st.sampled_from((1, -2, Fraction(1, 3))))
+            m[i] = [c * x for x in m[draw(st.integers(0, nrows - 1))]]
+    return m
 
 
 def random_matrix(rng, nrows, ncols, lo=-9, hi=9):
@@ -183,6 +258,30 @@ def test_rational_nullspace_annihilates():
         rank = len(rref_mod(m, 10**9 + 7)[1]) if any(any(r) for r in m) else 0
         # rank over Q equals rank mod a huge prime for these tiny entries
         assert len(basis) == 5 - rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=q_matrices())
+def test_rational_nullspace_matches_fraction_reference(m):
+    before = [list(row) for row in m]
+    got = rational_nullspace(m)
+    assert m == before
+    assert got == ref_nullspace(m)
+    assert all(type(x) is Fraction for v in got for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=q_matrices(square=True))
+def test_mat_inv_matches_fraction_reference(m):
+    try:
+        ref = ref_mat_inv(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(m)
+        return
+    got = mat_inv(m)
+    assert got == ref
+    assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_primitive_vector():

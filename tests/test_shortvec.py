@@ -5,7 +5,27 @@ from math import isqrt
 import pytest
 
 from brandtlift.linalg import mat_inv, mat_mul, transpose
-from brandtlift.shortvec import exists_value, iter_short_vectors, ldl, vector_counts
+from brandtlift.shortvec import _minors, exists_value, iter_short_vectors, vector_counts
+
+
+def ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """LDL^T decomposition of a symmetric positive definite matrix.
+
+    Returns (L, D) with L unit lower triangular and D the positive diagonal,
+    both exact.  Raises ValueError if the matrix is not positive definite.
+    """
+    n = len(gram)
+    L = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        d = Fraction(gram[j][j]) - sum(L[j][k] ** 2 * D[k] for k in range(j))
+        if d <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        D[j] = d
+        for i in range(j + 1, n):
+            s = Fraction(gram[i][j]) - sum(L[i][k] * L[j][k] * D[k] for k in range(j))
+            L[i][j] = s / d
+    return L, D
 
 
 def floor_plus_sqrt(c: Fraction, r: Fraction) -> int:
@@ -130,11 +150,35 @@ def test_ldl_reconstructs():
             assert ldlt == [[Fraction(x) for x in row] for row in g]
 
 
+def test_minors_match_ldl_reference():
+    # Bareiss pivots are the leading minors Delta_k = D_0 ... D_{k-1}, and
+    # the entries below them Delta_{j+1} L_ij, as integers
+    rng = random.Random(37)
+    for n in (1, 2, 3, 4):
+        for _ in range(12):
+            g = random_pd_gram(rng, n)
+            L, D = ldl(g)
+            delta, coef = _minors(g)
+            ref = [Fraction(1)]
+            for d in D:
+                ref.append(ref[-1] * d)
+            assert delta == ref and all(type(x) is int for x in delta)
+            for j in range(n):
+                assert coef[j] == [ref[j + 1] * L[i][j] for i in range(j + 1, n)]
+                assert all(type(x) is int for x in coef[j])
+
+
 def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ldl([[1, 0], [0, -1]])
-    with pytest.raises(ValueError):
-        ldl([[0, 1], [1, 0]])
+    # the integer set-up of every walk rejects what the LDL reference rejects
+    for g in ([[1, 0], [0, -1]], [[0, 1], [1, 0]]):
+        with pytest.raises(ValueError, match="not positive definite"):
+            ldl(g)
+        with pytest.raises(ValueError, match="not positive definite"):
+            vector_counts(g, 1)
+        with pytest.raises(ValueError, match="not positive definite"):
+            list(iter_short_vectors(g, 1))
+        with pytest.raises(ValueError, match="not positive definite"):
+            exists_value(g, 1)
 
 
 def test_counts_identity_form():
