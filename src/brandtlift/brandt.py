@@ -17,7 +17,7 @@ from math import isqrt
 from sympy import isprime
 
 from .linalg import clear_denominators, mat_vec, primitive_vector, rational_nullspace
-from .orders import ClassSet
+from .orders import ClassSet, _pair_form
 from .shortvec import vector_counts
 
 
@@ -68,11 +68,8 @@ class BrandtModule:
         if cached is not None and cached[0] >= nmax:
             return cached[1]
         reps = self.classes.reps
-        prod = reps[i].multiply(reps[j].conjugated())
-        unit = Fraction(reps[i].norm) * Fraction(reps[j].norm) * 2 * prod.den**2
-        assert unit.denominator == 1
-        unit = int(unit)
-        counts = vector_counts(prod.reduced_gram()[0], nmax * unit)
+        gram, unit = _pair_form(reps[i], reps[j])
+        counts = vector_counts(gram, nmax * unit)
         assert all(val % unit == 0 for val in counts), "element norm outside the ideal norm lattice"
         out = {val // unit: cnt for val, cnt in counts.items()}
         self._pairs[(i, j)] = (nmax, out)

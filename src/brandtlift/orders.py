@@ -3,11 +3,13 @@
 A lattice is a denominator together with the Hermite normal form of an
 integer matrix whose rows are coordinates in the 1, i, j, k basis, so
 lattice equality is tuple equality.  The integer rows are the only
-representation: products, trace Grams and membership run on them through
-the algebra's product and trace pairing, coordinates come from forward
-substitution on the triangular HNF, and the dual (hence intersections and
-left and right orders) from the integer adjugate found by the same
-substitution.  QuaternionElement appears only at the API edge.  On top sit
+representation: products, norms, inverses, structure constants mod p and
+membership run on them through the algebra's product and trace pairing,
+and the dual (hence intersections and left and right orders) is the
+integer adjugate found by forward substitution on the triangular HNF.
+Ideal norms are ints.  QuaternionElement and Fraction appear only at the
+API edge (element, coordinates, mul_element, scaled, covolume,
+ideal_norm), in the mass and in the JSON output.  On top sit
 the three construction stages: saturating the obvious order to a maximal
 one, cutting an Eichler order of square-free level, and walking the
 p-neighbor graph to enumerate the right ideal classes with their unit
@@ -38,6 +40,10 @@ from .qalg import AlgebraPresentation, QuaternionElement, finite_ramified_primes
 from .shortvec import exists_value, iter_short_vectors, vector_counts
 
 
+def _conj(r):
+    return (r[0], -r[1], -r[2], -r[3])
+
+
 def _sqrt_fraction(x: Fraction) -> Fraction:
     num, den = x.numerator, x.denominator
     rn, rd = isqrt(num), isqrt(den)
@@ -50,11 +56,11 @@ class OrderLattice:
     """Full rank-4 lattice (rows) / den in the algebra, rows in canonical HNF.
 
     The rows are upper triangular with positive pivots on the diagonal.
-    norm is set for ideals at construction.  Equality and hashing ignore it
-    and compare the lattice itself.
+    norm (an int in a class walk) is set for ideals at construction.
+    Equality and hashing ignore it and compare the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj")
 
     def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
@@ -63,6 +69,7 @@ class OrderLattice:
         self.norm = norm
         self._gram = None
         self._red = None
+        self._conj = None
 
     @classmethod
     def from_rows(cls, alg, den: int, rows, norm=None) -> "OrderLattice":
@@ -89,9 +96,6 @@ class OrderLattice:
     def __repr__(self):
         return f"OrderLattice(den={self.den}, rows={self.rows})"
 
-    def basis(self) -> tuple[QuaternionElement, ...]:
-        return tuple(self.alg.element(*(Fraction(x, self.den) for x in row)) for row in self.rows)
-
     def element(self, coords) -> QuaternionElement:
         """The lattice element with the given coordinates over the basis."""
         return self.alg.element(*(Fraction(x, self.den) for x in vec_mat(coords, self.rows)))
@@ -115,11 +119,14 @@ class OrderLattice:
         """Coefficients of elem over the lattice basis."""
         d, num = clear_denominators(elem.coeffs)
         # rows^-1 = adj / det and |det| is the pivot product, so piv * d * coordinates are integers
-        piv = prod(self.rows[j][j] for j in range(4))
+        piv = self._det()
         return [Fraction(x, piv * d) for x in self._solve([piv * x for x in num])]
 
+    def _det(self) -> int:
+        return prod(self.rows[j][j] for j in range(4))
+
     def covolume(self) -> Fraction:
-        return Fraction(prod(self.rows[j][j] for j in range(4)), self.den**4)
+        return Fraction(self._det(), self.den**4)
 
     def gram_int(self) -> list[list[int]]:
         """Integer Gram [tr(r_m conj(r_n))] over the numerator rows.
@@ -139,21 +146,15 @@ class OrderLattice:
             self._red = greedy_reduce(self.gram_int())
         return self._red
 
-    def norm_counts(self, max_norm: Fraction) -> dict[Fraction, int]:
-        """Counts of nonzero lattice vectors by reduced norm, up to max_norm."""
-        scale = 2 * self.den**2
-        raw = vector_counts(self.reduced_gram()[0], Fraction(max_norm) * scale)
-        return {Fraction(val, scale): cnt for val, cnt in raw.items()}
-
-    def minimal_vector(self) -> QuaternionElement:
-        """A nonzero lattice element of smallest reduced norm."""
+    def minimal_vector(self) -> list[int]:
+        """Numerator row r of a nonzero lattice element r / den of smallest reduced norm."""
         gram, umat = self.reduced_gram()
         bound = min(gram[m][m] for m in range(4))
         # min keeps the first vector of least value in walk order
         best = min(iter_short_vectors(gram, bound), key=lambda cv: cv[1], default=None)
         if best is None:
             raise AssertionError("minimal vector enumeration came back empty")
-        return self.element(vec_mat(best[0], umat))
+        return vec_mat(vec_mat(best[0], umat), self.rows)
 
     # lattice arithmetic ------------------------------------------------
 
@@ -171,7 +172,7 @@ class OrderLattice:
         integer adjugate solves c . rows = det * e_j, so the dual is
         (den * adj^T) / det without Fractions.
         """
-        det = prod(self.rows[j][j] for j in range(4))
+        det = self._det()
         adj = [self._solve([det if m == j else 0 for m in range(4)], self.den) for j in range(4)]
         rows = [[self.den * adj[j][i] for j in range(4)] for i in range(4)]
         return OrderLattice.from_rows(self.alg, det, rows)
@@ -187,6 +188,10 @@ class OrderLattice:
 
     def mul_element(self, x: QuaternionElement, side: str) -> "OrderLattice":
         d, xrow = clear_denominators(x.coeffs)
+        return self._mul_row(xrow, d, side)
+
+    def _mul_row(self, xrow, d: int, side: str) -> "OrderLattice":
+        """The lattice times the element xrow / d (d > 0), on the given side."""
         mul = self.alg.mul
         if side == "right":
             prods = [mul(r, xrow) for r in self.rows]
@@ -202,22 +207,29 @@ class OrderLattice:
         return OrderLattice.from_rows(self.alg, self.den * c.denominator, rows)
 
     def conjugated(self) -> "OrderLattice":
-        rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
-        return OrderLattice.from_rows(self.alg, self.den, rows)
+        if self._conj is None:
+            self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows])
+        return self._conj
+
+    def _colon_order(self, side: str) -> "OrderLattice":
+        # meet of self v^-1 (or v^-1 self) over v = r / den, v^-1 = den conj(r) / Nm(r)
+        pair, den = self.alg.trace_pairing, self.den
+        inverses = (([den * x for x in _conj(r)], pair(r, r) // 2) for r in self.rows)
+        cands = (self._mul_row(x, n, side) for x, n in inverses)
+        return reduce(OrderLattice.intersect, cands)
 
     def left_order(self) -> "OrderLattice":
-        cands = (self.mul_element(v.inverse(), "right") for v in self.basis())
-        return reduce(OrderLattice.intersect, cands)
+        return self._colon_order("right")
 
     def right_order(self) -> "OrderLattice":
-        cands = (self.mul_element(v.inverse(), "left") for v in self.basis())
-        return reduce(OrderLattice.intersect, cands)
+        return self._colon_order("left")
 
     def reduced_discriminant(self) -> int:
-        d2 = Fraction(abs(det_int(self.gram_int())), self.den**8)
-        if d2.denominator != 1:
-            raise ValueError("trace form determinant is not integral; not an order")
-        return int(_sqrt_fraction(d2))
+        d2, rem = divmod(abs(det_int(self.gram_int())), self.den**8)
+        d = isqrt(d2)
+        if rem or d * d != d2:
+            raise ValueError("trace form determinant is not an integer square; not an order")
+        return d
 
     def is_order(self) -> bool:
         if self._solve((1, 0, 0, 0)) is None:
@@ -238,8 +250,8 @@ def ideal_norm(ideal: OrderLattice, reference: OrderLattice) -> Fraction:
 
 def unit_weight(order: OrderLattice) -> int:
     """Number of norm-1 elements; for a definite order these are the units."""
-    counts = order.norm_counts(1)
-    return counts.get(Fraction(1), 0)
+    scale = 2 * order.den**2  # the value of norm 1 (see gram_int)
+    return vector_counts(order.reduced_gram()[0], scale).get(scale, 0)
 
 
 def eichler_mass(q: int, M: int) -> Fraction:
@@ -262,10 +274,13 @@ def _projective_points(p: int):
 
 
 def _try_overorder(order: OrderLattice, vecs: list[list[int]], p: int) -> OrderLattice | None:
-    if not all((order.element(c) / p).is_integral() for c in vecs):
+    d, pair = order.den * p, order.alg.trace_pairing
+    new = [vec_mat(c, order.rows) for c in vecs]
+    # r / d is integral: trace 2 r[0] / d and norm pair(r, r) / (2 d^2) are integers
+    if any(2 * r[0] % d or pair(r, r) % (2 * d * d) for r in new):
         return None
-    rows = [[p * x for x in row] for row in order.rows] + [vec_mat(c, order.rows) for c in vecs]
-    cand = OrderLattice.from_rows(order.alg, order.den * p, rows)
+    rows = [[p * x for x in row] for row in order.rows] + new
+    cand = OrderLattice.from_rows(order.alg, d, rows)
     return cand if cand.is_order() else None
 
 
@@ -309,45 +324,31 @@ def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
         assert total % scale == 0
         return total // scale % p
 
-    zero_div = None
-    for c in _projective_points(p):
-        if norm_mod(c) == 0:
-            zero_div = c
-            break
-    if zero_div is None:
+    x = next((c for c in _projective_points(p) if norm_mod(c) == 0), None)
+    if x is None:
         raise RuntimeError(f"norm form anisotropic mod {p}; is p coprime to the level?")
-
-    x = order.element(zero_div)
-    if int(x.trace()) % p == 0:
-        # slide to a rank-1 element of nonzero trace; some basis multiple works
-        for b in order.basis():
-            y = x * b
-            if int(y.trace()) % p != 0:
-                x = y
-                break
-        else:
-            raise RuntimeError("no nonzero-trace zero divisor found; trace pairing degenerate?")
-    coords = order.coordinates(x)
-    assert all(v.denominator == 1 for v in coords)
-    tinv = pow(int(x.trace()) % p, -1, p)
-    idem = [int(v) * tinv % p for v in coords]
-    return idem
+    # tr(b_m) = 2 rows[m][0] / den, and x b_m has the coordinates vec_mat(x, mats[m])
+    mats = _right_action_matrices(order, order)
+    traces = [2 * r[0] // order.den for r in order.rows]
+    # slide to a rank-1 element of nonzero trace; x or some basis multiple works
+    for y in chain([x], (vec_mat(x, m) for m in mats)):
+        t = sum(a * b for a, b in zip(traces, y)) % p
+        if t:
+            return [v * pow(t, -1, p) % p for v in y]
+    raise RuntimeError("no nonzero-trace zero divisor found; trace pairing degenerate?")
 
 
 def _level_raise(order: OrderLattice, p: int) -> OrderLattice:
     """Index-p Eichler suborder: kill one off-diagonal Peirce block mod p."""
     alg = order.alg
-    bas = order.basis()
+    mats = _right_action_matrices(order, order)
     idem = _split_idempotent(order, p)
-    e = order.element(idem)
-    ee = order.coordinates(e * e - e)
-    assert all(v.denominator == 1 and int(v) % p == 0 for v in ee), "not idempotent mod p"
-    f = alg.one() - e
-    cols = []
-    for b in bas:
-        w = order.coordinates(f * b * e)
-        assert all(v.denominator == 1 for v in w)
-        cols.append([int(v) % p for v in w])
+    right_e = _right_mult(mats, idem)
+    ee = vec_mat(idem, right_e)
+    assert all((x - y) % p == 0 for x, y in zip(ee, idem)), "not idempotent mod p"
+    # f = 1 - e, and column m is f b_m e
+    f = [x - y for x, y in zip(order._solve((1, 0, 0, 0)), idem)]
+    cols = [[v % p for v in vec_mat(vec_mat(f, m), right_e)] for m in mats]
     kernel = nullspace_mod(transpose(cols), p)
     assert len(kernel) == 3, "Peirce corner does not have corank 1"
     rows = [[p * x for x in row] for row in order.rows]
@@ -377,6 +378,7 @@ def eichler_order(order: OrderLattice, M: int) -> OrderLattice:
 
 
 def _right_action_matrices(ideal: OrderLattice, base: OrderLattice) -> list[list[list[int]]]:
+    """mats[j][i]: coordinates in ideal of (ideal row i) * (base row j)."""
     mul, d = ideal.alg.mul, ideal.den * base.den
     mats = []
     for r in base.rows:
@@ -384,6 +386,11 @@ def _right_action_matrices(ideal: OrderLattice, base: OrderLattice) -> list[list
         assert None not in rows, "lattice is not a right ideal"
         mats.append(rows)
     return mats
+
+
+def _right_mult(mats, e) -> list[list[int]]:
+    """Matrix of right multiplication by the base element of coordinates e."""
+    return [[sum(c * m[i][j] for c, m in zip(e, mats)) for j in range(4)] for i in range(4)]
 
 
 def _neighbor_submodules(
@@ -400,9 +407,7 @@ def _neighbor_submodules(
     the lines of M_2 e run once through the lines of F_p^2.
     """
     mats = _right_action_matrices(ideal, base)
-    # right multiplication by e, in the ideal's coordinates mod p
-    right_e = [[sum(c * m[i][j] for c, m in zip(idem, mats)) for j in range(4)] for i in range(4)]
-    image, piv = rref_mod(right_e, p)
+    image, piv = rref_mod(_right_mult(mats, idem), p)
     assert len(piv) == 2, "image of the idempotent is not 2-dimensional"
     b1, b2 = image
     lines = [b2] + [[(x + t * y) % p for x, y in zip(b1, b2)] for t in range(p)]
@@ -426,20 +431,29 @@ def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> O
 
 def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     """Replace an ideal by a small equivalent integral one inside base."""
-    alpha = ideal.minimal_vector()
-    x = alpha.conjugate() / ideal.norm
-    norm = alpha.norm() / ideal.norm
-    assert norm.denominator == 1
-    small = ideal.mul_element(x, "left")
+    # alpha = row / den; conj(alpha) / Nm(I) = conj(row) / (den Nm(I))
+    row, d = ideal.minimal_vector(), ideal.den * ideal.norm
+    norm, rem = divmod(ideal.alg.trace_pairing(row, row) // 2, ideal.den * d)
+    assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
+    small = ideal._mul_row(_conj(row), d, "left")
     small = OrderLattice(small.alg, small.den, small.rows, norm)
-    assert ideal_norm(small, base) == small.norm
+    # Nm(small)^2 is the covolume ratio to base
+    assert small._det() * base.den**4 == norm**2 * base._det() * small.den**4
     return small
 
 
-def _reduced_norm(latt: OrderLattice) -> Fraction:
+def _reduced_norm(latt: OrderLattice):
     if latt.norm is not None:
-        return Fraction(latt.norm)
+        return latt.norm
     return _sqrt_fraction(latt.covolume() / latt.right_order().covolume())
+
+
+def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], int]:
+    """Reduced Gram of lhs * conj(rhs) and its value 2 den^2 Nm(lhs) Nm(rhs) (see gram_int)."""
+    prod = lhs.multiply(rhs.conjugated())
+    value = _reduced_norm(lhs) * _reduced_norm(rhs) * 2 * prod.den**2
+    assert value.denominator == 1
+    return prod.reduced_gram()[0], int(value)
 
 
 def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
@@ -448,15 +462,13 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     The test searches lhs * conj(rhs) for an element of reduced norm
     Nm(lhs) * Nm(rhs), which exists exactly in the equivalent case.
     """
-    prod = lhs.multiply(rhs.conjugated())
-    target = _reduced_norm(lhs) * _reduced_norm(rhs) * 2 * prod.den**2
-    assert target.denominator == 1
-    return exists_value(prod.reduced_gram()[0], int(target))
+    return exists_value(*_pair_form(lhs, rhs))
 
 
 def _norm_profile(ideal: OrderLattice, depth: int = 8) -> tuple[int, ...]:
-    counts = ideal.norm_counts(ideal.norm * depth)
-    return tuple(counts.get(ideal.norm * k, 0) for k in range(1, depth + 1))
+    unit = 2 * ideal.den**2 * ideal.norm
+    counts = vector_counts(ideal.reduced_gram()[0], unit * depth)
+    return tuple(counts.get(unit * k, 0) for k in range(1, depth + 1))
 
 
 @dataclass
@@ -510,7 +522,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
 
     idem = _split_idempotent(base, p)
 
-    first = OrderLattice(alg, base.den, base.rows, Fraction(1))
+    first = OrderLattice(alg, base.den, base.rows, 1)
     classes = [first]
     orders = [first.left_order()]
     weights = [unit_weight(orders[0])]

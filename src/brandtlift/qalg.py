@@ -25,10 +25,9 @@ Rational = int | Fraction
 
 def _squarefree_core(x: Rational) -> int:
     """Integer representing x up to nonzero rational squares."""
-    f = Fraction(x)
-    if f == 0:
+    if x == 0:
         raise ValueError("hilbert symbol needs nonzero arguments")
-    return f.numerator * f.denominator
+    return x.numerator * x.denominator
 
 
 def _legendre(u: int, p: int) -> int:

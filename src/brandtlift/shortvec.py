@@ -1,10 +1,9 @@
 """Enumeration of short vectors of a positive definite quadratic form.
 
-The form is given by its Gram matrix G (integer or Fraction entries) and
-evaluated as Q(x) = x G x^T on integer row vectors.  An integer Gram is
-used as it is; a Gram with Fraction entries is scaled once, at entry, by
-the common denominator d of its entries (and the bound b becomes
-floor(d*b)), so the walk runs on plain ints only.
+The form is given by its Gram matrix G, whose entries must be ints, and
+evaluated as Q(x) = x G x^T on integer row vectors, so every value is an
+int.  A bound may be any rational; it is floored once, at entry, and the
+walk runs on plain ints only.
 
 The walk is Fincke and Pohst's (Math. Comp. 44 (1985); Cohen, GTM 138,
 2.7.3) in integer form.  With G = L D L^T and Delta_k the leading
@@ -23,26 +22,8 @@ values along which Q is an integer quadratic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import floor, isqrt, lcm
 from typing import Iterator
-
-
-def _scaled(gram, bound) -> tuple[list[list[int]], int, int]:
-    """(d*G, floor(d*bound), d) for the common denominator d of G's entries.
-
-    An all-int Gram comes back as it is, with d = 1.
-    """
-    if all(isinstance(v, int) for row in gram for v in row):
-        return gram, floor(bound), 1
-    d = lcm(*(Fraction(v).denominator for row in gram for v in row))
-    g = [[int(Fraction(v) * d) for v in row] for row in gram]
-    return g, floor(Fraction(bound) * d), d
-
-
-def _value(q: int, d: int):
-    """Q(x) from the scaled value d*Q(x): an int whenever it is integral."""
-    return q // d if q % d == 0 else Fraction(q, d)
 
 
 def _minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -51,9 +32,11 @@ def _minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     Delta[k] is the k-th leading principal minor (Delta[0] = 1) and
     C[j] = [Delta_{j+1} * L_ij for i > j], both integers: after step k the
     pivot a[k][k] is Delta_{k+1} and a[i][k] is Delta_{k+1} * L_ik.  Raises
-    ValueError if g is not positive definite (a pivot <= 0, by Sylvester's
-    criterion).
+    ValueError if an entry of g is not an int or g is not positive definite
+    (a pivot <= 0, by Sylvester's criterion).
     """
+    if not all(isinstance(v, int) for row in g for v in row):
+        raise ValueError("gram matrix entries must be ints")
     n = len(g)
     a = [list(row) for row in g]
     prev = 1
@@ -110,54 +93,52 @@ def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int
     yield from level(n - 1, 0, True)
 
 
-def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], int | Fraction]]:
+def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (x, Q(x)) over nonzero integer x with 0 <= Q(x) <= bound.
 
     Exactly one of each pair {x, -x} is produced: the one whose highest
-    indexed nonzero coordinate is positive.  Q(x) is an int whenever it is
-    integral.
+    indexed nonzero coordinate is positive.
     """
-    g, b, d = _scaled(gram, bound)
+    b = floor(bound)
     if b < 0:
         return
-    a = g[0][0] if g else 0
-    for tail, lo, hi, lin, rest in _runs(g, b):
+    a = gram[0][0] if gram else 0
+    for tail, lo, hi, lin, rest in _runs(gram, b):
         for x0 in range(lo, hi + 1):
-            yield (x0,) + tail, _value((a * x0 + lin) * x0 + rest, d)
+            yield (x0,) + tail, (a * x0 + lin) * x0 + rest
 
 
-def vector_counts(gram, bound) -> dict:
+def vector_counts(gram, bound) -> dict[int, int]:
     """Counts {Q(x): #x} over nonzero integer vectors with Q(x) <= bound.
 
-    Both signs are counted, so every count is even.  Keys are ints whenever
-    the value is integral (always the case for an integer Gram matrix).
+    Both signs are counted, so every count is even.
     """
-    g, b, d = _scaled(gram, bound)
-    counts: dict = {}
+    b = floor(bound)
+    counts: dict[int, int] = {}
     if b < 0:
         return counts
     get = counts.get
-    a = g[0][0] if g else 0
-    for _, lo, hi, lin, rest in _runs(g, b):
+    a = gram[0][0] if gram else 0
+    for _, lo, hi, lin, rest in _runs(gram, b):
         for x0 in range(lo, hi + 1):
             q = (a * x0 + lin) * x0 + rest
             counts[q] = get(q, 0) + 2
-    if d == 1:
-        return counts
-    return {_value(q, d): cnt for q, cnt in counts.items()}
+    return counts
 
 
 def exists_value(gram, value) -> bool:
-    """Whether some integer vector has Q(x) exactly equal to value."""
-    if not isinstance(value, int):
-        value = Fraction(value)
+    """Whether some integer vector has Q(x) exactly equal to value.
+
+    Q only takes int values, so this is False for a value that is not an
+    integer.
+    """
     if value <= 0:
         return value == 0
-    g, t, d = _scaled(gram, value)
-    if t != value * d:
+    t = floor(value)
+    if t != value:
         return False
-    a2 = 2 * g[0][0]
-    for _, _, _, lin, rest in _runs(g, t):
+    a2 = 2 * gram[0][0]
+    for _, _, _, lin, rest in _runs(gram, t):
         # an integer root of g00*x0^2 + lin*x0 + rest - t; the run is not
         # empty, so the discriminant is not negative
         disc = lin * lin - 2 * a2 * (rest - t)

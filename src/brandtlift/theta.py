@@ -153,7 +153,7 @@ def theta_series(lattice: TernaryLattice, bound: int) -> QSeries:
     if bound > 0:
         reduced, _ = greedy_reduce([list(r) for r in lattice.gram])
         counts = vector_counts(reduced, bound)
-        coeffs.update({int(n): c for n, c in counts.items()})
+        coeffs.update(counts)
     return QSeries(bound, coeffs)
 
 
@@ -178,8 +178,8 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     cap = max(g[i][i] for i in range(3))
     vecs = []
     for v, val in iter_short_vectors(g, cap):
-        vecs.append((int(val), v))
-        vecs.append((int(val), tuple(-x for x in v)))
+        vecs.append((val, v))
+        vecs.append((val, tuple(-x for x in v)))
     vecs.sort()
 
     def bil(u, w):

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from brandtlift.cli import main, parse_eigendata
+from brandtlift.qalg import QuaternionElement
 from brandtlift.theta import QSeries, parse_qseries
 
 REF_W174_G = {4: 2, 16: -2, 24: 2, 36: 2, 64: 2, 87: -2, 88: -4, 96: -2}
@@ -226,3 +227,16 @@ def test_classes_mass_line_sums_the_weights(monkeypatch, capsys):
 def test_unknown_subcommand_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cli_jobs_build_no_quaternion_element(monkeypatch, capsys):
+    # the pipeline runs on integer rows; QuaternionElement is API edge only
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("QuaternionElement built on a CLI path")
+
+    monkeypatch.setattr(QuaternionElement, "__init__", refuse)
+    assert main(["classes", "--q", "5", "--m", "42"]) == 0
+    assert main(["check", "--q", "11", "--m", "1", "--eigen-f", "2:-2",
+                 "--eigen-g", "2:3", "--ell", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "N=210" in out

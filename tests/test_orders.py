@@ -21,6 +21,7 @@ from brandtlift.orders import (
     ideal_norm,
     maximal_order,
     right_ideal_classes,
+    standard_order,
     unit_weight,
 )
 from brandtlift.qalg import AlgebraPresentation, choose_presentation
@@ -111,6 +112,20 @@ def test_class_representatives_inequivalent(classes174):
 def test_equivalence_survives_scaling(classes170):
     rep = classes170.reps[3]
     assert equivalent_ideals(rep, rep.scaled(Fraction(5, 2)))
+
+
+def test_reduced_discriminant_rejects_non_orders():
+    alg = AlgebraPresentation(-1, -3)
+    # 1/2 Z<1, i, j, k>: trace form determinant 9/16
+    half = OrderLattice(alg, 2, standard_order(alg).rows)
+    with pytest.raises(ValueError, match="not an integer square"):
+        half.reduced_discriminant()
+    # a trace form of determinant 48, an integer but not a square
+    planted = OrderLattice(alg, 1, standard_order(alg).rows)
+    planted._gram = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 6]]
+    with pytest.raises(ValueError, match="not an integer square"):
+        planted.reduced_discriminant()
+    assert standard_order(alg).reduced_discriminant() == 12
 
 
 def test_order_arithmetic_roundtrip():
@@ -357,21 +372,47 @@ def ref_neighbor_submodules(ideal, base, p):
 def _first_reps(q, m, p, count):
     """The base order of level q*m and the first few of its p-neighbours."""
     base = eichler_order(maximal_order(choose_presentation(q)), m)
-    first = OrderLattice(base.alg, base.den, base.rows, Fraction(1))
+    first = OrderLattice(base.alg, base.den, base.rows, 1)
     subs = ref_neighbor_submodules(first, base, p)
     return [first] + [_neighbor_ideal(first, sub, p) for sub in subs[:count]]
 
 
-@pytest.mark.parametrize("level", [11, 170, 174, 30, 210])
-def test_neighbor_scan_matches_the_projective_space_closure(level, request):
+def _walk_prime_and_reps(level, request):
     p = next(r for r in (2, 3, 5, 7, 11) if level % r)
     if level == 11:
-        reps = build_classes(11, 1).reps
-    elif level in (170, 174):
-        reps = request.getfixturevalue(f"classes{level}").reps
-    else:
-        q, m = {30: (3, 10), 210: (5, 42)}[level]
-        reps = _first_reps(q, m, p, 2)
+        return p, build_classes(11, 1).reps
+    if level in (170, 174):
+        return p, request.getfixturevalue(f"classes{level}").reps
+    q, m = {30: (3, 10), 210: (5, 42)}[level]
+    return p, _first_reps(q, m, p, 2)
+
+
+def _assert_split_idempotent(base, p):
+    idem = _split_idempotent(base, p)
+    assert all(0 <= c < p for c in idem)
+    e = base.element(idem)
+    ee = _ref_times(e, e)
+    assert all(c.denominator == 1 and c % p == 0 for c in ref_coordinates(base, ee - e))
+    trace, norm = e.trace(), _ref_times(e, e.conjugate()).coeffs[0]
+    assert trace.denominator == 1 and trace % p == 1
+    assert norm.denominator == 1 and norm % p == 0
+
+
+@pytest.mark.parametrize("level", [11, 170, 174, 30, 210])
+def test_split_idempotent_is_a_rank_one_idempotent(level, request):
+    p, reps = _walk_prime_and_reps(level, request)
+    _assert_split_idempotent(reps[0], p)
+
+
+def test_split_idempotent_inverts_the_trace():
+    # in Z<1, i, j, k> of (-1, -1 | Q) every trace is even, so the rank-1
+    # element found has trace 2 mod 3 and is scaled by 1/2 = 2 mod 3
+    _assert_split_idempotent(standard_order(AlgebraPresentation(-1, -1)), 3)
+
+
+@pytest.mark.parametrize("level", [11, 170, 174, 30, 210])
+def test_neighbor_scan_matches_the_projective_space_closure(level, request):
+    p, reps = _walk_prime_and_reps(level, request)
     base = reps[0]
     idem = _split_idempotent(base, p)
     for rep in reps:

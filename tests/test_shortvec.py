@@ -224,11 +224,16 @@ def test_exists_value_agrees_with_counts():
 
 
 def test_fractional_gram():
-    g = [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
-    counts = vector_counts(g, 2)
-    assert counts[Fraction(1, 2)] == 4
-    assert counts[1] == 4
-    assert counts[2] == 4
+    # Grams must have int entries; rational bounds are floored once
+    for g in ([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [[Fraction(2), 0], [0, 2]]):
+        with pytest.raises(ValueError, match="ints"):
+            vector_counts(g, 2)
+        with pytest.raises(ValueError, match="ints"):
+            list(iter_short_vectors(g, 2))
+        with pytest.raises(ValueError, match="ints"):
+            exists_value(g, 1)
+    assert vector_counts([[2, 0], [0, 2]], Fraction(9, 2)) == {2: 4, 4: 4}
+    assert not exists_value([[1]], Fraction(1, 2))
 
 
 def _assert_matches_reference(g, bound):
@@ -247,15 +252,14 @@ def _assert_matches_reference(g, bound):
 
 def test_walk_matches_reference():
     rng = random.Random(21)
-    for scale in (1, Fraction(1, 2), Fraction(1, 3)):
-        for n in (1, 2, 3, 4):
-            for _ in range(6):
-                g = [[v * scale for v in row] for row in random_pd_gram(rng, n)]
-                bound = Fraction(rng.randint(0, 40), rng.choice((1, 2, 3)))
-                ref_counts = _assert_matches_reference(g, bound)
-                for k in range(-1, 6 * int(bound) + 1):
-                    v = Fraction(k, 6)
-                    assert exists_value(g, v) == (v == 0 or v in ref_counts)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            g = random_pd_gram(rng, n)
+            bound = Fraction(rng.randint(0, 40), rng.choice((1, 2, 3)))
+            ref_counts = _assert_matches_reference(g, bound)
+            for k in range(-1, 6 * int(bound) + 1):
+                v = Fraction(k, 6)
+                assert exists_value(g, v) == (v == 0 or v in ref_counts)
     assert list(iter_short_vectors([[1]], -1)) == []
     assert vector_counts([[1]], Fraction(-1, 2)) == {}
 
