@@ -22,15 +22,22 @@ two-dimensional right submodules, which are the cyclic modules v (O/pO)
 for the p+1 lines v of (I/pI) e, e a rank-1 idempotent of O/pO found once
 per walk (Kirschmer and Voight, SIAM J. Comput. 39 (2010)).  So each class
 costs O(p) small echelon forms.
+
+Two identities for locally principal ideals (Voight, Quaternion Algebras,
+GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
+matrices need with 4 products instead of 16.  An integral right O-ideal is
+I = Nm(I) O + alpha O for any alpha in I with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1,
+so I conj(J) = Nm(I) conj(J) + alpha conj(J) for a right O-ideal J; and
+I conj(I) = Nm(I) O_L(I) gives every left order of the walk.  Each such
+product is certified by its covolume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import chain, combinations, product
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 from sympy import factorint, primerange
 
@@ -60,7 +67,7 @@ class OrderLattice:
     Equality and hashing ignore it and compare the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj", "_alpha")
 
     def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
@@ -70,6 +77,7 @@ class OrderLattice:
         self._gram = None
         self._red = None
         self._conj = None
+        self._alpha = None
 
     @classmethod
     def from_rows(cls, alg, den: int, rows, norm=None) -> "OrderLattice":
@@ -156,14 +164,29 @@ class OrderLattice:
             raise AssertionError("minimal vector enumeration came back empty")
         return vec_mat(vec_mat(best[0], umat), self.rows)
 
+    def _generator(self) -> list[int]:
+        """Numerator row of an alpha with self = Nm(self) O + alpha O, for an integral ideal.
+
+        alpha is the first short vector, in increasing norm with ties in walk
+        order as in minimal_vector, with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1; the
+        bound doubles until one is found.
+        """
+        if self._alpha is None:
+            n, gram, umat = self.norm, *self.reduced_gram()
+            unit = 2 * self.den**2 * n  # the value of norm Nm(I) (see gram_int)
+            bound = min(gram[m][m] for m in range(4))
+            while self._alpha is None:
+                for c, val in sorted(iter_short_vectors(gram, bound), key=lambda cv: cv[1]):
+                    if gcd(val // unit, n) == 1:
+                        self._alpha = vec_mat(vec_mat(c, umat), self.rows)
+                        break
+                bound *= 2
+        return self._alpha
+
     # lattice arithmetic ------------------------------------------------
 
     def add(self, other: "OrderLattice") -> "OrderLattice":
-        assert self.alg == other.alg
-        d = self.den * other.den // gcd(self.den, other.den)
-        rows = [[x * (d // self.den) for x in row] for row in self.rows]
-        rows += [[x * (d // other.den) for x in row] for row in other.rows]
-        return OrderLattice.from_rows(self.alg, d, rows)
+        return _lattice_sum([self, other])
 
     def dual(self) -> "OrderLattice":
         """Dual for the coordinate dot product: den * rows^-T.
@@ -212,11 +235,11 @@ class OrderLattice:
         return self._conj
 
     def _colon_order(self, side: str) -> "OrderLattice":
-        # meet of self v^-1 (or v^-1 self) over v = r / den, v^-1 = den conj(r) / Nm(r)
+        # meet of self v^-1 (or v^-1 self) over v = r / den, v^-1 = den conj(r) / Nm(r),
+        # as the dual of the sum of the duals
         pair, den = self.alg.trace_pairing, self.den
         inverses = (([den * x for x in _conj(r)], pair(r, r) // 2) for r in self.rows)
-        cands = (self._mul_row(x, n, side) for x, n in inverses)
-        return reduce(OrderLattice.intersect, cands)
+        return _lattice_sum([self._mul_row(x, n, side).dual() for x, n in inverses]).dual()
 
     def left_order(self) -> "OrderLattice":
         return self._colon_order("right")
@@ -236,6 +259,14 @@ class OrderLattice:
             return False
         mul, d = self.alg.mul, self.den**2
         return all(self._solve(mul(x, y), d) is not None for x in self.rows for y in self.rows)
+
+
+def _lattice_sum(lattices: list[OrderLattice]) -> OrderLattice:
+    alg = lattices[0].alg
+    assert all(latt.alg == alg for latt in lattices)
+    d = lcm(*(latt.den for latt in lattices))
+    rows = [[x * (d // latt.den) for x in row] for latt in lattices for row in latt.rows]
+    return OrderLattice.from_rows(alg, d, rows)
 
 
 def standard_order(alg: AlgebraPresentation) -> OrderLattice:
@@ -442,26 +473,73 @@ def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     return small
 
 
-def _reduced_norm(latt: OrderLattice):
-    if latt.norm is not None:
-        return latt.norm
-    return _sqrt_fraction(latt.covolume() / latt.right_order().covolume())
+def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
+    """lhs * conj(rhs) / shrink, for integral right ideals of one order O with int norms.
+
+    lhs = Nm(lhs) O + alpha O (alpha from _generator) and O conj(rhs) = conj(rhs),
+    so the product is Nm(lhs) conj(rhs) + alpha conj(rhs): 8 rows, the first 4
+    already triangular.  Those rows always span a sublattice of lhs conj(rhs),
+    which has covolume Nm(rhs)^2 covol(lhs); equal covolumes certify equality.
+    With rhs = lhs and shrink = Nm(lhs) this is the left order, since
+    I conj(I) = Nm(I) O_L(I).
+    """
+    alg, n, alpha = lhs.alg, lhs.norm, lhs._generator()
+    crhs = rhs.conjugated()
+    rows = [[n * lhs.den * x for x in r] for r in crhs.rows]
+    rows += [alg.mul(alpha, r) for r in crhs.rows]
+    prod = OrderLattice.from_rows(alg, lhs.den * crhs.den * shrink, rows)
+    assert shrink**4 * prod._det() * lhs.den**4 == rhs.norm**2 * lhs._det() * prod.den**4, (
+        "Nm(I) O + alpha O is not I: the pair product covolume is off"
+    )
+    return prod
 
 
 def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], int]:
-    """Reduced Gram of lhs * conj(rhs) and its value 2 den^2 Nm(lhs) Nm(rhs) (see gram_int)."""
-    prod = lhs.multiply(rhs.conjugated())
-    value = _reduced_norm(lhs) * _reduced_norm(rhs) * 2 * prod.den**2
-    assert value.denominator == 1
-    return prod.reduced_gram()[0], int(value)
+    """Reduced Gram of lhs * conj(rhs) and its value 2 den^2 Nm(lhs) Nm(rhs) (see gram_int).
+
+    Both are integral right ideals of one Eichler order O with int norms.  The
+    product is built by _pair_product from the two-generator form
+    lhs = Nm(lhs) O + alpha O, valid for any alpha in lhs with
+    gcd(Nm(alpha)/Nm(lhs), Nm(lhs)) = 1, and from I conj(I) = Nm(I) O_L(I)
+    (Voight, Quaternion Algebras, GTM 288, ch. 16-17).
+    """
+    prod = _pair_product(lhs, rhs)
+    return prod.reduced_gram()[0], 2 * prod.den**2 * lhs.norm * rhs.norm
+
+
+def _integral(latt: OrderLattice, order: OrderLattice) -> OrderLattice:
+    """t latt with its int norm, t the least positive integer with t latt inside order.
+
+    For a right ideal of order this is an integral right ideal, so its norm
+    is an int.
+    """
+    # order.rows^-1 = adj / piv, so these are piv * latt.den times the coordinates in order
+    piv = order._det()
+    coords = [order._solve([piv * x for x in r]) for r in latt.rows]
+    t = piv * latt.den // gcd(piv * latt.den, *chain.from_iterable(coords))
+    ideal = latt.scaled(t)
+    # Nm^2 is the covolume ratio to the order
+    n2, rem = divmod(ideal._det() * order.den**4, order._det() * ideal.den**4)
+    n = isqrt(n2)
+    if rem or n * n != n2:
+        raise ValueError("lattice is not an invertible right ideal of its right order")
+    return OrderLattice(ideal.alg, ideal.den, ideal.rows, n)
 
 
 def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     """Whether two right ideals differ by a left unit: x with lhs = x*rhs.
 
     The test searches lhs * conj(rhs) for an element of reduced norm
-    Nm(lhs) * Nm(rhs), which exists exactly in the equivalent case.
+    Nm(lhs) * Nm(rhs), which exists exactly in the equivalent case.  Ideals
+    of a class walk carry int norms and share the walk's base order; any
+    other pair is first checked for a common right order and scaled to
+    integral ideals of it, since Q^x scaling does not change the answer.
     """
+    if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
+        order = rhs.right_order()
+        if lhs.right_order() != order:
+            return False  # x rhs has the right order of rhs
+        lhs, rhs = _integral(lhs, order), _integral(rhs, order)
     return exists_value(*_pair_form(lhs, rhs))
 
 
@@ -524,7 +602,8 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
 
     first = OrderLattice(alg, base.den, base.rows, 1)
     classes = [first]
-    orders = [first.left_order()]
+    # O_L(I) = I conj(I) / Nm(I)
+    orders = [_pair_product(first, first, first.norm)]
     weights = [unit_weight(orders[0])]
     # class indices by norm profile, in discovery order
     by_profile = {_norm_profile(first): [0]}
@@ -539,7 +618,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
             same = by_profile.setdefault(_norm_profile(reduced), [])
             if any(equivalent_ideals(classes[k], reduced) for k in same):
                 continue
-            left = reduced.left_order()
+            left = _pair_product(reduced, reduced, reduced.norm)
             w = unit_weight(left)
             same.append(len(classes))
             classes.append(reduced)

@@ -15,7 +15,7 @@ from brandtlift.congruence import (
     sturm_bound,
 )
 from brandtlift.lift import scale_congruent_pair, waldspurger_lift
-from brandtlift.orders import OrderLattice
+from brandtlift import orders
 from brandtlift.theta import QSeries
 
 from conftest import EIGEN_170_F, EIGEN_170_G, build_classes
@@ -166,13 +166,13 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()
-    multiply = OrderLattice.multiply
+    pair_product = orders._pair_product
 
-    def counted(self, other):
-        builds[(self, other)] += 1
-        return multiply(self, other)
+    def counted(lhs, rhs, shrink=1):
+        builds[(lhs, rhs)] += 1
+        return pair_product(lhs, rhs, shrink)
 
-    monkeypatch.setattr(OrderLattice, "multiply", counted)
+    monkeypatch.setattr(orders, "_pair_product", counted)
     report = run_congruence_checks(module, [(5, -4)], [(5, 2)], 3, bound=10)
     assert report.sturm == 76
     assert report.eigenvalue_check.compared_primes[-1] == 73

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from brandtlift.orders import (
     OrderLattice,
     _neighbor_ideal,
     _neighbor_submodules,
+    _pair_product,
     _projective_points,
     _right_action_matrices,
     _split_idempotent,
@@ -110,8 +112,16 @@ def test_class_representatives_inequivalent(classes174):
 
 
 def test_equivalence_survives_scaling(classes170):
-    rep = classes170.reps[3]
+    rep, other = classes170.reps[3], classes170.reps[4]
     assert equivalent_ideals(rep, rep.scaled(Fraction(5, 2)))
+    # both sides without a stored norm: x rep is equivalent to rep, x other is not
+    x = rep.alg.element(1, 1, Fraction(1, 2), 0)
+    assert equivalent_ideals(rep.scaled(Fraction(3, 7)), rep.mul_element(x, "left"))
+    assert not equivalent_ideals(rep.scaled(Fraction(3, 7)), other.mul_element(x, "left"))
+    # x rhs keeps the right order of rhs, so ideals of different right orders never match
+    overorder = maximal_order(classes170.presentation)
+    assert not equivalent_ideals(rep, overorder)
+    assert not equivalent_ideals(overorder, rep)
 
 
 def test_reduced_discriminant_rejects_non_orders():
@@ -300,6 +310,46 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
         assert rep.right_order() == ref_colon_order(rep, "left")
     for order in cs.right_orders:
         assert trace_zero_lattice(order).gram == ref_trace_zero_gram(order)
+
+
+@pytest.fixture(scope="module")
+def classes222():
+    return build_classes(2, 111)
+
+
+def _ref_conjugate(latt):
+    return _from_elements(latt.alg, [b.conjugate() for b in _ref_basis(latt)])
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+def test_pair_product_matches_the_sixteen_product_reference(fixture, request):
+    cs = request.getfixturevalue(fixture)
+    conjugates = [_ref_conjugate(rep) for rep in cs.reps]
+    for lhs in cs.reps:
+        for rhs, conj_rhs in zip(cs.reps, conjugates):
+            assert _pair_product(lhs, rhs) == ref_multiply(lhs, conj_rhs)
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+def test_product_formula_left_orders_match_the_colon_orders(fixture, request):
+    cs = request.getfixturevalue(fixture)
+    for rep, order in zip(cs.reps, cs.right_orders):
+        # the generator lies in the ideal and meets the gcd condition
+        alpha = rep.alg.element(*(Fraction(x, rep.den) for x in rep._generator()))
+        assert all(c.denominator == 1 for c in ref_coordinates(rep, alpha))
+        quotient = alpha.norm() / rep.norm
+        assert quotient.denominator == 1 and gcd(int(quotient), rep.norm) == 1
+        assert _pair_product(rep, rep, rep.norm) == order
+        assert order == rep.left_order() == ref_colon_order(rep, "right")
+
+
+def test_pair_product_certificate_rejects_a_bad_generator(classes170):
+    rep = next(r for r in classes170.reps if r.norm > 1)
+    planted = OrderLattice(rep.alg, rep.den, rep.rows, rep.norm)
+    # alpha = Nm(I) * 1 lies in I, but gcd(Nm(alpha)/Nm(I), Nm(I)) = Nm(I) > 1
+    planted._alpha = [rep.norm * rep.den, 0, 0, 0]
+    with pytest.raises(AssertionError, match="covolume"):
+        _pair_product(planted, rep)
 
 
 _fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
