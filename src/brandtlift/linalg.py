@@ -1,13 +1,14 @@
 """Small exact linear algebra toolkit: integer HNF, kernels, inverses.
 
 Everything operates on plain lists of lists and nothing here ever touches
-a float.  HNF, the determinant and the eliminations compute in int: over
-Q, rows are cleared of denominators at entry and eliminated fraction-free,
-and Fractions are formed only in the results of rational_nullspace and
-mat_inv.
+a float.  HNF, the leading minors and the eliminations compute in int:
+over Q, rows are cleared of denominators at entry and eliminated
+fraction-free, and Fractions are formed only in the results of
+rational_nullspace and mat_inv.
 Matrices are row based throughout: a lattice basis is a list of row vectors.
 One Gauss-Jordan routine over F_p or Q serves the echelon forms, kernels
-and inverses; HNF and the determinant are separate integer algorithms.
+and inverses; HNF and the Bareiss leading minors are separate integer
+algorithms.
 """
 
 from __future__ import annotations
@@ -75,29 +76,33 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    assert all(len(row) == n for row in a)
-    if n == 0:
-        return 1
-    sign = 1
+def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(Delta, C) of a positive definite integer Gram g by one Bareiss elimination.
+
+    Delta[k] is the k-th leading principal minor (Delta[0] = 1, Delta[n] =
+    det g) and C[j] = [Delta_{j+1} * L_ij for i > j], with g = L D L^T,
+    both integers: after step k the pivot a[k][k] is Delta_{k+1} and a[i][k]
+    is Delta_{k+1} * L_ik (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138,
+    2.2).  Raises ValueError if an entry of g is not an int or g is not
+    positive definite (a pivot <= 0, by Sylvester's criterion).
+    """
+    if not all(isinstance(v, int) for row in g for v in row):
+        raise ValueError("gram matrix entries must be ints")
+    n = len(g)
+    a = [list(row) for row in g]
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+    for k in range(n):
+        ak = a[k]
+        p = ak[k]
+        if p <= 0:
+            raise ValueError("gram matrix is not positive definite")
         for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
 
 
 def mat_mul(a, b):

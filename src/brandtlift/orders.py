@@ -5,11 +5,10 @@ integer matrix whose rows are coordinates in the 1, i, j, k basis, so
 lattice equality is tuple equality.  The integer rows are the only
 representation: products, norms, inverses, structure constants mod p and
 membership run on them through the algebra's product and trace pairing,
-and the dual (hence intersections and left and right orders) is the
-integer adjugate found by forward substitution on the triangular HNF.
-Ideal norms are ints.  QuaternionElement and Fraction appear only at the
-API edge (element, coordinates, mul_element, scaled, covolume,
-ideal_norm), in the mass and in the JSON output.  On top sit
+and the dual (hence right orders) is the integer adjugate found by
+forward substitution on the triangular HNF.  Ideal norms are ints.
+Fraction appears only at the API edge (scaled, covolume, ideal_norm), in
+the mass and in the JSON output.  On top sit
 the three construction stages: saturating the obvious order to a maximal
 one, cutting an Eichler order of square-free level, and walking the
 p-neighbor graph to enumerate the right ideal classes with their unit
@@ -41,10 +40,11 @@ from math import gcd, isqrt, lcm, prod
 
 from sympy import factorint, primerange
 
-from .linalg import clear_denominators, det_int, greedy_reduce, hnf
+from .linalg import greedy_reduce, hnf, leading_minors
 from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
-from .qalg import AlgebraPresentation, QuaternionElement, finite_ramified_primes
+from .qalg import AlgebraPresentation, finite_ramified_primes
 from .shortvec import exists_value, iter_short_vectors, vector_counts
+from .theta import class_sort_key
 
 
 def _conj(r):
@@ -104,10 +104,6 @@ class OrderLattice:
     def __repr__(self):
         return f"OrderLattice(den={self.den}, rows={self.rows})"
 
-    def element(self, coords) -> QuaternionElement:
-        """The lattice element with the given coordinates over the basis."""
-        return self.alg.element(*(Fraction(x, self.den) for x in vec_mat(coords, self.rows)))
-
     def _solve(self, num, d: int = 1) -> list[int] | None:
         """Integer coordinates of the element num / d, or None when it is off the lattice.
 
@@ -122,13 +118,6 @@ class OrderLattice:
                 return None
             c.append(q)
         return c
-
-    def coordinates(self, elem: QuaternionElement) -> list[Fraction]:
-        """Coefficients of elem over the lattice basis."""
-        d, num = clear_denominators(elem.coeffs)
-        # rows^-1 = adj / det and |det| is the pivot product, so piv * d * coordinates are integers
-        piv = self._det()
-        return [Fraction(x, piv * d) for x in self._solve([piv * x for x in num])]
 
     def _det(self) -> int:
         return prod(self.rows[j][j] for j in range(4))
@@ -154,33 +143,33 @@ class OrderLattice:
             self._red = greedy_reduce(self.gram_int())
         return self._red
 
-    def minimal_vector(self) -> list[int]:
-        """Numerator row r of a nonzero lattice element r / den of smallest reduced norm."""
+    def _short_vector(self, accept) -> list[int]:
+        """Numerator row of the first short vector whose value passes accept.
+
+        Vectors come in increasing value, with ties in walk order; the bound
+        starts at the least diagonal entry and doubles until one passes.
+        """
         gram, umat = self.reduced_gram()
         bound = min(gram[m][m] for m in range(4))
-        # min keeps the first vector of least value in walk order
-        best = min(iter_short_vectors(gram, bound), key=lambda cv: cv[1], default=None)
-        if best is None:
-            raise AssertionError("minimal vector enumeration came back empty")
-        return vec_mat(vec_mat(best[0], umat), self.rows)
+        while True:
+            for c, val in sorted(iter_short_vectors(gram, bound), key=lambda cv: cv[1]):
+                if accept(val):
+                    return vec_mat(vec_mat(c, umat), self.rows)
+            bound *= 2
+
+    def minimal_vector(self) -> list[int]:
+        """Numerator row r of a nonzero lattice element r / den of smallest reduced norm."""
+        return self._short_vector(lambda val: True)
 
     def _generator(self) -> list[int]:
         """Numerator row of an alpha with self = Nm(self) O + alpha O, for an integral ideal.
 
-        alpha is the first short vector, in increasing norm with ties in walk
-        order as in minimal_vector, with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1; the
-        bound doubles until one is found.
+        alpha is the first short vector with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1.
         """
         if self._alpha is None:
-            n, gram, umat = self.norm, *self.reduced_gram()
+            n = self.norm
             unit = 2 * self.den**2 * n  # the value of norm Nm(I) (see gram_int)
-            bound = min(gram[m][m] for m in range(4))
-            while self._alpha is None:
-                for c, val in sorted(iter_short_vectors(gram, bound), key=lambda cv: cv[1]):
-                    if gcd(val // unit, n) == 1:
-                        self._alpha = vec_mat(vec_mat(c, umat), self.rows)
-                        break
-                bound *= 2
+            self._alpha = self._short_vector(lambda val: gcd(val // unit, n) == 1)
         return self._alpha
 
     # lattice arithmetic ------------------------------------------------
@@ -200,29 +189,16 @@ class OrderLattice:
         rows = [[self.den * adj[j][i] for j in range(4)] for i in range(4)]
         return OrderLattice.from_rows(self.alg, det, rows)
 
-    def intersect(self, other: "OrderLattice") -> "OrderLattice":
-        return self.dual().add(other.dual()).dual()
-
     def multiply(self, other: "OrderLattice") -> "OrderLattice":
         assert self.alg == other.alg
         mul = self.alg.mul
         prods = [mul(x, y) for x in self.rows for y in other.rows]
         return OrderLattice.from_rows(self.alg, self.den * other.den, prods)
 
-    def mul_element(self, x: QuaternionElement, side: str) -> "OrderLattice":
-        d, xrow = clear_denominators(x.coeffs)
-        return self._mul_row(xrow, d, side)
-
-    def _mul_row(self, xrow, d: int, side: str) -> "OrderLattice":
-        """The lattice times the element xrow / d (d > 0), on the given side."""
+    def _mul_row(self, xrow, d: int) -> "OrderLattice":
+        """The element xrow / d (d > 0) times the lattice, on the left."""
         mul = self.alg.mul
-        if side == "right":
-            prods = [mul(r, xrow) for r in self.rows]
-        elif side == "left":
-            prods = [mul(xrow, r) for r in self.rows]
-        else:
-            raise ValueError("side must be 'left' or 'right'")
-        return OrderLattice.from_rows(self.alg, self.den * d, prods)
+        return OrderLattice.from_rows(self.alg, self.den * d, [mul(xrow, r) for r in self.rows])
 
     def scaled(self, c: Fraction) -> "OrderLattice":
         c = Fraction(c)
@@ -234,21 +210,17 @@ class OrderLattice:
             self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows])
         return self._conj
 
-    def _colon_order(self, side: str) -> "OrderLattice":
-        # meet of self v^-1 (or v^-1 self) over v = r / den, v^-1 = den conj(r) / Nm(r),
+    def right_order(self) -> "OrderLattice":
+        # meet of v^-1 self over v = r / den, v^-1 = den conj(r) / Nm(r),
         # as the dual of the sum of the duals
         pair, den = self.alg.trace_pairing, self.den
         inverses = (([den * x for x in _conj(r)], pair(r, r) // 2) for r in self.rows)
-        return _lattice_sum([self._mul_row(x, n, side).dual() for x, n in inverses]).dual()
-
-    def left_order(self) -> "OrderLattice":
-        return self._colon_order("right")
-
-    def right_order(self) -> "OrderLattice":
-        return self._colon_order("left")
+        return _lattice_sum([self._mul_row(x, n).dual() for x, n in inverses]).dual()
 
     def reduced_discriminant(self) -> int:
-        d2, rem = divmod(abs(det_int(self.gram_int())), self.den**8)
+        # the trace form of a lattice in a definite algebra is positive
+        # definite, so its determinant is the last leading minor
+        d2, rem = divmod(leading_minors(self.gram_int())[0][-1], self.den**8)
         d = isqrt(d2)
         if rem or d * d != d2:
             raise ValueError("trace form determinant is not an integer square; not an order")
@@ -466,7 +438,7 @@ def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     row, d = ideal.minimal_vector(), ideal.den * ideal.norm
     norm, rem = divmod(ideal.alg.trace_pairing(row, row) // 2, ideal.den * d)
     assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
-    small = ideal._mul_row(_conj(row), d, "left")
+    small = ideal._mul_row(_conj(row), d)
     small = OrderLattice(small.alg, small.den, small.rows, norm)
     # Nm(small)^2 is the covolume ratio to base
     assert small._det() * base.den**4 == norm**2 * base._det() * small.den**4
@@ -551,7 +523,12 @@ def _norm_profile(ideal: OrderLattice, depth: int = 8) -> tuple[int, ...]:
 
 @dataclass
 class ClassSet:
-    """Right ideal classes of an Eichler order, with their orders and weights."""
+    """Right ideal classes of an Eichler order, with their orders and weights.
+
+    right_orders[i], the JSON key right_order_basis, holds the left order
+    O_L(I_i) = I_i conj(I_i) / Nm(I_i) of reps[i]; both names stay so that
+    output bytes stay.
+    """
 
     presentation: AlgebraPresentation
     q: int
@@ -636,8 +613,6 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
 
     # canonical ordering: the base class stays first, the rest sort on the
     # reduced Gram of their ternary trace-zero lattice, then on theta
-    from .theta import class_sort_key
-
     rest = sorted(range(1, len(classes)), key=lambda k: class_sort_key(orders[k], classes[k]))
     perm = [0] + rest
     return ClassSet(

@@ -11,9 +11,9 @@ principal minors, D_j = Delta_{j+1}/Delta_j, and the term of coordinate j
 is (Delta_{j+1} x_j + C_j)^2 / (Delta_j Delta_{j+1}), where
 C_j = Delta_{j+1} * sum_{i>j} L_ij x_i is an integer linear form in the
 coordinates fixed before it.  The minors Delta_k and the coefficients
-Delta_{j+1} L_ij of C_j come from one fraction-free elimination of the
-integer Gram (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2), so no
-rational number is formed.  Times M = lcm_j(Delta_j Delta_{j+1}) every
+Delta_{j+1} L_ij of C_j come from linalg.leading_minors, one
+fraction-free Bareiss elimination of the integer Gram, so no rational
+number is formed.  Times M = lcm_j(Delta_j Delta_{j+1}) every
 partial norm is an integer, and each coordinate range comes from one
 math.isqrt, so the bounds are exact.  Coordinates are fixed from the last
 to the first; the first is handed to the consumer as a run of consecutive
@@ -25,33 +25,7 @@ from __future__ import annotations
 from math import floor, isqrt, lcm
 from typing import Iterator
 
-
-def _minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(Delta, C) of an integer Gram g by one Bareiss elimination.
-
-    Delta[k] is the k-th leading principal minor (Delta[0] = 1) and
-    C[j] = [Delta_{j+1} * L_ij for i > j], both integers: after step k the
-    pivot a[k][k] is Delta_{k+1} and a[i][k] is Delta_{k+1} * L_ik.  Raises
-    ValueError if an entry of g is not an int or g is not positive definite
-    (a pivot <= 0, by Sylvester's criterion).
-    """
-    if not all(isinstance(v, int) for row in g for v in row):
-        raise ValueError("gram matrix entries must be ints")
-    n = len(g)
-    a = [list(row) for row in g]
-    prev = 1
-    for k in range(n):
-        ak = a[k]
-        p = ak[k]
-        if p <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * p - f * ak[j]) // prev
-        prev = p
-    return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
+from .linalg import leading_minors
 
 
 def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
@@ -66,7 +40,7 @@ def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int
     n = len(g)
     if n == 0:
         return
-    delta, coef = _minors(g)
+    delta, coef = leading_minors(g)
     m = lcm(*(delta[j] * delta[j + 1] for j in range(n)))
     weight = [m // (delta[j] * delta[j + 1]) for j in range(n)]
     mbound = m * bound

@@ -123,19 +123,15 @@ def trace_zero_lattice(order) -> TernaryLattice:
     every member of the lattice has norm congruent to 0 or 3 mod 4; the
     diagonal entries are the reduced norms of the basis vectors.
     """
-    from .orders import OrderLattice
-
-    alg, d = order.alg, order.den
-    # Z + 2R, with 1 = (d, 0, 0, 0) / d; a member row / den has trace 2 row[0] / den
-    ambient_rows = [(d, 0, 0, 0)] + [[2 * x for x in row] for row in order.rows]
-    ambient = OrderLattice.from_rows(alg, d, ambient_rows)
-    den = ambient.den
-    assert all(2 * row[0] % den == 0 for row in ambient.rows)
-    traces = [2 * row[0] // den for row in ambient.rows]
+    alg, den = order.alg, order.den
+    # Z + 2R, with 1 = (den, 0, 0, 0) / den; a member row / den has trace 2 row[0] / den
+    ambient = hnf([(den, 0, 0, 0)] + [[2 * x for x in row] for row in order.rows])
+    assert all(2 * row[0] % den == 0 for row in ambient)
+    traces = [2 * row[0] // den for row in ambient]
     aug = [[traces[m]] + [int(n == m) for n in range(4)] for m in range(4)]
     kernel = [row[1:] for row in hnf(aug) if row[0] == 0]
     assert len(kernel) == 3, "trace functional must have a rank-3 kernel"
-    vecs = [vec_mat(c, ambient.rows) for c in kernel]
+    vecs = [vec_mat(c, ambient) for c in kernel]
     # tr(x conj(y)) / 2 for the members vecs / den
     scale = 2 * den**2
     gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brandtlift.linalg import (
     clear_denominators,
-    det_int,
     hnf,
     mat_inv,
     mat_mul,
@@ -175,18 +174,6 @@ def test_hnf_idempotent():
         m = random_matrix(rng, 5, 4)
         h = hnf(m)
         assert hnf(h) == h
-
-
-def test_det_matches_cofactor_oracle():
-    rng = random.Random(19)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(15):
-            m = random_matrix(rng, n, n)
-            assert det_int(m) == det_cofactor(m)
-
-
-def test_det_singular():
-    assert det_int([[1, 2], [2, 4]]) == 0
 
 
 def test_mat_inv_round_trip():

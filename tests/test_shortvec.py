@@ -4,8 +4,8 @@ from math import isqrt
 
 import pytest
 
-from brandtlift.linalg import mat_inv, mat_mul, transpose
-from brandtlift.shortvec import _minors, exists_value, iter_short_vectors, vector_counts
+from brandtlift.linalg import leading_minors, mat_inv, mat_mul, transpose
+from brandtlift.shortvec import exists_value, iter_short_vectors, vector_counts
 
 
 def ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -158,7 +158,7 @@ def test_minors_match_ldl_reference():
         for _ in range(12):
             g = random_pd_gram(rng, n)
             L, D = ldl(g)
-            delta, coef = _minors(g)
+            delta, coef = leading_minors(g)
             ref = [Fraction(1)]
             for d in D:
                 ref.append(ref[-1] * d)
