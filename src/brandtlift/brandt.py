@@ -14,15 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import isprime
+from sympy import isprime, primerange
 
 from .linalg import clear_denominators, mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet, _pair_form
 from .shortvec import vector_counts
-
-
-# One count pass over the pair lattices serves every degree up to this bound.
-COUNT_BOUND = 60
 
 
 def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
@@ -51,29 +47,19 @@ class HeckeMatrix:
 
 
 class BrandtModule:
-    """Caches pair lattices and their norm counts for one class set."""
+    """The Brandt matrices of one class set, counted to the degree asked.
+
+    brandt_matrix(p) decides how far to count: on a cache miss it runs one
+    count pass over the h(h+1)/2 pair lattices I_i conj(I_j) to norm p and
+    caches B(r) for every prime r <= p.  A caller that needs several
+    degrees asks for the largest one first, so one pass serves them all.
+    """
 
     def __init__(self, classes: ClassSet):
         self.classes = classes
         self.h = classes.h
         self.level = classes.q * classes.M
-        self._pairs: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
         self._matrices: dict[int, HeckeMatrix] = {}
-
-    def _raw_counts(self, i: int, j: int, nmax: int) -> dict[int, int]:
-        """Counts {n: #elements of I_i conj(I_j) with norm n Nm_i Nm_j}, n <= nmax."""
-        if j < i:
-            return self._raw_counts(j, i, nmax)
-        cached = self._pairs.get((i, j))
-        if cached is not None and cached[0] >= nmax:
-            return cached[1]
-        reps = self.classes.reps
-        gram, unit = _pair_form(reps[i], reps[j])
-        counts = vector_counts(gram, nmax * unit)
-        assert all(val % unit == 0 for val in counts), "element norm outside the ideal norm lattice"
-        out = {val // unit: cnt for val, cnt in counts.items()}
-        self._pairs[(i, j)] = (nmax, out)
-        return out
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
         """Degree-p Hecke matrix; kind T_p when p is coprime to the level."""
@@ -81,24 +67,28 @@ class BrandtModule:
             raise ValueError(f"need a prime degree, got {p}")
         if p in self._matrices:
             return self._matrices[p]
-        nmax = max(p, COUNT_BOUND)
-        w = self.classes.weights
-        rows = []
-        for i in range(self.h):
-            row = []
-            for j in range(self.h):
-                raw = self._raw_counts(i, j, nmax).get(p, 0)
-                assert raw % w[i] == 0, "unit orbits do not divide the count"
-                row.append(raw // w[i])
-            rows.append(tuple(row))
-        kind = "U_p" if self.level % p == 0 else "T_p"
-        if kind == "T_p":
-            for j in range(self.h):
-                colsum = sum(rows[i][j] for i in range(self.h))
-                assert colsum == p + 1, f"column sum {colsum} != {p + 1} at j={j}"
-        mat = HeckeMatrix(p, kind, tuple(rows))
-        self._matrices[p] = mat
-        return mat
+        reps, w, h = self.classes.reps, self.classes.weights, self.h
+        # counts[i, j][n]: elements of I_i conj(I_j) with norm n Nm_i Nm_j, n <= p;
+        # I_j conj(I_i) is the conjugate lattice, with the same counts
+        counts = {}
+        for i in range(h):
+            for j in range(i, h):
+                gram, unit = _pair_form(reps[i], reps[j])
+                raw = vector_counts(gram, p * unit)
+                assert all(val % unit == 0 for val in raw), "element norm outside the ideal norm lattice"
+                counts[i, j] = counts[j, i] = {val // unit: cnt for val, cnt in raw.items()}
+        for r in primerange(2, p + 1):
+            raws = [[counts[i, j].get(r, 0) for j in range(h)] for i in range(h)]
+            assert all(c % w[i] == 0 for i, row in enumerate(raws) for c in row), "unit orbits do not divide the count"
+            rows = tuple(tuple(c // w[i] for c in row) for i, row in enumerate(raws))
+            kind = "U_p" if self.level % r == 0 else "T_p"
+            if kind == "T_p":
+                for j in range(h):
+                    colsum = sum(row[j] for row in rows)
+                    assert colsum == r + 1, f"column sum {colsum} != {r + 1} at j={j}"
+            # a degree read before keeps its object
+            self._matrices.setdefault(r, HeckeMatrix(r, kind, rows))
+        return self._matrices[p]
 
     def pairing(self, u, v) -> Fraction:
         """Weighted inner product sum(u_i v_i w_i)."""
@@ -115,6 +105,7 @@ class BrandtModule:
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
+        self.brandt_matrix(max(p for p, _ in eigendata))
         mats = [self.brandt_matrix(p).entries for p, _ in eigendata]
         basis = self._unit_vectors()
         for mat, (_, ap) in zip(mats, eigendata):
@@ -159,13 +150,17 @@ class BrandtModule:
         return -lam
 
     def discover_eigensystems(self, pmax: int = 20) -> list[tuple[dict[int, int], list[int]]]:
-        """Exhaustive search for rational eigensystems using primes <= pmax.
+        """Search for rational eigensystems using the primes p <= pmax coprime to the level.
 
-        Splits the module by integer eigenvalues prime by prime (Ramanujan
-        bound |a_p| <= 2 sqrt(p) for the cuspidal part, p+1 allowed for the
-        Eisenstein direction) and reports the one-dimensional pieces.
+        Splits the module prime by prime by the integer eigenvalues a in
+        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction), and
+        reports the one-dimensional pieces.  That range is narrower than the
+        Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
+        at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
-        primes = [p for p in range(2, pmax + 1) if isprime(p) and self.level % p]
+        primes = [p for p in primerange(2, pmax + 1) if self.level % p]
+        if primes:
+            self.brandt_matrix(primes[-1])
         spaces = [self._unit_vectors()]
         for p in primes:
             mat = self.brandt_matrix(p).entries
@@ -181,14 +176,9 @@ class BrandtModule:
                     if sub:
                         split.append(sub)
             spaces = split
-        out = []
-        for basis in spaces:
-            if len(basis) == 1:
-                vec = basis[0]
-                full = {p: self.eigenvalue_of(vec, p) for p in primes}
-                out.append((full, vec))
-        out.sort(key=lambda t: sorted(t[0].items()))
-        return out
+        vectors = [basis[0] for basis in spaces if len(basis) == 1]
+        out = [({p: self.eigenvalue_of(vec, p) for p in primes}, vec) for vec in vectors]
+        return sorted(out, key=lambda t: sorted(t[0].items()))
 
 
 def eigenvectors(module: BrandtModule, eigendata) -> list[int]:

@@ -202,7 +202,8 @@ class CongruenceReport:
             f"irreducibility (g):    "
             + (f"certified via p={self.irreducibility_g.witness_prime}" if self.irreducibility_g.ok else "not certified"),
             "verdict:               " + ("pass" if self.ok else "FAIL")
-            + ("" if self.hypothesis_flags.ok else " (congruence observed but outside the theorem's hypotheses)"),
+            + (" (congruence observed but outside the theorem's hypotheses)"
+               if self.ok and not self.hypothesis_flags.ok else ""),
         ]
         return "\n".join(lines) + "\n"
 
@@ -221,8 +222,8 @@ def run_congruence_checks(
     N = classes.q * classes.M
     sturm = sturm_bound(2, N)
     irr_bound = max(sturm, 20)
-    # the checks read degrees up to irr_bound: ask for the largest first, so
-    # one count pass over the pair lattices covers all of them
+    # brandt_matrix counts to the degree asked: asking first for the largest
+    # degree the checks read makes one count pass serve every degree
     module.brandt_matrix(prevprime(irr_bound + 1))
     lifts, c_phi = lift_eigenforms(module, {"f": eigendata_f, "g": eigendata_g}, bound, ell)
     wf, wg = lifts["f"], lifts["g"]

@@ -98,6 +98,10 @@ def lift_eigenforms(
     given bound.  Returns ({name: LiftResult}, c), with c None when nothing
     was rescaled.
     """
+    # the largest degree of either form first: one count pass serves both
+    degrees = [p for data in eigendata.values() for p, _ in data]
+    if degrees:
+        module.brandt_matrix(max(degrees))
     phis = {name: module.eigenvector(data) for name, data in sorted(eigendata.items())}
     c = None
     if ell is not None and "f" in phis and "g" in phis:

@@ -515,10 +515,14 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     return exists_value(*_pair_form(lhs, rhs))
 
 
-def _norm_profile(ideal: OrderLattice, depth: int = 8) -> tuple[int, ...]:
+# the walk buckets classes by their counts of elements of norm k Nm(I), k <= this
+_PROFILE_DEPTH = 8
+
+
+def _norm_profile(ideal: OrderLattice) -> tuple[int, ...]:
     unit = 2 * ideal.den**2 * ideal.norm
-    counts = vector_counts(ideal.reduced_gram()[0], unit * depth)
-    return tuple(counts.get(unit * k, 0) for k in range(1, depth + 1))
+    counts = vector_counts(ideal.reduced_gram()[0], unit * _PROFILE_DEPTH)
+    return tuple(counts.get(unit * k, 0) for k in range(1, _PROFILE_DEPTH + 1))
 
 
 @dataclass

@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from sympy import primerange
 
-from brandtlift.brandt import eigenvectors
+from brandtlift import brandt, orders
+from brandtlift.brandt import BrandtModule, eigenvectors
+from brandtlift.lift import lift_eigenforms
 
 from conftest import EIGEN_170_F, EIGEN_170_G, EIGEN_174_F, EIGEN_174_G
 
@@ -38,6 +42,62 @@ def test_matrix_shape_and_column_sums(module174):
         assert all(c >= 0 for row in entries for c in row)
         for j in range(16):
             assert sum(entries[i][j] for i in range(16)) == p + 1
+
+
+def count_pair_lattice_builds(monkeypatch) -> Counter:
+    builds = Counter()
+    pair_product = orders._pair_product
+
+    def counted(lhs, rhs, shrink=1):
+        builds[(lhs, rhs)] += 1
+        return pair_product(lhs, rhs, shrink)
+
+    monkeypatch.setattr(orders, "_pair_product", counted)
+    return builds
+
+
+def test_one_count_pass_serves_every_smaller_degree(classes174, monkeypatch):
+    module = BrandtModule(classes174)
+    module.brandt_matrix(19)
+    builds = count_pair_lattice_builds(monkeypatch)
+    primes = list(primerange(2, 20))
+    read = {p: module.brandt_matrix(p) for p in primes}
+    assert not builds
+    for p in primes:
+        assert read[p] == BrandtModule(classes174).brandt_matrix(p)
+
+
+@pytest.mark.parametrize("job, degree", [
+    (lambda module: module.eigenvector(EIGEN_170_F), 7),
+    (lambda module: module.discover_eigensystems(), 19),
+    # the form with the smaller degrees comes first by name
+    (lambda module: lift_eigenforms(module, {"f": EIGEN_170_G, "g": EIGEN_170_F}, 10), 7),
+], ids=["eigenvector", "discover", "lift_eigenforms"])
+def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
+    classes170, monkeypatch, job, degree
+):
+    module = BrandtModule(classes170)
+    builds = count_pair_lattice_builds(monkeypatch)
+    units, bounds = [], []
+    pair_form, vector_counts = brandt._pair_form, brandt.vector_counts
+
+    def recorded_pair_form(lhs, rhs):
+        gram, unit = pair_form(lhs, rhs)
+        units.append(unit)
+        return gram, unit
+
+    def recorded_vector_counts(gram, bound):
+        bounds.append(bound)
+        return vector_counts(gram, bound)
+
+    monkeypatch.setattr(brandt, "_pair_form", recorded_pair_form)
+    monkeypatch.setattr(brandt, "vector_counts", recorded_vector_counts)
+    job(module)
+    h = classes170.h
+    assert len(builds) == h * (h + 1) // 2
+    assert set(builds.values()) == {1}
+    assert len(bounds) == len(units) == len(builds)
+    assert all(bound <= degree * unit for bound, unit in zip(bounds, units))
 
 
 def test_ramified_and_level_matrices(module174):

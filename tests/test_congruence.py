@@ -160,9 +160,9 @@ def test_run_congruence_checks_validates_ell(module170):
 
 
 def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
-    # N=222: the Sturm bound 76 lies above the count bound 60, so the check
-    # reads T_61 ... T_73, and each pair lattice I_i conj(I_j) is still
-    # built once
+    # N=222: the Sturm bound 76 puts T_61 ... T_73 among the degrees the
+    # check reads; it asks for B(73) first, so each pair lattice
+    # I_i conj(I_j) is built in one count pass
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()
@@ -178,6 +178,15 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     assert report.eigenvalue_check.compared_primes[-1] == 73
     assert len(builds) == classes.h * (classes.h + 1) // 2
     assert set(builds.values()) == {1}
+
+
+def test_failed_check_outside_the_hypotheses_claims_no_congruence():
+    # N=11, ell=2: the eigenvalues differ mod 2 at p=2, and ell=2 breaks the hypotheses
+    report = run_congruence_checks(BrandtModule(build_classes(11, 1)), [(2, -2)], [(2, 3)], 2)
+    assert not report.ok and not report.hypothesis_flags.ok
+    text = report.to_text()
+    assert text.endswith("verdict:               FAIL\n")
+    assert "congruence observed" not in text
 
 
 def test_report_serialization(report174):
