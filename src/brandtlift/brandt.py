@@ -34,6 +34,10 @@ def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
     ]
 
 
+# discover_eigensystems splits the module by the primes p <= this one
+_DISCOVER_PMAX = 20
+
+
 @dataclass(frozen=True)
 class HeckeMatrix:
     """Exact integer matrix of T_p (p coprime to the level) or U_p (p | level)."""
@@ -122,6 +126,8 @@ class BrandtModule:
 
     def eigenvalue_of(self, phi, p: int) -> int:
         """The B(p) eigenvalue of an exact eigenvector phi."""
+        if len(phi) != self.h:
+            raise ValueError(f"eigenvector needs length h={self.h}, got {len(phi)}")
         image = mat_vec(self.brandt_matrix(p).entries, list(phi))
         pivot = next((k for k, x in enumerate(phi) if x), None)
         if pivot is None:
@@ -149,8 +155,8 @@ class BrandtModule:
             raise ValueError(f"U_{p} eigenvalue {lam} is not a sign; not a newform vector")
         return -lam
 
-    def discover_eigensystems(self, pmax: int = 20) -> list[tuple[dict[int, int], list[int]]]:
-        """Search for rational eigensystems using the primes p <= pmax coprime to the level.
+    def discover_eigensystems(self) -> list[tuple[dict[int, int], list[int]]]:
+        """Search for rational eigensystems using the primes p < 20 coprime to the level.
 
         Splits the module prime by prime by the integer eigenvalues a in
         [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction), and
@@ -158,7 +164,7 @@ class BrandtModule:
         Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
-        primes = [p for p in primerange(2, pmax + 1) if self.level % p]
+        primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if self.level % p]
         if primes:
             self.brandt_matrix(primes[-1])
         spaces = [self._unit_vectors()]

@@ -3,12 +3,11 @@
 A lattice is a denominator together with the Hermite normal form of an
 integer matrix whose rows are coordinates in the 1, i, j, k basis, so
 lattice equality is tuple equality.  The integer rows are the only
-representation: products, norms, inverses, structure constants mod p and
-membership run on them through the algebra's product and trace pairing,
-and the dual (hence right orders) is the integer adjugate found by
-forward substitution on the triangular HNF.  Ideal norms are ints.
-Fraction appears only at the API edge (scaled, covolume, ideal_norm), in
-the mass and in the JSON output.  On top sit
+representation: products, norms and structure constants mod p run on them
+through the algebra's product and trace pairing, and membership is forward
+substitution on the triangular HNF.  Ideal norms are ints.  Fraction
+appears only at the API edge (scaled, covolume, ideal_norm), in the mass
+and in the JSON output.  On top sit
 the three construction stages: saturating the obvious order to a maximal
 one, cutting an Eichler order of square-free level, and walking the
 p-neighbor graph to enumerate the right ideal classes with their unit
@@ -36,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from sympy import factorint, primerange
 
@@ -174,21 +173,6 @@ class OrderLattice:
 
     # lattice arithmetic ------------------------------------------------
 
-    def add(self, other: "OrderLattice") -> "OrderLattice":
-        return _lattice_sum([self, other])
-
-    def dual(self) -> "OrderLattice":
-        """Dual for the coordinate dot product: den * rows^-T.
-
-        rows^-1 = adj / det with det the pivot product, and row j of the
-        integer adjugate solves c . rows = det * e_j, so the dual is
-        (den * adj^T) / det without Fractions.
-        """
-        det = self._det()
-        adj = [self._solve([det if m == j else 0 for m in range(4)], self.den) for j in range(4)]
-        rows = [[self.den * adj[j][i] for j in range(4)] for i in range(4)]
-        return OrderLattice.from_rows(self.alg, det, rows)
-
     def multiply(self, other: "OrderLattice") -> "OrderLattice":
         assert self.alg == other.alg
         mul = self.alg.mul
@@ -210,13 +194,6 @@ class OrderLattice:
             self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows])
         return self._conj
 
-    def right_order(self) -> "OrderLattice":
-        # meet of v^-1 self over v = r / den, v^-1 = den conj(r) / Nm(r),
-        # as the dual of the sum of the duals
-        pair, den = self.alg.trace_pairing, self.den
-        inverses = (([den * x for x in _conj(r)], pair(r, r) // 2) for r in self.rows)
-        return _lattice_sum([self._mul_row(x, n).dual() for x, n in inverses]).dual()
-
     def reduced_discriminant(self) -> int:
         # the trace form of a lattice in a definite algebra is positive
         # definite, so its determinant is the last leading minor
@@ -231,14 +208,6 @@ class OrderLattice:
             return False
         mul, d = self.alg.mul, self.den**2
         return all(self._solve(mul(x, y), d) is not None for x in self.rows for y in self.rows)
-
-
-def _lattice_sum(lattices: list[OrderLattice]) -> OrderLattice:
-    alg = lattices[0].alg
-    assert all(latt.alg == alg for latt in lattices)
-    d = lcm(*(latt.den for latt in lattices))
-    rows = [[x * (d // latt.den) for x in row] for latt in lattices for row in latt.rows]
-    return OrderLattice.from_rows(alg, d, rows)
 
 
 def standard_order(alg: AlgebraPresentation) -> OrderLattice:
@@ -479,39 +448,16 @@ def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], i
     return prod.reduced_gram()[0], 2 * prod.den**2 * lhs.norm * rhs.norm
 
 
-def _integral(latt: OrderLattice, order: OrderLattice) -> OrderLattice:
-    """t latt with its int norm, t the least positive integer with t latt inside order.
-
-    For a right ideal of order this is an integral right ideal, so its norm
-    is an int.
-    """
-    # order.rows^-1 = adj / piv, so these are piv * latt.den times the coordinates in order
-    piv = order._det()
-    coords = [order._solve([piv * x for x in r]) for r in latt.rows]
-    t = piv * latt.den // gcd(piv * latt.den, *chain.from_iterable(coords))
-    ideal = latt.scaled(t)
-    # Nm^2 is the covolume ratio to the order
-    n2, rem = divmod(ideal._det() * order.den**4, order._det() * ideal.den**4)
-    n = isqrt(n2)
-    if rem or n * n != n2:
-        raise ValueError("lattice is not an invertible right ideal of its right order")
-    return OrderLattice(ideal.alg, ideal.den, ideal.rows, n)
-
-
 def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     """Whether two right ideals differ by a left unit: x with lhs = x*rhs.
 
-    The test searches lhs * conj(rhs) for an element of reduced norm
-    Nm(lhs) * Nm(rhs), which exists exactly in the equivalent case.  Ideals
-    of a class walk carry int norms and share the walk's base order; any
-    other pair is first checked for a common right order and scaled to
-    integral ideals of it, since Q^x scaling does not change the answer.
+    Both must be integral right ideals of one order that carry int norms, as
+    the class-walk ideals and ClassSet.reps do.  The test searches
+    lhs * conj(rhs) for an element of reduced norm Nm(lhs) * Nm(rhs), which
+    exists exactly in the equivalent case.
     """
     if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
-        order = rhs.right_order()
-        if lhs.right_order() != order:
-            return False  # x rhs has the right order of rhs
-        lhs, rhs = _integral(lhs, order), _integral(rhs, order)
+        raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     return exists_value(*_pair_form(lhs, rhs))
 
 
@@ -616,7 +562,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         )
 
     # canonical ordering: the base class stays first, the rest sort on the
-    # reduced Gram of their ternary trace-zero lattice, then on theta
+    # canonical Gram of their ternary trace-zero lattice, then on the basis
     rest = sorted(range(1, len(classes)), key=lambda k: class_sort_key(orders[k], classes[k]))
     perm = [0] + rest
     return ClassSet(

@@ -202,9 +202,7 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
 
 
 def class_sort_key(order, ideal) -> tuple:
-    """Deterministic sort key for an ideal class: reduced Gram, theta, basis."""
+    """Deterministic sort key for an ideal class: canonical Gram, then basis."""
     cg = canonical_gram(trace_zero_lattice(order).gram)
-    counts = vector_counts([list(r) for r in cg], 50)
-    theta_tail = tuple(counts.get(n, 0) for n in range(1, 51))
     flat = tuple(x for row in cg for x in row)
-    return (flat, theta_tail, ideal.den, ideal.rows)
+    return (flat, ideal.den, ideal.rows)

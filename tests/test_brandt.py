@@ -226,6 +226,11 @@ def test_eigenvalue_of_error_paths(module170, phi170_f):
     mixed = [a + b for a, b in zip(phi170_f, module170.eisenstein_vector())]
     with pytest.raises(ValueError, match="not a B"):
         module170.eigenvalue_of(mixed, 3)
+    # a vector of the wrong length is rejected, neither truncated nor read past
+    with pytest.raises(ValueError, match="length h=24, got 25"):
+        module170.eigenvalue_of(phi170_f + [7], 3)
+    with pytest.raises(ValueError, match="length h=24, got 23"):
+        module170.eigenvalue_of(phi170_f[:-1], 3)
 
 
 def test_eigendata_cuts_are_minimal(module170, module174, phi170_f, phi174_f):
@@ -243,7 +248,7 @@ def test_module_level_and_free_function(module170, phi170_g):
 
 
 def test_discover_finds_both_newforms(module174, phi174_f, phi174_g):
-    found = module174.discover_eigensystems(pmax=20)
+    found = module174.discover_eigensystems()
     vectors = [vec for _, vec in found]
     assert phi174_f in vectors
     assert phi174_g in vectors

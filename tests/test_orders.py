@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -111,17 +111,32 @@ def test_class_representatives_inequivalent(classes174):
             assert equivalent_ideals(lhs, rhs) == (i == j)
 
 
-def test_equivalence_survives_scaling(classes170):
-    rep, other = classes170.reps[3], classes170.reps[4]
-    assert equivalent_ideals(rep, rep.scaled(Fraction(5, 2)))
-    # both sides without a stored norm: x rep is equivalent to rep, x other is not
-    x = rep.alg.element(1, 1, Fraction(1, 2), 0)
-    assert equivalent_ideals(rep.scaled(Fraction(3, 7)), ref_mul_element(rep, x, "left"))
-    assert not equivalent_ideals(rep.scaled(Fraction(3, 7)), ref_mul_element(other, x, "left"))
-    # x rhs keeps the right order of rhs, so ideals of different right orders never match
+def test_equivalence_rejects_lattices_without_an_int_norm(classes170):
+    rep = classes170.reps[3]
     overorder = maximal_order(classes170.presentation)
-    assert not equivalent_ideals(rep, overorder)
-    assert not equivalent_ideals(overorder, rep)
+    for lhs, rhs in ((rep, rep.scaled(Fraction(5, 2))), (rep.scaled(3), rep), (rep, overorder)):
+        with pytest.raises(ValueError, match="int norms"):
+            equivalent_ideals(lhs, rhs)
+
+
+def test_equivalence_survives_left_multiplication(classes170):
+    i = 3
+    rep, order = classes170.reps[i], classes170.right_orders[i]
+    # x in O_L(I) with Nm(x) > 1, so x I is an integral ideal of norm Nm(x) Nm(I)
+    basis = _ref_basis(order)
+    x = next(
+        x
+        for x in (basis[m] + basis[n] for m in range(4) for n in range(m, 4))
+        if x.norm() > 1
+    )
+    xrep = ref_mul_element(rep, x, "left")
+    xrep = OrderLattice(xrep.alg, xrep.den, xrep.rows, int(x.norm()) * rep.norm)
+    assert xrep != rep
+    # x I lies in I, so it is integral
+    assert all(rep._solve(r, xrep.den) is not None for r in xrep.rows)
+    for j, other in enumerate(classes170.reps):
+        assert equivalent_ideals(other, xrep) == (j == i)
+        assert equivalent_ideals(xrep, other) == (j == i)
 
 
 def test_reduced_discriminant_rejects_non_orders():
@@ -140,9 +155,7 @@ def test_reduced_discriminant_rejects_non_orders():
 
 def test_order_arithmetic_roundtrip():
     order = maximal_order(choose_presentation(3))
-    assert order.dual().dual() == order
     assert order.conjugated().conjugated() == order
-    assert order.add(order) == order
     assert order.multiply(order) == order
 
 
@@ -230,7 +243,10 @@ def ref_dual(latt):
 
 
 def ref_intersect(lhs, rhs):
-    return ref_dual(ref_dual(lhs).add(ref_dual(rhs)))
+    duals = ref_dual(lhs), ref_dual(rhs)
+    d = lcm(*(latt.den for latt in duals))
+    rows = [[x * (d // latt.den) for x in row] for latt in duals for row in latt.rows]
+    return ref_dual(OrderLattice.from_rows(lhs.alg, d, rows))
 
 
 def ref_colon_order(latt, side):
@@ -281,7 +297,6 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
     h = cs.h
     for latt in lattices:
         assert latt.gram_int() == ref_gram(latt)
-        assert latt.dual() == ref_dual(latt)
     for latt in lattices + [latt.scaled(Fraction(1, 2)) for latt in cs.right_orders[:4]]:
         assert latt.is_order() == ref_is_order(latt)
     assert all(o.is_order() for o in cs.right_orders)
@@ -291,7 +306,6 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
         assert cs.reps[i].multiply(rhs) == ref_multiply(cs.reps[i], rhs)
         order, rep = cs.right_orders[i], cs.reps[i]
         assert order.multiply(rep) == ref_multiply(order, rep)
-        assert rep.right_order() == ref_colon_order(rep, "left")
     for order in cs.right_orders:
         assert trace_zero_lattice(order).gram == ref_trace_zero_gram(order)
 
@@ -381,8 +395,6 @@ def test_random_lattices_match_the_fraction_reference(rows, den):
     assert latt.is_order() == ref_is_order(latt)
     assert latt.multiply(other) == ref_multiply(latt, other)
     assert other.multiply(latt) == ref_multiply(other, latt)
-    assert latt.dual() == ref_dual(latt)
-    assert latt.right_order() == ref_colon_order(latt, "left")
 
 
 # Reference for the neighbour scan: the right-submodule closure of every point
