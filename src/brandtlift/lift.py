@@ -1,7 +1,10 @@
 """Weight-3/2 lifts: weighted sums of class theta series.
 
 The lift of a vector phi on the class set is sum(phi_i * theta_i), taken
-with exact integer coefficients.  Because eigenvectors are only defined up
+with exact integer coefficients.  theta_i depends only on the type of class
+i (the canonical Gram of its ternary lattice), so each type's series is
+built once and shared, and the entries of phi on one series are added up
+before its coefficients are read.  Because eigenvectors are only defined up
 to scale, the module also provides the unit rescaling mod ell that aligns
 two congruent eigenvectors entrywise, which is how printed data and pairing
 values at a fixed normalization are reproduced.  lift_eigenforms chains the
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import primitive_vector
-from .theta import QSeries, theta_series, trace_zero_lattice
+from .theta import QSeries, TernaryLattice, theta_series
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,8 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
 
     phi must be integral; the truncation bound of the result is the minimum
     of the input bounds.  Permuting (phi_i, theta_i) pairs jointly leaves
-    the output unchanged.
+    the output unchanged.  Entries whose series are one and the same object
+    are added up first, so each distinct series is read once.
     """
     if len(phi) != len(thetas):
         raise ValueError(f"phi has {len(phi)} entries but there are {len(thetas)} theta series")
@@ -57,10 +61,14 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
             raise ValueError("phi must have integer entries")
         ints.append(int(x))
     bound = min((t.bound for t in thetas), default=0)
-    # one pass over the coefficients; QSeries drops zeros and n > bound
+    # the summed entry of each distinct series object, in first-seen order
+    shared: dict[int, list] = {}
+    for c, t in zip(ints, thetas):
+        shared.setdefault(id(t), [0, t])[0] += c
+    # one pass over each series' coefficients; QSeries drops zeros and n > bound
     acc: dict[int, int] = {}
     get = acc.get
-    for c, t in zip(ints, thetas):
+    for c, t in shared.values():
         if c:
             for n, a in t.coeffs.items():
                 acc[n] = get(n, 0) + c * a
@@ -94,9 +102,10 @@ def lift_eigenforms(
 
     Each name gets the primitive eigenvector of its (p, a_p) pairs.  With
     ell given and both forms present, g is rescaled by the unit c of
-    scale_congruent_pair.  The class theta series are built once, to the
-    given bound.  Returns ({name: LiftResult}, c), with c None when nothing
-    was rescaled.
+    scale_congruent_pair.  The theta series are built once per type, to
+    the given bound, on the canonical Gram that ClassSet keeps for each
+    class, and every class of a type gets that same QSeries.  Returns
+    ({name: LiftResult}, c), with c None when nothing was rescaled.
     """
     # the largest degree of either form first: one count pass serves both
     degrees = [p for data in eigendata.values() for p, _ in data]
@@ -106,5 +115,7 @@ def lift_eigenforms(
     c = None
     if ell is not None and "f" in phis and "g" in phis:
         _, phis["g"], c = scale_congruent_pair(phis["f"], phis["g"], ell)
-    thetas = [theta_series(trace_zero_lattice(o), bound) for o in module.classes.right_orders]
+    types = module.classes._types
+    by_type = {gram: theta_series(TernaryLattice(gram), bound) for gram in dict.fromkeys(types)}
+    thetas = [by_type[gram] for gram in types]
     return {name: waldspurger_lift(phi, thetas) for name, phi in phis.items()}, c

@@ -32,7 +32,7 @@ product is certified by its covolume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, isqrt, prod
@@ -43,7 +43,7 @@ from .linalg import greedy_reduce, hnf, leading_minors
 from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
 from .qalg import AlgebraPresentation, finite_ramified_primes
 from .shortvec import exists_value, iter_short_vectors, vector_counts
-from .theta import class_sort_key
+from .theta import canonical_gram, trace_zero_lattice
 
 
 def _conj(r):
@@ -66,7 +66,7 @@ class OrderLattice:
     Equality and hashing ignore it and compare the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj", "_alpha")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj", "_alpha", "_right")
 
     def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
@@ -77,6 +77,7 @@ class OrderLattice:
         self._red = None
         self._conj = None
         self._alpha = None
+        self._right = None
 
     @classmethod
     def from_rows(cls, alg, den: int, rows, norm=None) -> "OrderLattice":
@@ -394,11 +395,21 @@ def _neighbor_submodules(
     return subs
 
 
+def _right_order(ideal: OrderLattice) -> OrderLattice:
+    """O_R(I) = conj(I) I / Nm(I) for an invertible ideal, computed once per lattice."""
+    if ideal._right is None:
+        ideal._right = ideal.conjugated().multiply(ideal).scaled(Fraction(1, ideal.norm))
+    return ideal._right
+
+
 def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> OrderLattice:
     rows = [[p * x for x in row] for row in ideal.rows]
     for c in sub_rows:
         rows.append(vec_mat(c, ideal.rows))
-    return OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
+    out = OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
+    # the preimage of a right submodule is a right ideal of the same order
+    out._right = ideal._right
+    return out
 
 
 def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
@@ -409,6 +420,7 @@ def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
     small = ideal._mul_row(_conj(row), d)
     small = OrderLattice(small.alg, small.den, small.rows, norm)
+    small._right = ideal._right  # O_R(x I) = O_R(I)
     # Nm(small)^2 is the covolume ratio to base
     assert small._det() * base.den**4 == norm**2 * base._det() * small.den**4
     return small
@@ -429,9 +441,8 @@ def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> Orde
     rows = [[n * lhs.den * x for x in r] for r in crhs.rows]
     rows += [alg.mul(alpha, r) for r in crhs.rows]
     prod = OrderLattice.from_rows(alg, lhs.den * crhs.den * shrink, rows)
-    assert shrink**4 * prod._det() * lhs.den**4 == rhs.norm**2 * lhs._det() * prod.den**4, (
-        "Nm(I) O + alpha O is not I: the pair product covolume is off"
-    )
+    if shrink**4 * prod._det() * lhs.den**4 != rhs.norm**2 * lhs._det() * prod.den**4:
+        raise RuntimeError("Nm(I) O + alpha O is not I: the pair product covolume is off")
     return prod
 
 
@@ -454,10 +465,14 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     Both must be integral right ideals of one order that carry int norms, as
     the class-walk ideals and ClassSet.reps do.  The test searches
     lhs * conj(rhs) for an element of reduced norm Nm(lhs) * Nm(rhs), which
-    exists exactly in the equivalent case.
+    exists exactly in the equivalent case.  Ideals whose right orders
+    conj(I) I / Nm(I) differ raise ValueError; the walk's ideals carry their
+    right order from construction, so it is computed only for others.
     """
     if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
+    if _right_order(lhs) != _right_order(rhs):
+        raise ValueError("equivalent_ideals needs right ideals of one order")
     return exists_value(*_pair_form(lhs, rhs))
 
 
@@ -478,6 +493,12 @@ class ClassSet:
     right_orders[i], the JSON key right_order_basis, holds the left order
     O_L(I_i) = I_i conj(I_i) / Nm(I_i) of reps[i]; both names stay so that
     output bytes stay.
+
+    The private _types[i] is the type of class i: the canonical Gram of the
+    trace-zero lattice of right_orders[i].  Equivalent ideals have conjugate
+    left orders, whose ternary lattices are isometric, so the type is a class
+    invariant; classes of one type share one theta series.  It is not part
+    of the JSON, of the repr or of equality.
     """
 
     presentation: AlgebraPresentation
@@ -488,6 +509,7 @@ class ClassSet:
     right_orders: list[OrderLattice]
     weights: list[int]
     mass: Fraction
+    _types: list[tuple[tuple[int, int, int], ...]] = field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         def mat(latt):
@@ -528,6 +550,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     idem = _split_idempotent(base, p)
 
     first = OrderLattice(alg, base.den, base.rows, 1)
+    first._right = base
     classes = [first]
     # O_L(I) = I conj(I) / Nm(I)
     orders = [_pair_product(first, first, first.norm)]
@@ -561,9 +584,10 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
             f"class enumeration ended at mass {acc}, expected {target_mass}"
         )
 
-    # canonical ordering: the base class stays first, the rest sort on the
-    # canonical Gram of their ternary trace-zero lattice, then on the basis
-    rest = sorted(range(1, len(classes)), key=lambda k: class_sort_key(orders[k], classes[k]))
+    # canonical ordering: the base class stays first, the rest sort on their
+    # type (the canonical Gram of the ternary trace-zero lattice), then on the basis
+    types = [canonical_gram(trace_zero_lattice(o).gram) for o in orders]
+    rest = sorted(range(1, len(classes)), key=lambda k: (types[k], classes[k].den, classes[k].rows))
     perm = [0] + rest
     return ClassSet(
         presentation=alg,
@@ -574,4 +598,5 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         right_orders=[orders[k] for k in perm],
         weights=[weights[k] for k in perm],
         mass=target_mass,
+        _types=[types[k] for k in perm],
     )

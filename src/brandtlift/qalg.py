@@ -9,7 +9,7 @@ odd prime by the Legendre symbol formula, at 2 by Serre's closed form in
 the 2-adic valuations and the unit parts mod 8 (A Course in Arithmetic,
 III.1.2), and at the real place by the signs of a, b.
 choose_presentation searches for the smallest pair whose finite ramified
-set is exactly one given prime.
+set is exactly one given prime, skipping the pairs that split at it.
 """
 
 from __future__ import annotations
@@ -210,19 +210,29 @@ def certify_presentation(a: int, b: int, q: int) -> bool:
     return finite_ramified_primes(a, b) == [q]
 
 
+def _candidate_sizes(q: int, s: int):
+    """Ascending |a| of the pairs (-|a|, |a| - s) that can ramify at the prime q."""
+    if q == 2:
+        return range(1, s)
+    # at an odd q, (a, b)_q = 1 unless q divides a or b
+    return sorted({*range(q, s, q), *range(s % q or q, s, q)})
+
+
 def choose_presentation(q: int) -> AlgebraPresentation:
     """Smallest definite presentation ramified exactly at the prime q.
 
     Pairs are scanned by increasing |a| + |b|, then by increasing |a|, and
     each candidate is certified through its Hilbert symbols, so the result
-    is deterministic.
+    is deterministic.  At an odd q a pair can ramify at q only when q
+    divides a or b, so the scan starts at |a| + |b| = q + 1 and visits only
+    those pairs: O(q) candidates instead of O(q^2).
     """
     if not isprime(q):
         raise ValueError(f"q must be prime, got {q}")
-    for s in count(2):
+    for s in count(2 if q == 2 else q + 1):
         if s > 8 * q + 64:
             raise RuntimeError(f"no presentation found for q={q} within search bound")
-        for na in range(1, s):
+        for na in _candidate_sizes(q, s):
             a, b = -na, -(s - na)
             if certify_presentation(a, b, q):
                 return AlgebraPresentation(a, b)

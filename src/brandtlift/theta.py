@@ -4,7 +4,9 @@ For each class order R the rank-3 lattice {x in Z + 2R : tr(x) = 0} carries
 the reduced norm as a positive definite integer quadratic form; its theta
 series is the generating function counting vectors by norm.  A canonical
 reduction of the Gram matrix (exhaustive lexicographic minimization over
-short unimodular bases) provides the deterministic class ordering.
+short unimodular bases) is the type of a class order: it fixes the class
+ordering, and since equal canonical Grams mean isometric lattices, classes
+of one type share one theta series.
 """
 
 from __future__ import annotations
@@ -200,9 +202,3 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     q1, q2, q3, b12, b13, b23 = best
     return ((q1, b12, b13), (b12, q2, b23), (b13, b23, q3))
 
-
-def class_sort_key(order, ideal) -> tuple:
-    """Deterministic sort key for an ideal class: canonical Gram, then basis."""
-    cg = canonical_gram(trace_zero_lattice(order).gram)
-    flat = tuple(x for row in cg for x in row)
-    return (flat, ideal.den, ideal.rows)

@@ -22,6 +22,11 @@ def classes174():
 
 
 @pytest.fixture(scope="session")
+def classes222():
+    return build_classes(2, 111)
+
+
+@pytest.fixture(scope="session")
 def module170(classes170):
     return BrandtModule(classes170)
 

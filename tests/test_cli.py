@@ -175,6 +175,22 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
         assert err.count("\n") == 1
 
 
+def test_failed_pair_product_certificate_exits_3(monkeypatch, capsys):
+    from brandtlift.orders import OrderLattice
+
+    def bad_generator(self):
+        # Nm(I) * 1 lies in I, but Nm(I) O + Nm(I) O is not I when Nm(I) > 1
+        return [self.norm * self.den, 0, 0, 0]
+
+    monkeypatch.setattr(OrderLattice, "_generator", bad_generator)
+    assert main(["classes", "--q", "11", "--m", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: internal failure (RuntimeError): "
+        "Nm(I) O + alpha O is not I: the pair product covolume is off\n"
+    )
+
+
 def test_usage_errors_come_before_the_class_walk(monkeypatch, capsys):
     import brandtlift.cli as cli
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import brandtlift.lift as lift_module
+from brandtlift.brandt import BrandtModule
 from brandtlift.lift import (
     LiftResult,
     lift_eigenforms,
@@ -10,7 +12,7 @@ from brandtlift.lift import (
     scale_congruent_pair,
     waldspurger_lift,
 )
-from brandtlift.theta import QSeries
+from brandtlift.theta import QSeries, theta_series, trace_zero_lattice
 from conftest import EIGEN_174_F, EIGEN_174_G
 
 # reference weight-3/2 expansions, truncated at exponent 99; each was
@@ -165,3 +167,48 @@ def test_lift_eigenforms_174(module174, phi174_f, phi174_g, thetas174):
         lifts, c = lift_eigenforms(module174, pair, 99, ell=ell)
         assert c is None
         assert lifts == primitive
+
+
+def test_lift_adds_up_entries_of_shared_series():
+    a, b, c = synthetic_thetas()
+    b_copy = QSeries(12, dict(b.coeffs))
+    assert b_copy == b and b_copy is not b
+    phi = [3, -1, 2, 5, -2, 1]
+    # a twice as one object, b once as itself and once as an equal copy
+    shared = [a, b, a, b_copy, c, a]
+    distinct = [QSeries(t.bound, dict(t.coeffs)) for t in shared]
+    assert waldspurger_lift(phi, shared) == waldspurger_lift(phi, distinct)
+    # entries that cancel on one shared object leave its series out
+    cancel = waldspurger_lift([1, 0, -1, 0, 0, 0], shared)
+    assert cancel.series == QSeries(12, {}) and cancel.phi == (1, 0, -1, 0, 0, 0)
+
+
+@pytest.fixture(scope="module")
+def module222(classes222):
+    return BrandtModule(classes222)
+
+
+@pytest.mark.parametrize("level", [174, 222])
+def test_lift_eigenforms_matches_per_class_theta_series(level, request):
+    module = request.getfixturevalue(f"module{level}")
+    pair, ell = {174: ({"f": EIGEN_174_F, "g": EIGEN_174_G}, 5),
+                 222: ({"f": ((5, -4),), "g": ((5, 2),)}, 3)}[level]
+    per_class = [theta_series(trace_zero_lattice(o), 2000) for o in module.classes.right_orders]
+    lifts, c = lift_eigenforms(module, pair, 2000, ell=ell)
+    assert c is not None
+    for name, lifted in lifts.items():
+        assert lifted == waldspurger_lift(lifted.phi, per_class)
+
+
+def test_lift_eigenforms_builds_one_theta_series_per_type(module174, monkeypatch):
+    calls = []
+
+    def counted(lattice, bound):
+        calls.append(lattice.gram)
+        return theta_series(lattice, bound)
+
+    monkeypatch.setattr(lift_module, "theta_series", counted)
+    lift_eigenforms(module174, {"f": EIGEN_174_F, "g": EIGEN_174_G}, 99, ell=5)
+    types = module174.classes._types
+    assert sorted(calls) == sorted(set(types))
+    assert len(calls) == 5 < module174.h == 16

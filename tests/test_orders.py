@@ -1,6 +1,11 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +32,7 @@ from brandtlift.orders import (
 )
 from brandtlift.qalg import AlgebraPresentation, choose_presentation
 from brandtlift.shortvec import vector_counts
-from brandtlift.theta import trace_zero_lattice
+from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 from conftest import build_classes
 
@@ -137,6 +142,48 @@ def test_equivalence_survives_left_multiplication(classes170):
     for j, other in enumerate(classes170.reps):
         assert equivalent_ideals(other, xrep) == (j == i)
         assert equivalent_ideals(xrep, other) == (j == i)
+
+
+# the unsupported input of equivalent_ideals: the N=170 reps, right ideals of
+# the Eichler order, against the maximal order above it as an ideal of norm 1
+_OTHER_ORDER_REPRO = """
+from brandtlift.orders import OrderLattice, eichler_order, equivalent_ideals
+from brandtlift.orders import maximal_order, right_ideal_classes
+from brandtlift.qalg import choose_presentation
+mx = maximal_order(choose_presentation(17))
+reps = right_ideal_classes(eichler_order(mx, 10)).reps[:4]
+other = OrderLattice(mx.alg, mx.den, mx.rows, 1)
+for rep in reps:
+    for lhs, rhs in ((rep, other), (other, rep)):
+        try:
+            print(equivalent_ideals(lhs, rhs))
+        except ValueError as exc:
+            print("ValueError", exc)
+"""
+
+
+def test_equivalence_rejects_ideals_of_different_orders(classes170):
+    mx = maximal_order(classes170.presentation)
+    # plus the right ideals of the level-34 Eichler order above the level-170 one
+    others = [OrderLattice(mx.alg, mx.den, mx.rows, 1)] + build_classes(17, 2).reps
+    for rep in classes170.reps[:4]:
+        for other in others:
+            for lhs, rhs in ((rep, other), (other, rep)):
+                with pytest.raises(ValueError, match="one order"):
+                    equivalent_ideals(lhs, rhs)
+
+
+def test_equivalence_rejects_ideals_of_different_orders_under_O():
+    # -O strips assert statements: the check must not be one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _OTHER_ORDER_REPRO],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.splitlines() == ["ValueError equivalent_ideals needs right ideals of one order"] * 8
 
 
 def test_reduced_discriminant_rejects_non_orders():
@@ -310,11 +357,6 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
         assert trace_zero_lattice(order).gram == ref_trace_zero_gram(order)
 
 
-@pytest.fixture(scope="module")
-def classes222():
-    return build_classes(2, 111)
-
-
 def _ref_conjugate(latt):
     return _from_elements(latt.alg, [b.conjugate() for b in _ref_basis(latt)])
 
@@ -356,7 +398,7 @@ def test_pair_product_certificate_rejects_a_bad_generator(classes170):
     planted = OrderLattice(rep.alg, rep.den, rep.rows, rep.norm)
     # alpha = Nm(I) * 1 lies in I, but gcd(Nm(alpha)/Nm(I), Nm(I)) = Nm(I) > 1
     planted._alpha = [rep.norm * rep.den, 0, 0, 0]
-    with pytest.raises(AssertionError, match="covolume"):
+    with pytest.raises(RuntimeError, match="covolume"):
         _pair_product(planted, rep)
 
 
@@ -470,3 +512,34 @@ def test_neighbor_scan_matches_the_projective_space_closure(level, request):
         for span in subs:
             # closed under the right action of base: the rank stays 2
             assert len(rref_mod(span + [vec_mat(v, m) for v in span for m in mats], p)[1]) == 2
+
+
+# Types: the canonical Gram of the ternary lattice of each class's left order.
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+def test_stored_types_are_the_canonical_grams_of_the_left_orders(fixture, request):
+    cs = request.getfixturevalue(fixture)
+    assert len(cs._types) == cs.h
+    for order, gram in zip(cs.right_orders, cs._types):
+        assert gram == canonical_gram(trace_zero_lattice(order).gram)
+    # the class order is the type order after the base class
+    assert cs._types[1:] == sorted(cs._types[1:])
+    expected = {"classes170": 5, "classes174": 5, "classes222": 4}[fixture]
+    assert len(set(cs._types)) == expected
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+def test_left_multiples_keep_the_type(fixture, request):
+    # O_L(x I) = x O_L(I) x^-1 has an isometric ternary lattice; the left order
+    # of x I comes from the reference colon route, not from the library
+    cs = request.getfixturevalue(fixture)
+    rng = random.Random(cs.h)
+    alg = cs.presentation
+    for i in rng.sample(range(cs.h), 3):
+        coords = [0, 0, 0, 0]
+        while not any(coords):
+            coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+        x = alg.element(*coords)
+        moved = ref_colon_order(ref_mul_element(cs.reps[i], x, "left"), "right")
+        assert canonical_gram(trace_zero_lattice(moved).gram) == cs._types[i]

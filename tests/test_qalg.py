@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import pytest
+from sympy import primerange
 
 from brandtlift.qalg import (
     AlgebraPresentation,
@@ -188,6 +190,24 @@ def test_choose_presentation_certifies():
         pres = choose_presentation(q)
         assert certify_presentation(pres.a, pres.b, q)
         assert finite_ramified_primes(pres.a, pres.b) == [q]
+
+
+def _full_scan(q):
+    """First pair of the full scan by (|a| + |b|, |a|) whose finite ramified set is [q].
+
+    finite_ramified_primes looks only at the primes dividing 2ab, so testing
+    q | 2ab first leaves the answer as it is and keeps the scan fast.
+    """
+    for s in count(2):
+        for na in range(1, s):
+            if q == 2 or na % q == 0 or (s - na) % q == 0:
+                if finite_ramified_primes(-na, na - s) == [q]:
+                    return AlgebraPresentation(-na, na - s)
+
+
+def test_choose_presentation_matches_the_full_scan():
+    for q in primerange(2, 500):
+        assert choose_presentation(q) == _full_scan(q), q
 
 
 def test_choose_presentation_rejects_composite():
