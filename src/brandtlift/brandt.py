@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from sympy import isprime, primerange
 
-from .linalg import clear_denominators, mat_vec, primitive_vector, rational_nullspace
+from .linalg import mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet, _pair_form
 from .shortvec import vector_counts
 
@@ -26,11 +26,9 @@ def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
     h = len(basis[0])
     # column k is (B - a) basis[k]; a kernel vector holds the coordinates
     diffs = [[img[i] - a * v[i] for img, v in zip(images, basis)] for i in range(h)]
-    # positive integer multiples of the kernel vectors: the same primitive forms
-    kernel = [clear_denominators(c)[1] for c in rational_nullspace(diffs)]
     return [
         primitive_vector([sum(ck * v[i] for ck, v in zip(c, basis)) for i in range(h)])
-        for c in kernel
+        for c in rational_nullspace(diffs)
     ]
 
 
@@ -139,7 +137,9 @@ class BrandtModule:
 
     def eisenstein_vector(self) -> list[int]:
         """The vector with entries proportional to 1/w_i, primitive-integral."""
-        return primitive_vector([Fraction(1, w) for w in self.classes.weights])
+        w = self.classes.weights
+        common = lcm(*w)
+        return primitive_vector([common // wi for wi in w])
 
     def atkin_lehner_sign(self, phi, p: int) -> int:
         """Atkin-Lehner sign at p dividing the level, from the U_p eigenvalue.

@@ -3,18 +3,19 @@
 Everything operates on plain lists of lists and nothing here ever touches
 a float.  HNF, the leading minors and the eliminations compute in int:
 over Q, rows are cleared of denominators at entry and eliminated
-fraction-free, and Fractions are formed only in the results of
-rational_nullspace and mat_inv.
+fraction-free.  rational_nullspace returns primitive integer kernel
+vectors, so the only Fractions formed are the entries of mat_inv's
+result and the rational input read by _integer_row.
 Matrices are row based throughout: a lattice basis is a list of row vectors.
-One Gauss-Jordan routine over F_p or Q serves the echelon forms, kernels
-and inverses; HNF and the Bareiss leading minors are separate integer
-algorithms.
+One Gauss-Jordan routine serves one elimination per field: rref_mod over
+F_p, and rational_nullspace and mat_inv over Q.  HNF and the Bareiss
+leading minors are separate integer algorithms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -180,30 +181,6 @@ def _integer_row(row) -> list[int]:
     return [x // k for x in row] if k > 1 else list(row)
 
 
-def _nullspace(m: list[list[int]], p: int | None = None) -> list[list]:
-    """Right kernel basis of m over F_p or Q, one vector per free column.
-
-    m holds entries in [0, p) over F_p, or integer rows over Q (see
-    _gauss_jordan), and is reduced in place.  Over Q the entry at pivot
-    column pc of row r is -m[r][fc] / m[r][pc], a Fraction.
-    """
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivots = _gauss_jordan(m, ncols, p)
-    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = Fraction(-m[r][fc], m[r][pc]) if p is None else -m[r][fc] % p
-        basis.append(v)
-    return basis
-
-
 def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over F_p: (nonzero rows, pivot columns)."""
     m = [[x % p for x in row] for row in rows]
@@ -213,14 +190,32 @@ def rref_mod(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]
     return m[: len(pivots)], pivots
 
 
-def nullspace_mod(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : A v = 0 over F_p}, entries in [0, p)."""
-    return _nullspace([[x % p for x in row] for row in rows], p)
+def rational_nullspace(rows) -> list[list[int]]:
+    """Right kernel basis of a matrix over Q, one primitive int vector per free column.
 
-
-def rational_nullspace(rows) -> list[list[Fraction]]:
-    """Basis of the right kernel of a matrix over Q, with Fraction entries."""
-    return _nullspace([_integer_row(row) for row in rows])
+    rows may hold ints and Fractions.  The vector for free column fc is the
+    primitive integer multiple, positive at fc, of the reduced-echelon
+    kernel vector (1 at fc, 0 at the other free columns).  After the
+    elimination row r is a multiple of that echelon row with pivot m[r][pc],
+    so scaling by the lcm of the pivots keeps every entry an integer.
+    """
+    m = [_integer_row(row) for row in rows]
+    if not m:
+        return []
+    ncols = len(m[0])
+    pivots = _gauss_jordan(m, ncols)
+    den = lcm(*(m[r][pc] for r, pc in enumerate(pivots)))
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = den
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] * den // m[r][pc]
+        k = gcd(*v)
+        basis.append([x // k for x in v] if k > 1 else v)
+    return basis
 
 
 def mat_inv(rows) -> list[list[Fraction]]:

@@ -9,7 +9,8 @@ substitution on the triangular HNF.  Ideal norms are ints.  Fraction
 appears only at the API edge (scaled, covolume, ideal_norm), in the mass
 and in the JSON output.  On top sit
 the three construction stages: saturating the obvious order to a maximal
-one, cutting an Eichler order of square-free level, and walking the
+one, cutting an Eichler order of square-free level as Z + eO + pO one
+prime p at a time, and walking the
 p-neighbor graph to enumerate the right ideal classes with their unit
 weights, certified complete by the mass formula.
 
@@ -40,7 +41,7 @@ from math import gcd, isqrt, prod
 from sympy import factorint, primerange
 
 from .linalg import greedy_reduce, hnf, leading_minors
-from .linalg import nullspace_mod, rref_mod, transpose, vec_mat
+from .linalg import rref_mod, vec_mat
 from .qalg import AlgebraPresentation, finite_ramified_primes
 from .shortvec import exists_value, iter_short_vectors, vector_counts
 from .theta import canonical_gram, trace_zero_lattice
@@ -271,11 +272,11 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
         assert d % q == 0
         p = min(factorint(d // q).keys())
         singles = list(_projective_points(p))
-        # index p: one p-denominator element; index p^2 fallback: two
-        # independent ones
+        # index p: one p-denominator element; index p^2 fallback: two, which
+        # are independent mod p since each has leading nonzero coordinate 1
         tries = chain(
             ([c] for c in singles),
-            (list(ab) for ab in combinations(singles, 2) if len(rref_mod(ab, p)[1]) == 2),
+            (list(ab) for ab in combinations(singles, 2)),
         )
         for vecs in tries:
             grown = _try_overorder(order, vecs, p)
@@ -312,22 +313,21 @@ def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
 
 
 def _level_raise(order: OrderLattice, p: int) -> OrderLattice:
-    """Index-p Eichler suborder: kill one off-diagonal Peirce block mod p."""
-    alg = order.alg
+    """Index-p Eichler suborder Z + eO + pO, for e a rank-1 idempotent of O/pO.
+
+    In O/pO = M_2(F_p) with e = E11, eO is the top row, so Z + eO + pO is
+    [[Z, Z], [pZ, Z]] in M_2(Z_p) and O at every other prime (Voight,
+    Quaternion Algebras, GTM 288, ch. 23).
+    """
     mats = _right_action_matrices(order, order)
     idem = _split_idempotent(order, p)
-    right_e = _right_mult(mats, idem)
-    ee = vec_mat(idem, right_e)
+    ee = vec_mat(idem, _right_mult(mats, idem))
     assert all((x - y) % p == 0 for x, y in zip(ee, idem)), "not idempotent mod p"
-    # f = 1 - e, and column m is f b_m e
-    f = [x - y for x, y in zip(order._solve((1, 0, 0, 0)), idem)]
-    cols = [[v % p for v in vec_mat(vec_mat(f, m), right_e)] for m in mats]
-    kernel = nullspace_mod(transpose(cols), p)
-    assert len(kernel) == 3, "Peirce corner does not have corank 1"
     rows = [[p * x for x in row] for row in order.rows]
-    for c in kernel:
-        rows.append(vec_mat(c, order.rows))
-    sub = OrderLattice.from_rows(alg, order.den, rows)
+    rows.append([order.den, 0, 0, 0])
+    # e b_m has the coordinates vec_mat(idem, mats[m])
+    rows += [vec_mat(vec_mat(idem, m), order.rows) for m in mats]
+    sub = OrderLattice.from_rows(order.alg, order.den, rows)
     assert sub.is_order()
     assert sub.reduced_discriminant() == p * order.reduced_discriminant()
     return sub
@@ -398,7 +398,8 @@ def _neighbor_submodules(
 def _right_order(ideal: OrderLattice) -> OrderLattice:
     """O_R(I) = conj(I) I / Nm(I) for an invertible ideal, computed once per lattice."""
     if ideal._right is None:
-        ideal._right = ideal.conjugated().multiply(ideal).scaled(Fraction(1, ideal.norm))
+        square = ideal.conjugated().multiply(ideal)
+        ideal._right = OrderLattice.from_rows(ideal.alg, square.den * ideal.norm, square.rows)
     return ideal._right
 
 

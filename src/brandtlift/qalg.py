@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count
 
 from sympy import factorint, isprime
@@ -66,12 +65,6 @@ def _hilbert_two(a: int, b: int) -> int:
     return -1 if (eps_u * eps_v + alpha * omega_v + beta * omega_u) % 2 else 1
 
 
-@lru_cache(maxsize=None)
-def _is_prime_place(p: int) -> bool:
-    # a class walk asks about the same few places tens of thousands of times
-    return bool(isprime(p))
-
-
 def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     """Hilbert symbol (a, b) at a finite prime or at the real place "inf".
 
@@ -82,7 +75,7 @@ def hilbert_symbol(a: Rational, b: Rational, place) -> int:
     if place == "inf":
         return -1 if na < 0 and nb < 0 else 1
     p = int(place)
-    if not _is_prime_place(p):
+    if not isprime(p):
         raise ValueError(f"place must be a prime or 'inf', got {place!r}")
     if p == 2:
         return _hilbert_two(na, nb)

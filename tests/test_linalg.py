@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from brandtlift.linalg import (
     mat_inv,
     mat_mul,
     mat_vec,
-    nullspace_mod,
     primitive_vector,
     rational_nullspace,
     rref_mod,
@@ -75,6 +75,13 @@ def ref_nullspace(rows):
             v[pc] = -m[r][fc]
         basis.append(v)
     return basis
+
+
+def primitive_multiple(v):
+    # the positive multiple of a rational vector with coprime integer entries
+    ints = clear_denominators(v)[1]
+    k = gcd(*ints)
+    return [x // k for x in ints]
 
 
 def ref_mat_inv(rows):
@@ -209,22 +216,16 @@ def test_rref_mod_known():
     # 2x3 matrix has a one-dimensional kernel, and the inverse is exact
     assert rational_nullspace([[2, 4], [1, 3]]) == []
     assert rational_nullspace([[2, 4, 6], [1, 3, 5]]) == [[1, -2, 1]]
-    assert rational_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[Fraction(-2, 3), 1]]
+    # 3 * (-2/3, 1): the primitive multiple of the reduced-echelon vector
+    assert rational_nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[-2, 3]]
+    assert rational_nullspace([[3, 0, -2, 0], [0, 5, 0, 1]]) == [[2, 0, 3, 0], [0, -1, 0, 5]]
     assert mat_inv([[2, 4], [1, 3]]) == [[Fraction(3, 2), -2], [Fraction(-1, 2), 1]]
 
 
-def test_nullspace_mod_annihilates():
+def test_rational_nullspace_annihilates_fraction_rows():
+    # rows with denominators; the kernel dimension over Q is read off the
+    # denominator-free rows mod a large prime
     rng = random.Random(29)
-    for p in (2, 3, 5, 7):
-        for _ in range(15):
-            m = random_matrix(rng, rng.randint(1, 3), 4)
-            basis = nullspace_mod(m, p)
-            ech, pivots = rref_mod(m, p)
-            assert len(basis) == 4 - len(pivots)
-            for v in basis:
-                assert all(x % p == 0 for x in mat_vec(m, v))
-    # Q inputs: rows with denominators; the kernel dimension over Q is read
-    # off the denominator-free rows mod a large prime
     for _ in range(15):
         m = [[Fraction(x, rng.randint(1, 6)) for x in row]
              for row in random_matrix(rng, rng.randint(1, 3), 4)]
@@ -240,11 +241,15 @@ def test_rational_nullspace_annihilates():
     for _ in range(20):
         m = random_matrix(rng, rng.randint(1, 3), 5)
         basis = rational_nullspace(m)
-        for v in basis:
+        # the pivot columns over Q are those mod a huge prime for these tiny entries
+        pivots = rref_mod(m, 10**9 + 7)[1]
+        free = [c for c in range(5) if c not in pivots]
+        assert len(basis) == len(free)
+        for v, fc in zip(basis, free):
+            # one primitive int vector per free column, positive there
+            assert all(type(x) is int for x in v) and gcd(*v) == 1
+            assert v[fc] > 0 and all(v[c] == 0 for c in free if c != fc)
             assert all(x == 0 for x in mat_vec(m, v))
-        rank = len(rref_mod(m, 10**9 + 7)[1]) if any(any(r) for r in m) else 0
-        # rank over Q equals rank mod a huge prime for these tiny entries
-        assert len(basis) == 5 - rank
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,8 +258,8 @@ def test_rational_nullspace_matches_fraction_reference(m):
     before = [list(row) for row in m]
     got = rational_nullspace(m)
     assert m == before
-    assert got == ref_nullspace(m)
-    assert all(type(x) is Fraction for v in got for x in v)
+    assert got == [primitive_multiple(v) for v in ref_nullspace(m)]
+    assert all(type(x) is int for v in got for x in v)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,13 +10,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, primerange
 
+from brandtlift import orders
 from brandtlift.linalg import clear_denominators, hnf, mat_inv, rref_mod, vec_mat
 from brandtlift.orders import (
     ClassSet,
     OrderLattice,
     _neighbor_ideal,
     _neighbor_submodules,
+    _level_raise,
     _pair_product,
     _projective_points,
     _right_action_matrices,
@@ -512,6 +515,59 @@ def test_neighbor_scan_matches_the_projective_space_closure(level, request):
         for span in subs:
             # closed under the right action of base: the rank stays 2
             assert len(rref_mod(span + [vec_mat(v, m) for v in span for m in mats], p)[1]) == 2
+
+
+# Eichler orders: each level raise at p is Z + eO + pO, which is [[Z, Z], [pZ, Z]]
+# in M_2(Z_p) for e = E11.
+
+
+def test_level_raises_are_the_index_p_lattices_killing_one_corner():
+    # {x in O : (1 - e) x e in pO} has index p in O, so a sublattice of O of
+    # index p whose basis satisfies that condition is this lattice
+    raises = 0
+    for q in primerange(2, 60):
+        raised = {1: maximal_order(choose_presentation(q))}
+        for m in range(2, 600 // q + 1):
+            fac = factorint(m)
+            if q in fac or any(k > 1 for k in fac.values()):
+                continue
+            # eichler_order raises at the primes of m in increasing order
+            p = max(fac)
+            order = raised[m // p]
+            sub = raised[m] = _level_raise(order, p)
+            raises += 1
+            assert sub.covolume() == p * order.covolume()
+            alg = order.alg
+            idem = vec_mat(_split_idempotent(order, p), order.rows)
+            e = alg.element(*(Fraction(x, order.den) for x in idem))
+            f = alg.one() - e
+            # coordinates in O of an element: its coefficients times the inverse basis
+            inv = mat_inv([[Fraction(x, order.den) for x in row] for row in order.rows])
+            for x in _ref_basis(sub):
+                assert all(c.denominator == 1 for c in vec_mat(list(x.coeffs), inv))
+                corner = vec_mat(list(_ref_times(_ref_times(f, x), e).coeffs), inv)
+                assert all(c.denominator == 1 and c % p == 0 for c in corner)
+    assert raises == 497
+
+
+def test_maximal_order_takes_the_index_p_squared_step(monkeypatch):
+    # Z<1, i, j, k> of these presentations has no index-p overorder at the
+    # last prime it saturates; two p-denominator elements are needed at once
+    real = orders._try_overorder
+    for (a, b), q in (((-1, -9), 2), ((-3, -4), 3), ((-1, -18), 2)):
+        grown = []
+
+        def recording(order, vecs, p):
+            out = real(order, vecs, p)
+            if out is not None:
+                grown.append(len(vecs))
+            return out
+
+        monkeypatch.setattr(orders, "_try_overorder", recording)
+        order = maximal_order(AlgebraPresentation(a, b))
+        assert order.is_order() and ref_is_order(order)
+        assert order.reduced_discriminant() == q
+        assert grown[-1] == 2
 
 
 # Types: the canonical Gram of the ternary lattice of each class's left order.
