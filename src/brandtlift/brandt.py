@@ -3,16 +3,16 @@
 The matrix of the degree-n operator is computed from short-vector counts on
 the lattices I_i * conj(I_j): the entry at (i, j) is the number of elements
 of reduced norm n * Nm(I_i) * Nm(I_j), divided by the unit weight w_i.  With
-this normalization the all-ones covector is fixed up to p+1 (column sums),
-diag(w) intertwines the matrix with its transpose, and cuspidal right
-eigenvectors have plain coordinate sum zero.
+this normalization the all-ones covector is fixed up to p+1 (column sums)
+at p prime to the level, diag(w) intertwines the matrix with its transpose,
+and cuspidal right eigenvectors have plain coordinate sum zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from sympy import isprime, primerange
 
@@ -38,14 +38,18 @@ _DISCOVER_PMAX = 20
 
 @dataclass(frozen=True)
 class HeckeMatrix:
-    """Exact integer matrix of T_p (p coprime to the level) or U_p (p | level)."""
+    """Exact integer matrix B(p): T_p when p is coprime to the level.
+
+    kind is "U_p" at every p | N, but B(p) is not U_p on the whole module.
+    At p | M it counts all integral right ideals of norm p, as the local
+    order [[Z, Z], [pZ, Z]] has 2p + 1 of them (Voight, GTM 288, ch. 23),
+    so its column sums are 2p + 1.  At p = q it is the permutation of the
+    classes by the two-sided prime of norm q, with column sums 1.
+    """
 
     p: int
     kind: str
     entries: tuple[tuple[int, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "kind": self.kind, "entries": [list(r) for r in self.entries]}
 
 
 class BrandtModule:
@@ -64,7 +68,7 @@ class BrandtModule:
         self._matrices: dict[int, HeckeMatrix] = {}
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
-        """Degree-p Hecke matrix; kind T_p when p is coprime to the level."""
+        """Degree-p Brandt matrix, its column sums asserted (see HeckeMatrix)."""
         if not isprime(p):
             raise ValueError(f"need a prime degree, got {p}")
         if p in self._matrices:
@@ -84,10 +88,10 @@ class BrandtModule:
             assert all(c % w[i] == 0 for i, row in enumerate(raws) for c in row), "unit orbits do not divide the count"
             rows = tuple(tuple(c // w[i] for c in row) for i, row in enumerate(raws))
             kind = "U_p" if self.level % r == 0 else "T_p"
-            if kind == "T_p":
-                for j in range(h):
-                    colsum = sum(row[j] for row in rows)
-                    assert colsum == r + 1, f"column sum {colsum} != {r + 1} at j={j}"
+            total = 1 if r == self.classes.q else 2 * r + 1 if kind == "U_p" else r + 1
+            for j in range(h):
+                colsum = sum(row[j] for row in rows)
+                assert colsum == total, f"B({r}) column sum {colsum} != {total} at j={j}"
             # a degree read before keeps its object
             self._matrices.setdefault(r, HeckeMatrix(r, kind, rows))
         return self._matrices[p]
@@ -134,12 +138,6 @@ class BrandtModule:
         if rem or any(image[k] != a * phi[k] for k in range(self.h)):
             raise ValueError(f"vector is not a B({p}) eigenvector")
         return a
-
-    def eisenstein_vector(self) -> list[int]:
-        """The vector with entries proportional to 1/w_i, primitive-integral."""
-        w = self.classes.weights
-        common = lcm(*w)
-        return primitive_vector([common // wi for wi in w])
 
     def atkin_lehner_sign(self, phi, p: int) -> int:
         """Atkin-Lehner sign at p dividing the level, from the U_p eigenvalue.

@@ -111,6 +111,8 @@ def cmd_lift(args) -> int:
             raise ValueError(f"lift --discover takes none of {', '.join(ignored)}")
     elif not eigendata:
         raise ValueError("lift needs --eigen-f and/or --eigen-g (or --discover)")
+    elif args.json:
+        raise ValueError("lift --json needs --discover")
     module = _build_module(args.q, args.m)
     cs = module.classes
     if args.discover:
@@ -182,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_eigen: bool):
         p.add_argument("--q", type=int, required=True, help="ramified prime")
         p.add_argument("--m", type=int, required=True, help="cofactor of the level, coprime to q")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text (lift: with --discover)")
         p.add_argument("--out", help="output path (prefix for lift files)")
         if with_eigen:
             p.add_argument(

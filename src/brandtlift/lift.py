@@ -21,22 +21,19 @@ from .theta import QSeries, TernaryLattice, theta_series
 
 @dataclass(frozen=True)
 class LiftResult:
-    """A computed lift: the series, the exact vector used, and the size h."""
+    """A computed lift: the series and the exact vector used."""
 
     series: QSeries
     phi: tuple[int, ...]
-    class_count: int
 
-    def metadata(self, N: int, q: int, M: int, eigendata=None, sign_convention: str | None = None) -> dict:
+    def metadata(self, N: int, q: int, M: int, eigendata, sign_convention: str) -> dict:
         return {
             "N": N,
             "q": q,
             "M": M,
-            "eigendata": [[p, a] for p, a in eigendata] if eigendata else None,
+            "eigendata": [[p, a] for p, a in eigendata],
             "phi": list(self.phi),
-            "sign_convention": sign_convention
-            or "integer vector, gcd of entries divides the stated scaling, "
-            "first nonzero entry of the primitive form positive",
+            "sign_convention": sign_convention,
         }
 
 
@@ -72,7 +69,7 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
         if c:
             for n, a in t.coeffs.items():
                 acc[n] = get(n, 0) + c * a
-    return LiftResult(series=QSeries(bound, acc), phi=tuple(ints), class_count=len(ints))
+    return LiftResult(series=QSeries(bound, acc), phi=tuple(ints))
 
 
 def scale_congruent_pair(phi_f, phi_g, ell: int) -> tuple[list[int], list[int], int | None]:

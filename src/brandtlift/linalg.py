@@ -106,12 +106,6 @@ def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
 
 
-def mat_mul(a, b):
-    """Matrix product, type-agnostic (int stays int, Fraction stays exact)."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def vec_mat(v, m):
     """Row vector times matrix."""
     cols = list(zip(*m))
@@ -121,10 +115,6 @@ def vec_mat(v, m):
 def mat_vec(m, v):
     """Matrix times column vector."""
     return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def _gauss_jordan(m: list[list[int]], ncols: int, p: int | None = None) -> list[int]:

@@ -6,11 +6,10 @@ lattice equality is tuple equality.  The integer rows are the only
 representation: products, norms and structure constants mod p run on them
 through the algebra's product and trace pairing, and membership is forward
 substitution on the triangular HNF.  Ideal norms are ints.  Fraction
-appears only at the API edge (scaled, covolume, ideal_norm), in the mass
-and in the JSON output.  On top sit
-the three construction stages: saturating the obvious order to a maximal
-one, cutting an Eichler order of square-free level as Z + eO + pO one
-prime p at a time, and walking the
+appears only at the API edge (covolume, ideal_norm), in the mass and in
+the JSON output.  On top sit the three construction stages: saturating
+the obvious order to a maximal one, cutting an Eichler order of
+square-free level as Z + eO + pO one prime p at a time, and walking the
 p-neighbor graph to enumerate the right ideal classes with their unit
 weights, certified complete by the mass formula.
 
@@ -186,11 +185,6 @@ class OrderLattice:
         mul = self.alg.mul
         return OrderLattice.from_rows(self.alg, self.den * d, [mul(xrow, r) for r in self.rows])
 
-    def scaled(self, c: Fraction) -> "OrderLattice":
-        c = Fraction(c)
-        rows = [[x * c.numerator for x in row] for row in self.rows]
-        return OrderLattice.from_rows(self.alg, self.den * c.denominator, rows)
-
     def conjugated(self) -> "OrderLattice":
         if self._conj is None:
             self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows])
@@ -288,8 +282,11 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
     raise RuntimeError("saturation did not terminate")
 
 
-def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
-    """Coordinates mod p of a rank-1 idempotent in order/p ~ M_2(F_p)."""
+def _split_idempotent(order: OrderLattice, mats, p: int) -> list[int]:
+    """Coordinates mod p of a rank-1 idempotent in order/p ~ M_2(F_p).
+
+    mats is _right_action_matrices(order, order).
+    """
     gram, scale = order.gram_int(), 2 * order.den**2
 
     def norm_mod(c):
@@ -302,7 +299,6 @@ def _split_idempotent(order: OrderLattice, p: int) -> list[int]:
     if x is None:
         raise RuntimeError(f"norm form anisotropic mod {p}; is p coprime to the level?")
     # tr(b_m) = 2 rows[m][0] / den, and x b_m has the coordinates vec_mat(x, mats[m])
-    mats = _right_action_matrices(order, order)
     traces = [2 * r[0] // order.den for r in order.rows]
     # slide to a rank-1 element of nonzero trace; x or some basis multiple works
     for y in chain([x], (vec_mat(x, m) for m in mats)):
@@ -320,7 +316,7 @@ def _level_raise(order: OrderLattice, p: int) -> OrderLattice:
     Quaternion Algebras, GTM 288, ch. 23).
     """
     mats = _right_action_matrices(order, order)
-    idem = _split_idempotent(order, p)
+    idem = _split_idempotent(order, mats, p)
     ee = vec_mat(idem, _right_mult(mats, idem))
     assert all((x - y) % p == 0 for x, y in zip(ee, idem)), "not idempotent mod p"
     rows = [[p * x for x in row] for row in order.rows]
@@ -548,7 +544,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     target_mass = eichler_mass(q, M)
     p = next(r for r in primerange(2, 1000) if N % r)
 
-    idem = _split_idempotent(base, p)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
 
     first = OrderLattice(alg, base.den, base.rows, 1)
     first._right = base

@@ -177,13 +177,6 @@ class QuaternionElement:
     def norm(self) -> Fraction:
         return self.alg.trace_pairing(self.coeffs, self.coeffs) / 2
 
-    def is_integral(self) -> bool:
-        """Whether the reduced characteristic polynomial has integer coefficients."""
-        return self.trace().denominator == 1 and self.norm().denominator == 1
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def inverse(self) -> "QuaternionElement":
         n = self.norm()
         if n == 0:

@@ -53,47 +53,10 @@ class QSeries:
             raise ValueError(f"coefficient {n} beyond truncation bound {self.bound}")
         return self.coeffs.get(n, 0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSeries)
-            and self.bound == other.bound
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.bound, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        b = min(self.bound, other.bound)
-        keys = set(self.coeffs) | set(other.coeffs)
-        out = {}
-        for n in keys:
-            if n <= b:
-                out[n] = self.coeffs.get(n, 0) + other.coeffs.get(n, 0)
-        return QSeries(b, out)
-
-    def __rmul__(self, scalar: int) -> "QSeries":
-        return QSeries(self.bound, {n: scalar * c for n, c in self.coeffs.items()})
-
-    def __mul__(self, scalar: int) -> "QSeries":
-        return self.__rmul__(scalar)
-
-    def __neg__(self) -> "QSeries":
-        return self.__rmul__(-1)
-
-    def truncated(self, bound: int) -> "QSeries":
-        return QSeries(min(self.bound, bound), dict(self.coeffs))
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def to_text(self, header: str | None = None) -> str:
         lines = [] if header is None else [header]
         lines += [f"{n} {self.coeffs[n]}" for n in sorted(self.coeffs)]
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"bound": self.bound, "coeffs": {str(n): c for n, c in sorted(self.coeffs.items())}}
 
 
 def parse_qseries(text: str) -> tuple[QSeries, str | None]:

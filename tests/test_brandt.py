@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from sympy import primerange
@@ -34,14 +35,18 @@ def as_multiset(vec):
 
 
 def test_matrix_shape_and_column_sums(module174):
-    for p in (5, 7, 11):
+    # N = 3 * 58: T_p sums to p + 1, B(p) at p | 58 counts all 2p + 1 ideals
+    # of norm p, and B(3) permutes the classes
+    module174.brandt_matrix(29)
+    for p, kind, total in ((2, "U_p", 5), (3, "U_p", 1), (5, "T_p", 6), (7, "T_p", 8),
+                           (11, "T_p", 12), (29, "U_p", 59)):
         mat = module174.brandt_matrix(p)
-        assert mat.kind == ("U_p" if p == 3 else "T_p")
+        assert mat.kind == kind
         entries = mat.entries
         assert len(entries) == 16 and all(len(row) == 16 for row in entries)
         assert all(c >= 0 for row in entries for c in row)
         for j in range(16):
-            assert sum(entries[i][j] for i in range(16)) == p + 1
+            assert sum(entries[i][j] for i in range(16)) == total
 
 
 def count_pair_lattice_builds(monkeypatch) -> Counter:
@@ -135,7 +140,9 @@ def test_self_adjoint_for_weighted_pairing(module174):
 
 def test_eisenstein_vector(module170, module174):
     for module, p in ((module170, 3), (module174, 5)):
-        e = module.eisenstein_vector()
+        # entries proportional to 1/w_i
+        w = module.classes.weights
+        e = [lcm(*w) // wi for wi in w]
         b = module.brandt_matrix(p).entries
         n = len(e)
         image = [sum(b[i][j] * e[j] for j in range(n)) for i in range(n)]
@@ -223,7 +230,8 @@ def test_eigenvector_error_paths(module170):
 def test_eigenvalue_of_error_paths(module170, phi170_f):
     with pytest.raises(ValueError, match="zero vector"):
         module170.eigenvalue_of([0] * 24, 3)
-    mixed = [a + b for a, b in zip(phi170_f, module170.eisenstein_vector())]
+    w = module170.classes.weights
+    mixed = [a + lcm(*w) // wi for a, wi in zip(phi170_f, w)]
     with pytest.raises(ValueError, match="not a B"):
         module170.eigenvalue_of(mixed, 3)
     # a vector of the wrong length is rejected, neither truncated nor read past
@@ -252,15 +260,11 @@ def test_discover_finds_both_newforms(module174, phi174_f, phi174_g):
     vectors = [vec for _, vec in found]
     assert phi174_f in vectors
     assert phi174_g in vectors
-    assert module174.eisenstein_vector() in vectors
+    # the primitive vector with entries proportional to 1/w_i
+    w = module174.classes.weights
+    assert [lcm(*w) // wi for wi in w] in vectors
     for system, vec in found:
         for p, ap in system.items():
             assert module174.eigenvalue_of(vec, p) == ap
         # the eigendata path cuts out the same vector from the full system
         assert module174.eigenvector(sorted(system.items())) == vec
-
-
-def test_hecke_matrix_json(module174):
-    doc = module174.brandt_matrix(5).to_json_dict()
-    assert doc["p"] == 5 and doc["kind"] == "T_p"
-    assert len(doc["entries"]) == 16

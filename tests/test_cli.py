@@ -205,6 +205,9 @@ def test_usage_errors_come_before_the_class_walk(monkeypatch, capsys):
     assert "error: lift needs --eigen-f and/or --eigen-g" in capsys.readouterr().err
     assert main(["lift", "--q", "2", "--m", "1", "--discover", "--eigen-f", "3:x"]) == 2
     assert "error: bad eigendata entry '3:x'" in capsys.readouterr().err
+    # only --discover has a JSON form; the series are text
+    assert main(["lift", "--q", "11", "--m", "1", "--eigen-f", "2:-2", "--json"]) == 2
+    assert capsys.readouterr().err == "error: lift --json needs --discover\n"
     assert main(["lift", "--q", "2", "--m", "1", "--eigen-f", "3:4", "--bound", "-1"]) == 2
     assert "error: bound must be nonnegative, got -1" in capsys.readouterr().err
     assert main(["check", "--q", "2", "--m", "1", "--eigen-f", "3:4", "--eigen-g", "3:1",

@@ -122,7 +122,9 @@ def test_class_representatives_inequivalent(classes174):
 def test_equivalence_rejects_lattices_without_an_int_norm(classes170):
     rep = classes170.reps[3]
     overorder = maximal_order(classes170.presentation)
-    for lhs, rhs in ((rep, rep.scaled(Fraction(5, 2))), (rep.scaled(3), rep), (rep, overorder)):
+    five_halves = OrderLattice.from_rows(rep.alg, 2 * rep.den, [[5 * x for x in r] for r in rep.rows])
+    thrice = OrderLattice.from_rows(rep.alg, rep.den, [[3 * x for x in r] for r in rep.rows])
+    for lhs, rhs in ((rep, five_halves), (thrice, rep), (rep, overorder)):
         with pytest.raises(ValueError, match="int norms"):
             equivalent_ideals(lhs, rhs)
 
@@ -347,7 +349,8 @@ def test_integer_rows_match_the_fraction_reference(fixture, request):
     h = cs.h
     for latt in lattices:
         assert latt.gram_int() == ref_gram(latt)
-    for latt in lattices + [latt.scaled(Fraction(1, 2)) for latt in cs.right_orders[:4]]:
+    halves = [OrderLattice.from_rows(o.alg, 2 * o.den, o.rows) for o in cs.right_orders[:4]]
+    for latt in lattices + halves:
         assert latt.is_order() == ref_is_order(latt)
     assert all(o.is_order() for o in cs.right_orders)
     assert not all(latt.is_order() for latt in lattices)
@@ -481,7 +484,7 @@ def _walk_prime_and_reps(level, request):
 
 
 def _assert_split_idempotent(base, p):
-    idem = _split_idempotent(base, p)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
     assert all(0 <= c < p for c in idem)
     e = base.alg.element(*(Fraction(x, base.den) for x in vec_mat(idem, base.rows)))
     ee = _ref_times(e, e)
@@ -507,7 +510,7 @@ def test_split_idempotent_inverts_the_trace():
 def test_neighbor_scan_matches_the_projective_space_closure(level, request):
     p, reps = _walk_prime_and_reps(level, request)
     base = reps[0]
-    idem = _split_idempotent(base, p)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
     for rep in reps:
         subs = _neighbor_submodules(rep, base, p, idem)
         assert subs == ref_neighbor_submodules(rep, base, p)
@@ -538,7 +541,8 @@ def test_level_raises_are_the_index_p_lattices_killing_one_corner():
             raises += 1
             assert sub.covolume() == p * order.covolume()
             alg = order.alg
-            idem = vec_mat(_split_idempotent(order, p), order.rows)
+            idem = _split_idempotent(order, _right_action_matrices(order, order), p)
+            idem = vec_mat(idem, order.rows)
             e = alg.element(*(Fraction(x, order.den) for x in idem))
             f = alg.one() - e
             # coordinates in O of an element: its coefficients times the inverse basis

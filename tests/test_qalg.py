@@ -99,16 +99,8 @@ def test_norm_and_conjugation():
             assert (x + x.conjugate()) == x.trace() * one
             # trace pairing recovers the polarization of the norm form
             assert (x * y.conjugate()).trace() == (x + y).norm() - x.norm() - y.norm()
-            if not x.is_zero():
+            if any(x.coeffs):
                 assert x * x.inverse() == one
-
-
-def test_is_integral():
-    alg = AlgebraPresentation(-1, -1)
-    hur = alg.element(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    assert hur.is_integral()
-    assert not alg.element(Fraction(1, 2), Fraction(1, 2), 0, 0).is_integral()
-    assert alg.element(3, -2, 1, 0).is_integral()
 
 
 def test_hilbert_known_values():

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from brandtlift.linalg import leading_minors, mat_inv, mat_mul, transpose
+from brandtlift.linalg import leading_minors, mat_inv
 from brandtlift.shortvec import exists_value, iter_short_vectors, vector_counts
 
 
@@ -111,7 +111,7 @@ def box_counts(gram, bound):
 def random_pd_gram(rng, n):
     while True:
         a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        g = mat_mul(a, transpose(a))
+        g = [[sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
         try:
             ldl(g)
         except ValueError:

@@ -21,20 +21,6 @@ def test_qseries_normalization():
         s.coefficient(11)
 
 
-def test_qseries_arithmetic():
-    s = QSeries(10, {0: 1, 4: 2})
-    t = QSeries(8, {4: -2, 7: 5})
-    total = s + t
-    assert total.bound == 8
-    assert total.coeffs == {0: 1, 7: 5}
-    assert (3 * s).coeffs == {0: 3, 4: 6}
-    assert (s * 3) == (3 * s)
-    assert (-s).coeffs == {0: -1, 4: -2}
-    assert s.truncated(4).coeffs == {0: 1, 4: 2}
-    assert s.truncated(3).coeffs == {0: 1}
-    assert s.support() == [0, 4]
-
-
 def test_qseries_text_roundtrip():
     s = QSeries(20, {0: 1, 3: -4, 12: 6})
     text = s.to_text(header="# demo bound=20")
@@ -48,11 +34,6 @@ def test_qseries_parse_without_bound():
     assert header is None
     assert back.bound == 8
     assert back.coeffs == {3: 5, 8: -1}
-
-
-def test_qseries_json_shape():
-    doc = QSeries(6, {4: 2, 0: 1}).to_json_dict()
-    assert doc == {"bound": 6, "coeffs": {"0": 1, "4": 2}}
 
 
 def test_theta_series_trivial_bounds():
@@ -82,7 +63,7 @@ def test_theta_support_and_parity(classes174):
     for order in classes174.right_orders:
         s = theta_series(trace_zero_lattice(order), 60)
         assert s.coefficient(0) == 1
-        for n in s.support():
+        for n in sorted(s.coeffs):
             if n == 0:
                 continue
             assert n % 4 in (0, 3)
@@ -101,7 +82,7 @@ def test_theta_first_coefficient_tracks_units(classes174):
 def test_theta_truncation_consistent(classes170):
     order = classes170.right_orders[1]
     lat = trace_zero_lattice(order)
-    assert theta_series(lat, 30) == theta_series(lat, 60).truncated(30)
+    assert theta_series(lat, 30) == QSeries(30, theta_series(lat, 60).coeffs)
 
 
 def random_unimodular(rng, n=3):
