@@ -57,8 +57,11 @@ class BrandtModule:
 
     brandt_matrix(p) decides how far to count: on a cache miss it runs one
     count pass over the h(h+1)/2 pair lattices I_i conj(I_j) to norm p and
-    caches B(r) for every prime r <= p.  A caller that needs several
-    degrees asks for the largest one first, so one pass serves them all.
+    caches B(r) for every prime r <= p.  The pass keeps the reduced Gram of
+    every pair lattice it builds, so a later pass, to any degree, builds
+    none again.  eigenvector remembers the lines it certifies; past the
+    cached degrees the congruence checks read a_p on those lines from two
+    rows of B(p) (_eigenvalue), each counted over its h pair lattices only.
     """
 
     def __init__(self, classes: ClassSet):
@@ -66,6 +69,33 @@ class BrandtModule:
         self.h = classes.h
         self.level = classes.q * classes.M
         self._matrices: dict[int, HeckeMatrix] = {}
+        # (i, j) with i <= j: reduced Gram of I_i conj(I_j) and the value of Nm_i Nm_j
+        self._forms: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
+        # i: {prime r: row i of B(r)}, for every prime up to the degree row i was counted to
+        self._rows: dict[int, dict[int, tuple[int, ...]]] = {}
+        # primitive vectors that eigenvector certified as one-dimensional joint eigenspaces
+        self._eigenlines: set[tuple[int, ...]] = set()
+
+    def _pair_counts(self, i: int, j: int, p: int) -> dict[int, int]:
+        """Elements of I_i conj(I_j) with norm n Nm_i Nm_j, by n <= p.
+
+        I_j conj(I_i) is the conjugate lattice, with the same counts, so
+        both orders share one kept form.
+        """
+        key = (i, j) if i <= j else (j, i)
+        if key not in self._forms:
+            reps = self.classes.reps
+            self._forms[key] = _pair_form(reps[key[0]], reps[key[1]])
+        gram, unit = self._forms[key]
+        raw = vector_counts(gram, p * unit)
+        assert all(val % unit == 0 for val in raw), "element norm outside the ideal norm lattice"
+        return {val // unit: cnt for val, cnt in raw.items()}
+
+    def _column_sum(self, r: int) -> int:
+        """What every column of B(r) sums to (see HeckeMatrix)."""
+        if r == self.classes.q:
+            return 1
+        return 2 * r + 1 if self.level % r == 0 else r + 1
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
         """Degree-p Brandt matrix, its column sums asserted (see HeckeMatrix)."""
@@ -73,22 +103,17 @@ class BrandtModule:
             raise ValueError(f"need a prime degree, got {p}")
         if p in self._matrices:
             return self._matrices[p]
-        reps, w, h = self.classes.reps, self.classes.weights, self.h
-        # counts[i, j][n]: elements of I_i conj(I_j) with norm n Nm_i Nm_j, n <= p;
-        # I_j conj(I_i) is the conjugate lattice, with the same counts
+        w, h = self.classes.weights, self.h
         counts = {}
         for i in range(h):
             for j in range(i, h):
-                gram, unit = _pair_form(reps[i], reps[j])
-                raw = vector_counts(gram, p * unit)
-                assert all(val % unit == 0 for val in raw), "element norm outside the ideal norm lattice"
-                counts[i, j] = counts[j, i] = {val // unit: cnt for val, cnt in raw.items()}
+                counts[i, j] = counts[j, i] = self._pair_counts(i, j, p)
         for r in primerange(2, p + 1):
             raws = [[counts[i, j].get(r, 0) for j in range(h)] for i in range(h)]
             assert all(c % w[i] == 0 for i, row in enumerate(raws) for c in row), "unit orbits do not divide the count"
             rows = tuple(tuple(c // w[i] for c in row) for i, row in enumerate(raws))
             kind = "U_p" if self.level % r == 0 else "T_p"
-            total = 1 if r == self.classes.q else 2 * r + 1 if kind == "U_p" else r + 1
+            total = self._column_sum(r)
             for j in range(h):
                 colsum = sum(row[j] for row in rows)
                 assert colsum == total, f"B({r}) column sum {colsum} != {total} at j={j}"
@@ -120,6 +145,7 @@ class BrandtModule:
                 raise ValueError("no such eigenform for the given eigendata")
         if len(basis) > 1:
             raise ValueError(f"underdetermined eigendata: residual dimension {len(basis)}")
+        self._eigenlines.add(tuple(basis[0]))
         return basis[0]
 
     def _unit_vectors(self) -> list[list[int]]:
@@ -138,6 +164,77 @@ class BrandtModule:
         if rem or any(image[k] != a * phi[k] for k in range(self.h)):
             raise ValueError(f"vector is not a B({p}) eigenvector")
         return a
+
+    def _row(self, i: int, p: int) -> tuple[int, ...]:
+        """Row i of B(p), p prime, from a pass over the h pair lattices of row i.
+
+        A miss counts I_i conj(I_k) for every k to norm p and keeps row i of
+        B(r) for every prime r <= p.  The raw counts are symmetric, so the
+        same counts are column i too, and the pass checks what brandt_matrix
+        checks of the entries it touches: w_i and w_k divide raw_ik, and
+        sum_k raw_ik / w_k is the column sum of B(r).
+        """
+        rows = self._rows.setdefault(i, {})
+        if p not in rows:
+            w = self.classes.weights
+            counts = [self._pair_counts(i, k, p) for k in range(self.h)]
+            for r in primerange(2, p + 1):
+                raw = [c.get(r, 0) for c in counts]
+                if any(c % w[i] or c % w[k] for k, c in enumerate(raw)):
+                    raise RuntimeError(f"unit orbits do not divide the counts of row {i} of B({r})")
+                colsum, total = sum(c // w[k] for k, c in enumerate(raw)), self._column_sum(r)
+                if colsum != total:
+                    raise RuntimeError(f"B({r}) column sum {colsum} != {total} at j={i}, read from row {i}")
+                rows[r] = tuple(c // w[i] for c in raw)
+        return rows[p]
+
+    def _on_eigenline(self, phi) -> bool:
+        """Whether phi is a nonzero multiple of a vector that eigenvector certified."""
+        return len(phi) == self.h and any(phi) and tuple(primitive_vector(phi)) in self._eigenlines
+
+    def _eigenvalue(self, phi, p: int) -> int:
+        """The B(p) eigenvalue of phi, read from two rows when phi is certified.
+
+        On a line that eigenvector certified, and with B(p) not cached, a_p
+        is (row_i . phi) / phi_i at two i with phi_i != 0: rows already
+        counted to p first, then the first others.  That line is a
+        one-dimensional joint eigenspace of the eigendata's matrices, which
+        commute with B(p) at square-free level (Pizer 1980), so phi is a B(p)
+        eigenvector; the second row checks the first.  Any other input takes
+        eigenvalue_of and its check of every coordinate.
+        """
+        support = [k for k, x in enumerate(phi) if x]
+        if p in self._matrices or len(support) < 2 or not self._on_eigenline(phi):
+            return self.eigenvalue_of(phi, p)
+        rows = sorted(support, key=lambda k: p not in self._rows.get(k, ()))[:2]
+        reads = set()
+        for i in rows:
+            a, rem = divmod(sum(b * x for b, x in zip(self._row(i, p), phi)), phi[i])
+            if rem:
+                raise RuntimeError(f"row {i} of B({p}) gives a non-integer eigenvalue")
+            reads.add(a)
+        if len(reads) > 1:
+            raise RuntimeError(f"rows {rows} of B({p}) give the eigenvalues {sorted(reads)}")
+        return a
+
+    def _read_ahead(self, vectors, p: int) -> None:
+        """Count the rows that _eigenvalue reads for vectors, to degree p.
+
+        Two rows where every vector is nonzero are counted first; _eigenvalue
+        prefers counted rows, so those two serve every vector at every prime
+        up to p, each counted once.  At h <= 3 two rows of h pairs count no
+        fewer than the h(h+1)/2 pairs of B(p), so B(p) is built instead.
+        Uncertified vectors are left to eigenvalue_of, prime by prime.
+        """
+        if p in self._matrices or not all(self._on_eigenline(v) for v in vectors):
+            return
+        if self.h <= 3:
+            self.brandt_matrix(p)
+            return
+        for i in [k for k in range(self.h) if all(v[k] for v in vectors)][:2]:
+            self._row(i, p)
+        for v in vectors:
+            self._eigenvalue(v, p)
 
     def atkin_lehner_sign(self, phi, p: int) -> int:
         """Atkin-Lehner sign at p dividing the level, from the U_p eigenvalue.

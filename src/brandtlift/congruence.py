@@ -17,6 +17,7 @@ from sympy import factorint, isprime, prevprime, primerange
 
 from .brandt import BrandtModule
 from .lift import LiftResult, lift_eigenforms
+from .linalg import primitive_vector
 
 
 def sturm_bound(k: int, N: int) -> int:
@@ -62,9 +63,11 @@ def check_eigenvalue_congruence(module: BrandtModule, phi_f, phi_g, ell: int) ->
     """Compare eigenvalues of the two vectors mod ell for p up to Sturm."""
     bound = sturm_bound(2, module.level)
     primes = tuple(primerange(2, bound + 1))
+    if primes:
+        module._read_ahead((phi_f, phi_g), primes[-1])
     for p in primes:
-        af = module.eigenvalue_of(phi_f, p)
-        ag = module.eigenvalue_of(phi_g, p)
+        af = module._eigenvalue(phi_f, p)
+        ag = module._eigenvalue(phi_g, p)
         if (af - ag) % ell:
             return EigenvalueVerdict(False, p, primes)
     return EigenvalueVerdict(True, None, primes)
@@ -107,7 +110,7 @@ def irreducibility_heuristic(module: BrandtModule, phi, ell: int, bound: int) ->
     for p in primerange(2, bound + 1):
         if (ell * module.level) % p == 0:
             continue
-        if (module.eigenvalue_of(phi, p) - (1 + p)) % ell:
+        if (module._eigenvalue(phi, p) - (1 + p)) % ell:
             return IrreducibilityVerdict(True, p)
     return IrreducibilityVerdict(False, None)
 
@@ -222,13 +225,16 @@ def run_congruence_checks(
     N = classes.q * classes.M
     sturm = sturm_bound(2, N)
     irr_bound = max(sturm, 20)
-    # brandt_matrix counts to the degree asked: asking first for the largest
-    # degree the checks read makes one count pass serve every degree
-    module.brandt_matrix(prevprime(irr_bound + 1))
     lifts, c_phi = lift_eigenforms(module, {"f": eigendata_f, "g": eigendata_g}, bound, ell)
     wf, wg = lifts["f"], lifts["g"]
     # g carries the unit c_phi; eigenvalues do not see the scaling
     phi_f, phi_g = wf.phi, wg.phi
+    if primitive_vector(phi_f) == primitive_vector(phi_g):
+        raise ValueError("the eigendata of f and g cut out the same eigenline")
+    # past the eigendata's degrees a_p is read from rows of B(p), each counted
+    # to the degree asked: counting them to the largest degree first serves
+    # every degree the checks read
+    module._read_ahead((phi_f, phi_g), prevprime(irr_bound + 1))
     return CongruenceReport(
         N=N,
         q=classes.q,

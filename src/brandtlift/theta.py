@@ -45,7 +45,8 @@ class QSeries:
 
     def __post_init__(self):
         clean = {int(n): int(c) for n, c in self.coeffs.items() if c and n <= self.bound}
-        assert all(n >= 0 for n in clean)
+        if any(n < 0 for n in clean):
+            raise ValueError(f"negative exponent {min(clean)} in a q-series")
         object.__setattr__(self, "coeffs", clean)
 
     def coefficient(self, n: int) -> int:

@@ -36,11 +36,18 @@ def module174(classes174):
     return BrandtModule(classes174)
 
 
+@pytest.fixture(scope="session")
+def module222(classes222):
+    return BrandtModule(classes222)
+
+
 # minimal eigendata cutting out each newform (checked one-dimensional)
 EIGEN_170_F = ((3, -2), (7, 2))
 EIGEN_170_G = ((3, 3),)
 EIGEN_174_F = ((5, -3),)
 EIGEN_174_G = ((5, 2),)
+EIGEN_222_F = ((5, -4),)
+EIGEN_222_G = ((5, 2),)
 
 
 @pytest.fixture(scope="session")

@@ -3,13 +3,21 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from sympy import primerange
+from sympy import prevprime, primerange
 
 from brandtlift import brandt, orders
 from brandtlift.brandt import BrandtModule, eigenvectors
+from brandtlift.congruence import check_eigenvalue_congruence, sturm_bound
 from brandtlift.lift import lift_eigenforms
 
-from conftest import EIGEN_170_F, EIGEN_170_G, EIGEN_174_F, EIGEN_174_G
+from conftest import (
+    EIGEN_170_F,
+    EIGEN_170_G,
+    EIGEN_174_F,
+    EIGEN_174_G,
+    EIGEN_222_F,
+    EIGEN_222_G,
+)
 
 # reference Hecke eigenvalue tables for the two newform pairs
 TABLE_170_F = {3: -2, 7: 2, 11: 6, 13: 2, 19: 8, 23: -6, 29: -6, 31: 2,
@@ -119,13 +127,136 @@ def test_matrix_caching_and_prime_check(module174):
         module174.brandt_matrix(6)
 
 
+def mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def test_hecke_matrices_commute(module174):
     a = module174.brandt_matrix(5).entries
     b = module174.brandt_matrix(7).entries
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    assert ab == ba
+    assert mat_mul(a, b) == mat_mul(b, a)
+
+
+# the three levels of the congruence checks, with the eigendata of f and g
+CHECK_LEVELS = {170: (EIGEN_170_F, EIGEN_170_G), 174: (EIGEN_174_F, EIGEN_174_G),
+                222: (EIGEN_222_F, EIGEN_222_G)}
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_ramified_matrix_is_an_involutive_permutation(request, level):
+    module = request.getfixturevalue(f"module{level}")
+    b = module.brandt_matrix(module.classes.q).entries
+    h = module.h
+    assert all(sorted(row) == [0] * (h - 1) + [1] for row in b)
+    assert all(sorted(col) == [0] * (h - 1) + [1] for col in zip(*b))
+    assert mat_mul(b, b) == [[int(i == j) for j in range(h)] for i in range(h)]
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_ramified_matrix_commutes_with_the_small_degrees(request, level):
+    module = request.getfixturevalue(f"module{level}")
+    b_q = module.brandt_matrix(module.classes.q).entries
+    module.brandt_matrix(13)
+    for p in primerange(2, 14):
+        b_p = module.brandt_matrix(p).entries
+        assert mat_mul(b_q, b_p) == mat_mul(b_p, b_q), p
+
+
+def certified_pair(classes, level):
+    """A fresh module, counted only to the eigendata's degrees, and its f and g lines."""
+    module = BrandtModule(classes)
+    return module, [module.eigenvector(data) for data in CHECK_LEVELS[level]]
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_row_eigenvalues_match_the_full_matrices(request, level):
+    full = request.getfixturevalue(f"module{level}")
+    module, phis = certified_pair(full.classes, level)
+    cached = set(module._matrices)
+    top = prevprime(max(sturm_bound(2, level), 20) + 1)
+    module._read_ahead(phis, top)
+    for p in primerange(2, top + 1):
+        for phi in phis:
+            a = full.eigenvalue_of(phi, p)
+            assert module._eigenvalue(phi, p) == a, (p, phi)
+            # any nonzero multiple of a certified vector is read from rows too
+            assert module._eigenvalue([-3 * x for x in phi], p) == a
+    # two rows served both forms at every degree past the eigendata
+    assert set(module._matrices) == cached
+    assert len(module._rows) == 2
+    assert all(set(rows) == set(primerange(2, top + 1)) for rows in module._rows.values())
+
+
+def test_uncertified_vectors_keep_the_full_check(classes174):
+    module, (phi_f, phi_g) = certified_pair(classes174, 174)
+    # an eigenvector of B(2) and B(3), not of B(5): no line eigenvector certified
+    mixed = [a + b for a, b in zip(phi_f, phi_g)]
+    with pytest.raises(ValueError, match="not a B\\(5\\) eigenvector"):
+        check_eigenvalue_congruence(module, phi_f, mixed, 5)
+    with pytest.raises(ValueError, match="not a B\\(7\\) eigenvector"):
+        module._eigenvalue(mixed, 7)
+    assert 7 in module._matrices and not module._rows
+
+
+def plant_counts(monkeypatch, module, extras):
+    """Add extras[i, j] elements at the largest norm counted in I_i conj(I_j), from now on."""
+    planted = {id(module._forms[min(ij), max(ij)][0]): extra for ij, extra in extras.items()}
+    vector_counts = brandt.vector_counts
+
+    def planted_counts(gram, bound):
+        counts = dict(vector_counts(gram, bound))
+        if id(gram) in planted:
+            counts[bound] = counts.get(bound, 0) + planted[id(gram)]
+        return counts
+
+    monkeypatch.setattr(brandt, "vector_counts", planted_counts)
+
+
+@pytest.mark.parametrize("plant, match", [
+    ("unit_orbit", "unit orbits do not divide the counts of row"),
+    ("column_sum", "column sum .* read from row"),
+    ("moved", "B\\([0-9]+\\) give"),
+])
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_planted_row_count_fails_the_row_certificate(request, monkeypatch, level, plant, match):
+    # every pair lattice has been counted to the eigendata's degrees; the
+    # plant alters the counts at norm P of the row passes that follow
+    classes = request.getfixturevalue(f"classes{level}")
+    module, (phi_f, phi_g) = certified_pair(classes, level)
+    top = prevprime(sturm_bound(2, level) + 1)
+    w, h = classes.weights, classes.h
+    # the rows read are the first two where both forms are nonzero
+    read = [k for k in range(h) if phi_f[k] and phi_g[k]][:2]
+    i = read[0]
+    if plant == "moved":
+        # L elements move from I_i conj(I_k2) to I_i conj(I_k) with w_k = w_k2:
+        # every column sum stays, row i and phi_f no longer agree
+        k, k2 = next((k, k2) for k in range(h) for k2 in range(h)
+                     if {k, k2}.isdisjoint(read) and w[k] == w[k2] and phi_f[k] != phi_f[k2])
+        shift = {k: lcm(w[i], w[k]), k2: -lcm(w[i], w[k])}
+    else:
+        k = next(k for k in range(h) if k not in read)
+        shift = {k: 1 if plant == "unit_orbit" else lcm(w[i], w[k])}
+    plant_counts(monkeypatch, module, {(i, j): extra for j, extra in shift.items()})
+    with pytest.raises(RuntimeError, match=match):
+        check_eigenvalue_congruence(module, phi_f, phi_g, 5)
+
+
+@pytest.mark.parametrize("i, extras", [
+    # 2 more in I_0 conj(I_1): w_0 = 2 divides them and the column sum floors
+    # them away; only w_1 = 4 shows them
+    (0, {(0, 1): 2}),
+    # 2 moved from I_1 conj(I_3) to I_1 conj(I_0), w_0 = w_3 = 2: the column
+    # sum stays; only w_1 = 4 shows them
+    (1, {(1, 0): 2, (1, 3): -2}),
+])
+def test_row_pass_checks_both_unit_weights(classes174, monkeypatch, i, extras):
+    module = BrandtModule(classes174)
+    module.brandt_matrix(5)
+    assert classes174.weights[:4] == [2, 4, 4, 2]
+    plant_counts(monkeypatch, module, extras)
+    with pytest.raises(RuntimeError, match=f"unit orbits do not divide the counts of row {i} of B\\(59\\)"):
+        module._row(i, 59)
 
 
 def test_self_adjoint_for_weighted_pairing(module174):

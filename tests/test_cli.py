@@ -150,6 +150,10 @@ def test_usage_errors(capsys):
         assert main(["check", "--q", "11", "--m", "1", "--eigen-f", "2:-2",
                      "--eigen-g", "2:3", "--ell", ell]) == 2
         assert f"error: ell must be prime, got {ell}" in capsys.readouterr().err
+    # a form against itself is no congruence of two forms
+    assert main(["check", "--q", "11", "--m", "1", "--eigen-f", "2:-2",
+                 "--eigen-g", "2:-2", "--ell", "5"]) == 2
+    assert capsys.readouterr().err == "error: the eigendata of f and g cut out the same eigenline\n"
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

@@ -161,8 +161,8 @@ def test_run_congruence_checks_validates_ell(module170):
 
 def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     # N=222: the Sturm bound 76 puts T_61 ... T_73 among the degrees the
-    # check reads; it asks for B(73) first, so each pair lattice
-    # I_i conj(I_j) is built in one count pass
+    # check reads; the module keeps the pair forms of its count pass, so
+    # the row passes that read them build no pair lattice I_i conj(I_j) again
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()

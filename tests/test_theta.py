@@ -36,6 +36,15 @@ def test_qseries_parse_without_bound():
     assert back.coeffs == {3: 5, 8: -1}
 
 
+def test_negative_exponent_is_a_value_error():
+    # a ValueError, not an assert, so that python -O rejects the file too
+    with pytest.raises(ValueError, match="negative exponent -3"):
+        parse_qseries("# bound=5\n-3 5\n2 1\n")
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        QSeries(4, {-1: 2, 0: 1})
+    assert QSeries(4, {-1: 0, 0: 1}).coeffs == {0: 1}
+
+
 def test_theta_series_trivial_bounds():
     lat = TernaryLattice(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
     assert theta_series(lat, 0) == QSeries(0, {0: 1})
