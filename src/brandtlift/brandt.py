@@ -97,26 +97,35 @@ class BrandtModule:
             return 1
         return 2 * r + 1 if self.level % r == 0 else r + 1
 
+    def _certified_row(self, i: int, raw: list[int], r: int) -> tuple[int, ...]:
+        """Row i of B(r) from the raw counts raw[k] of I_i conj(I_k) at norm r.
+
+        The raw counts are symmetric, so raw is column i too: w_i and w_k
+        must divide raw[k], and sum_k raw[k] / w_k must be the column sum
+        of B(r) (see HeckeMatrix).  Raises RuntimeError otherwise.
+        """
+        w = self.classes.weights
+        if any(c % w[i] or c % w[k] for k, c in enumerate(raw)):
+            raise RuntimeError(f"unit orbits do not divide the counts of row {i} of B({r})")
+        colsum, total = sum(c // w[k] for k, c in enumerate(raw)), self._column_sum(r)
+        if colsum != total:
+            raise RuntimeError(f"B({r}) column sum {colsum} != {total} at j={i}, read from row {i}")
+        return tuple(c // w[i] for c in raw)
+
     def brandt_matrix(self, p: int) -> HeckeMatrix:
-        """Degree-p Brandt matrix, its column sums asserted (see HeckeMatrix)."""
+        """Degree-p Brandt matrix, every row certified (_certified_row)."""
         if not isprime(p):
             raise ValueError(f"need a prime degree, got {p}")
         if p in self._matrices:
             return self._matrices[p]
-        w, h = self.classes.weights, self.h
+        h = self.h
         counts = {}
         for i in range(h):
             for j in range(i, h):
                 counts[i, j] = counts[j, i] = self._pair_counts(i, j, p)
         for r in primerange(2, p + 1):
-            raws = [[counts[i, j].get(r, 0) for j in range(h)] for i in range(h)]
-            assert all(c % w[i] == 0 for i, row in enumerate(raws) for c in row), "unit orbits do not divide the count"
-            rows = tuple(tuple(c // w[i] for c in row) for i, row in enumerate(raws))
+            rows = tuple(self._certified_row(i, [counts[i, k].get(r, 0) for k in range(h)], r) for i in range(h))
             kind = "U_p" if self.level % r == 0 else "T_p"
-            total = self._column_sum(r)
-            for j in range(h):
-                colsum = sum(row[j] for row in rows)
-                assert colsum == total, f"B({r}) column sum {colsum} != {total} at j={j}"
             # a degree read before keeps its object
             self._matrices.setdefault(r, HeckeMatrix(r, kind, rows))
         return self._matrices[p]
@@ -169,23 +178,14 @@ class BrandtModule:
         """Row i of B(p), p prime, from a pass over the h pair lattices of row i.
 
         A miss counts I_i conj(I_k) for every k to norm p and keeps row i of
-        B(r) for every prime r <= p.  The raw counts are symmetric, so the
-        same counts are column i too, and the pass checks what brandt_matrix
-        checks of the entries it touches: w_i and w_k divide raw_ik, and
-        sum_k raw_ik / w_k is the column sum of B(r).
+        B(r) for every prime r <= p, each certified as brandt_matrix
+        certifies its rows (_certified_row).
         """
         rows = self._rows.setdefault(i, {})
         if p not in rows:
-            w = self.classes.weights
             counts = [self._pair_counts(i, k, p) for k in range(self.h)]
             for r in primerange(2, p + 1):
-                raw = [c.get(r, 0) for c in counts]
-                if any(c % w[i] or c % w[k] for k, c in enumerate(raw)):
-                    raise RuntimeError(f"unit orbits do not divide the counts of row {i} of B({r})")
-                colsum, total = sum(c // w[k] for k, c in enumerate(raw)), self._column_sum(r)
-                if colsum != total:
-                    raise RuntimeError(f"B({r}) column sum {colsum} != {total} at j={i}, read from row {i}")
-                rows[r] = tuple(c // w[i] for c in raw)
+                rows[r] = self._certified_row(i, [c.get(r, 0) for c in counts], r)
         return rows[p]
 
     def _on_eigenline(self, phi) -> bool:
@@ -222,14 +222,10 @@ class BrandtModule:
 
         Two rows where every vector is nonzero are counted first; _eigenvalue
         prefers counted rows, so those two serve every vector at every prime
-        up to p, each counted once.  At h <= 3 two rows of h pairs count no
-        fewer than the h(h+1)/2 pairs of B(p), so B(p) is built instead.
-        Uncertified vectors are left to eigenvalue_of, prime by prime.
+        up to p, each counted once.  Uncertified vectors are left to
+        eigenvalue_of, prime by prime.
         """
         if p in self._matrices or not all(self._on_eigenline(v) for v in vectors):
-            return
-        if self.h <= 3:
-            self.brandt_matrix(p)
             return
         for i in [k for k in range(self.h) if all(v[k] for v in vectors)][:2]:
             self._row(i, p)

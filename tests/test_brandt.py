@@ -259,6 +259,19 @@ def test_row_pass_checks_both_unit_weights(classes174, monkeypatch, i, extras):
         module._row(i, 59)
 
 
+@pytest.mark.parametrize("extra, match", [
+    (1, "unit orbits do not divide the counts of row 0 of B\\(59\\)"),
+    # lcm(w_0, w_1) = 4 more: row 0 still divides, column 0 sums to 61
+    (4, "B\\(59\\) column sum 61 != 60 at j=0"),
+])
+def test_full_matrix_rows_carry_the_same_certificate(classes174, monkeypatch, extra, match):
+    module = BrandtModule(classes174)
+    module.brandt_matrix(5)
+    plant_counts(monkeypatch, module, {(0, 1): extra})
+    with pytest.raises(RuntimeError, match=match):
+        module.brandt_matrix(59)
+
+
 def test_self_adjoint_for_weighted_pairing(module174):
     # G B = B^t G with G = diag(w): self-adjointness of T_p
     w = module174.classes.weights
