@@ -61,7 +61,8 @@ class BrandtModule:
     every pair lattice it builds, so a later pass, to any degree, builds
     none again.  eigenvector remembers the lines it certifies; past the
     cached degrees the congruence checks read a_p on those lines from two
-    rows of B(p) (_eigenvalue), each counted over its h pair lattices only.
+    rows of B(p) (_eigenvalue), counted over the 2h - 1 pair lattices of
+    the two rows only.
     """
 
     def __init__(self, classes: ClassSet):
@@ -179,12 +180,22 @@ class BrandtModule:
 
         A miss counts I_i conj(I_k) for every k to norm p and keeps row i of
         B(r) for every prime r <= p, each certified as brandt_matrix
-        certifies its rows (_certified_row).
+        certifies its rows (_certified_row).  The raw counts are symmetric,
+        so where row k is already counted to p, the count at norm r is read
+        off it as row_k(r)[i] w_k instead: two rows count 2h - 1 pair
+        lattices, not 2h.
         """
         rows = self._rows.setdefault(i, {})
         if p not in rows:
-            counts = [self._pair_counts(i, k, p) for k in range(self.h)]
-            for r in primerange(2, p + 1):
+            w, primes = self.classes.weights, list(primerange(2, p + 1))
+            counts = []
+            for k in range(self.h):
+                known = self._rows.get(k, {})
+                if p in known:
+                    counts.append({r: known[r][i] * w[k] for r in primes})
+                else:
+                    counts.append(self._pair_counts(i, k, p))
+            for r in primes:
                 rows[r] = self._certified_row(i, [c.get(r, 0) for c in counts], r)
         return rows[p]
 
@@ -222,8 +233,8 @@ class BrandtModule:
 
         Two rows where every vector is nonzero are counted first; _eigenvalue
         prefers counted rows, so those two serve every vector at every prime
-        up to p, each counted once.  Uncertified vectors are left to
-        eigenvalue_of, prime by prime.
+        up to p, over 2h - 1 pair lattices (_row).  Uncertified vectors are
+        left to eigenvalue_of, prime by prime.
         """
         if p in self._matrices or not all(self._on_eigenline(v) for v in vectors):
             return

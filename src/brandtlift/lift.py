@@ -101,8 +101,11 @@ def lift_eigenforms(
     ell given and both forms present, g is rescaled by the unit c of
     scale_congruent_pair.  The theta series are built once per type, to
     the given bound, on the canonical Gram that ClassSet keeps for each
-    class, and every class of a type gets that same QSeries.  Returns
-    ({name: LiftResult}, c), with c None when nothing was rescaled.
+    class, and every class of a type gets that same QSeries.  A type
+    whose entries sum to 0 in every eigenvector is not enumerated: its
+    classes share one empty QSeries, which waldspurger_lift skips as it
+    skips any zero sum.  Returns ({name: LiftResult}, c), with c None when
+    nothing was rescaled.
     """
     # the largest degree of either form first: one count pass serves both
     degrees = [p for data in eigendata.values() for p, _ in data]
@@ -113,6 +116,17 @@ def lift_eigenforms(
     if ell is not None and "f" in phis and "g" in phis:
         _, phis["g"], c = scale_congruent_pair(phis["f"], phis["g"], ell)
     types = module.classes._types
-    by_type = {gram: theta_series(TernaryLattice(gram), bound) for gram in dict.fromkeys(types)}
+    # the entries of each phi summed over each type, in first-seen order
+    sums: dict[tuple, list[int]] = {}
+    for gram, *entries in zip(types, *phis.values()):
+        acc = sums.setdefault(gram, [0] * len(entries))
+        for n, x in enumerate(entries):
+            acc[n] += x
+    # a type that sums to 0 in every phi adds nothing to any lift
+    empty = QSeries(bound)
+    by_type = {
+        gram: theta_series(TernaryLattice(gram), bound) if any(s) else empty
+        for gram, s in sums.items()
+    }
     thetas = [by_type[gram] for gram in types]
     return {name: waldspurger_lift(phi, thetas) for name, phi in phis.items()}, c

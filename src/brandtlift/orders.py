@@ -19,7 +19,13 @@ free of rank 1 over it.  Its p-neighbours are the preimages of the p+1
 two-dimensional right submodules, which are the cyclic modules v (O/pO)
 for the p+1 lines v of (I/pI) e, e a rank-1 idempotent of O/pO found once
 per walk (Kirschmer and Voight, SIAM J. Comput. 39 (2010)).  So each class
-costs O(p) small echelon forms.
+costs O(p) small echelon forms.  Each neighbour I is replaced by the small
+equivalent lattice conj(alpha) I / Nm(I), alpha minimal in I.  If
+I = x I_k, the minimal vectors of I are the x beta with beta minimal in
+I_k, so I reduces to conj(beta) I_k / Nm(I_k): the ideals of one class
+reduce to only a few lattices.  The walk keeps every reduced lattice it
+has classified and skips one it meets again, with no norm profile and no
+equivalence test.
 
 Two identities for locally principal ideals (Voight, Quaternion Algebras,
 GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
@@ -534,6 +540,15 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     Breadth-first traversal at the smallest prime not dividing the level,
     with every new class certified inequivalent by short-vector search and
     the whole walk certified complete by the Eichler mass formula.
+
+    Each neighbour is reduced to conj(alpha) I / Nm(I), alpha a minimal
+    vector of I, and a reduced lattice met before is skipped: its class is
+    already known.  Such repeats are the rule, not chance.  If I = x I_k,
+    the minimal vectors of I are the x beta with beta minimal in I_k, so
+    conj(x beta) x I_k / Nm(x I_k) = conj(beta) I_k / Nm(I_k): every ideal
+    of a class reduces to one of the few lattices that its minimal vectors
+    give.  The skip drops only tests that would succeed, so the classes,
+    their order, the reps and the weights are those of the full scan.
     """
     alg = base.alg
     N = base.reduced_discriminant()
@@ -554,6 +569,8 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     weights = [unit_weight(orders[0])]
     # class indices by norm profile, in discovery order
     by_profile = {_norm_profile(first): [0]}
+    # every reduced lattice classified so far, new class or not
+    seen = {first}
     acc = Fraction(1, weights[0])
     frontier = [first]
 
@@ -562,6 +579,9 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         for sub in _neighbor_submodules(current, base, p, idem):
             neighbor = _neighbor_ideal(current, sub, p)
             reduced = _reduce_ideal(neighbor, base)
+            if reduced in seen:
+                continue
+            seen.add(reduced)
             same = by_profile.setdefault(_norm_profile(reduced), [])
             if any(equivalent_ideals(classes[k], reduced) for k in same):
                 continue

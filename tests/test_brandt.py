@@ -187,6 +187,23 @@ def test_row_eigenvalues_match_the_full_matrices(request, level):
     assert all(set(rows) == set(primerange(2, top + 1)) for rows in module._rows.values())
 
 
+def test_read_ahead_counts_the_shared_pair_lattice_once(classes170, monkeypatch):
+    module, phis = certified_pair(classes170, 170)
+    top = prevprime(max(sturm_bound(2, 170), 20) + 1)
+    bounds = []
+    vector_counts = brandt.vector_counts
+
+    def counted(gram, bound):
+        bounds.append(bound)
+        return vector_counts(gram, bound)
+
+    monkeypatch.setattr(brandt, "vector_counts", counted)
+    module._read_ahead(phis, top)
+    # rows i and i' share I_i conj(I_i'): the second row reads it off the first
+    assert len(module._rows) == 2
+    assert len(bounds) == 2 * classes170.h - 1
+
+
 def test_uncertified_vectors_keep_the_full_check(classes174):
     module, (phi_f, phi_g) = certified_pair(classes174, 174)
     # an eigenvector of B(2) and B(3), not of B(5): no line eigenvector certified

@@ -189,16 +189,45 @@ def module222(classes222):
     return BrandtModule(classes222)
 
 
+# the congruent pair at each level and its prime ell
+LIFT_PAIRS = {174: ({"f": EIGEN_174_F, "g": EIGEN_174_G}, 5),
+              222: ({"f": ((5, -4),), "g": ((5, 2),)}, 3)}
+
+
 @pytest.mark.parametrize("level", [174, 222])
 def test_lift_eigenforms_matches_per_class_theta_series(level, request):
     module = request.getfixturevalue(f"module{level}")
-    pair, ell = {174: ({"f": EIGEN_174_F, "g": EIGEN_174_G}, 5),
-                 222: ({"f": ((5, -4),), "g": ((5, 2),)}, 3)}[level]
+    pair, ell = LIFT_PAIRS[level]
     per_class = [theta_series(trace_zero_lattice(o), 2000) for o in module.classes.right_orders]
     lifts, c = lift_eigenforms(module, pair, 2000, ell=ell)
     assert c is not None
     for name, lifted in lifts.items():
         assert lifted == waldspurger_lift(lifted.phi, per_class)
+
+
+@pytest.mark.parametrize("level", [174, 222])
+def test_lift_eigenforms_skips_types_that_sum_to_zero(level, request, monkeypatch):
+    module = request.getfixturevalue(f"module{level}")
+    pair, ell = LIFT_PAIRS[level]
+    per_class = [theta_series(trace_zero_lattice(o), 200) for o in module.classes.right_orders]
+    built = []
+
+    def counted(lattice, bound):
+        built.append(lattice.gram)
+        return theta_series(lattice, bound)
+
+    monkeypatch.setattr(lift_module, "theta_series", counted)
+    lifts, _ = lift_eigenforms(module, pair, 200, ell=ell)
+    for lifted in lifts.values():
+        assert lifted == waldspurger_lift(lifted.phi, per_class)
+    types = module.classes._types
+    live = {gram for gram in types if any(
+        sum(x for x, t in zip(lifted.phi, types) if t == gram) for lifted in lifts.values())}
+    assert sorted(built) == sorted(live)
+    if level == 222:
+        # f and g sum to 0 on each of the 4 types: the lifts are 0
+        assert not built
+        assert all(not lifted.series.coeffs for lifted in lifts.values())
 
 
 def test_lift_eigenforms_builds_one_theta_series_per_type(module174, monkeypatch):

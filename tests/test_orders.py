@@ -520,6 +520,53 @@ def test_neighbor_scan_matches_the_projective_space_closure(level, request):
             assert len(rref_mod(span + [vec_mat(v, m) for v in span for m in mats], p)[1]) == 2
 
 
+@pytest.mark.parametrize("level", [170, 174, 222])
+def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, request):
+    # every neighbour of every rep is classified against all reps, with no
+    # walk bookkeeping; the counts must be B(p), whose column sums are p + 1
+    classes = request.getfixturevalue(f"classes{level}")
+    reps, h = classes.reps, classes.h
+    base = reps[0]
+    p = next(r for r in primerange(2, 100) if level % r)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
+    found = [[0] * h for _ in range(h)]
+    for j, rep in enumerate(reps):
+        for sub in _neighbor_submodules(rep, base, p, idem):
+            neighbour = _neighbor_ideal(rep, sub, p)
+            matches = [i for i in range(h) if equivalent_ideals(reps[i], neighbour)]
+            assert len(matches) == 1, (j, matches)
+            found[matches[0]][j] += 1
+    module = request.getfixturevalue(f"module{level}")
+    assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
+
+
+def test_walk_classifies_each_reduced_lattice_once(monkeypatch):
+    profiled, neighbours, tests = [], [], []
+    norm_profile, neighbor_ideal = orders._norm_profile, orders._neighbor_ideal
+    equivalent = orders.equivalent_ideals
+
+    def recorded_profile(ideal):
+        profiled.append((ideal.den, ideal.rows))
+        return norm_profile(ideal)
+
+    def recorded_neighbour(ideal, sub, p):
+        neighbours.append(sub)
+        return neighbor_ideal(ideal, sub, p)
+
+    def recorded_test(lhs, rhs):
+        tests.append(rhs)
+        return equivalent(lhs, rhs)
+
+    monkeypatch.setattr(orders, "_norm_profile", recorded_profile)
+    monkeypatch.setattr(orders, "_neighbor_ideal", recorded_neighbour)
+    monkeypatch.setattr(orders, "equivalent_ideals", recorded_test)
+    classes = build_classes(5, 66)
+    assert classes.h == 48
+    assert len(set(profiled)) == len(profiled)
+    # a neighbour in a known class costs at least one test unless it is skipped
+    assert len(tests) < len(neighbours) - classes.h
+
+
 # Eichler orders: each level raise at p is Z + eO + pO, which is [[Z, Z], [pZ, Z]]
 # in M_2(Z_p) for e = E11.
 
