@@ -57,12 +57,22 @@ class BrandtModule:
 
     brandt_matrix(p) decides how far to count: on a cache miss it runs one
     count pass over the h(h+1)/2 pair lattices I_i conj(I_j) to norm p and
-    caches B(r) for every prime r <= p.  The pass keeps the reduced Gram of
-    every pair lattice it builds, so a later pass, to any degree, builds
-    none again.  eigenvector remembers the lines it certifies; past the
-    cached degrees the congruence checks read a_p on those lines from two
-    rows of B(p) (_eigenvalue), counted over the 2h - 1 pair lattices of
-    the two rows only.
+    caches B(r) for every prime r <= p.  The class walk has already reduced
+    2h - 1 of those lattices, so the pass builds only the (h-1)(h-2)/2
+    others (_form), by two identities for locally principal ideals
+    (Voight, GTM 288, ch. 16-17):
+
+    - I conj(I) = Nm(I) O_L(I), so the pair (i, i) counts the left order
+      right_orders[i] at norm n where the pair lattice has norm n Nm_i^2;
+    - I_0 = O, and O conj(J) = conj(J), so the pair (0, j) counts I_j
+      itself: conjugation keeps the reduced norm, so conj(I_j) and I_j have
+      the same counts.
+
+    The pass keeps the reduced Gram of every pair it counts, so a later
+    pass, to any degree, builds no lattice again.  eigenvector remembers
+    the lines it certifies; past the cached degrees the congruence checks
+    read a_p on those lines from two rows of B(p) (_eigenvalue), counted
+    over the 2h - 1 pair lattices of the two rows only.
     """
 
     def __init__(self, classes: ClassSet):
@@ -70,26 +80,43 @@ class BrandtModule:
         self.h = classes.h
         self.level = classes.q * classes.M
         self._matrices: dict[int, HeckeMatrix] = {}
-        # (i, j) with i <= j: reduced Gram of I_i conj(I_j) and the value of Nm_i Nm_j
+        # (i, j) with i <= j: _form(i, j), a reduced Gram with the counts of I_i conj(I_j) and its unit
         self._forms: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
         # i: {prime r: row i of B(r)}, for every prime up to the degree row i was counted to
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}
         # primitive vectors that eigenvector certified as one-dimensional joint eigenspaces
         self._eigenlines: set[tuple[int, ...]] = set()
 
+    def _form(self, i: int, j: int) -> tuple[list[list[int]], int]:
+        """Reduced Gram of a lattice with the counts of I_i conj(I_j), i <= j, and its unit.
+
+        unit is the value of norm Nm_i Nm_j in the pair lattice's terms.  The
+        pairs (i, i) and (0, j) take the Grams that the class walk reduced
+        (see the class docstring); the others build I_i conj(I_j).
+        """
+        classes = self.classes
+        if i == j:
+            order = classes.right_orders[i]
+            return order.reduced_gram()[0], 2 * order.den**2
+        if i == 0:
+            rep = classes.reps[j]
+            return rep.reduced_gram()[0], 2 * rep.den**2 * rep.norm
+        return _pair_form(classes.reps[i], classes.reps[j])
+
     def _pair_counts(self, i: int, j: int, p: int) -> dict[int, int]:
         """Elements of I_i conj(I_j) with norm n Nm_i Nm_j, by n <= p.
 
         I_j conj(I_i) is the conjugate lattice, with the same counts, so
-        both orders share one kept form.
+        both orders share one kept form.  Every value counted must be a
+        multiple of the form's unit; RuntimeError otherwise.
         """
         key = (i, j) if i <= j else (j, i)
         if key not in self._forms:
-            reps = self.classes.reps
-            self._forms[key] = _pair_form(reps[key[0]], reps[key[1]])
+            self._forms[key] = self._form(*key)
         gram, unit = self._forms[key]
         raw = vector_counts(gram, p * unit)
-        assert all(val % unit == 0 for val in raw), "element norm outside the ideal norm lattice"
+        if any(val % unit for val in raw):
+            raise RuntimeError(f"an element of I_{i} conj(I_{j}) has a norm outside Nm_{i} Nm_{j} Z")
         return {val // unit: cnt for val, cnt in raw.items()}
 
     def _column_sum(self, r: int) -> int:

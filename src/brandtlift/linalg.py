@@ -56,9 +56,16 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
             continue
         m[r], m[piv] = m[piv], m[r]
         for i in range(r + 1, nrows):
-            if m[i][c] == 0:
+            b = m[i][c]
+            if b == 0:
                 continue
-            a, b = m[r][c], m[i][c]
+            a = m[r][c]
+            if b % a == 0:
+                # the pivot divides the entry: one row subtraction clears it,
+                # and the HNF, being unique, comes out the same
+                q = b // a
+                m[i] = [y - q * x for x, y in zip(m[r], m[i])]
+                continue
             g, s, t = _xgcd(a, b)
             # unimodular 2-row mix: new r-row has entry g, new i-row entry 0
             u, v = a // g, b // g
@@ -229,31 +236,39 @@ def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int
     original basis.  Pairwise shears are only committed when they strictly
     shrink a diagonal entry, which bounds the number of steps; the result
     has near-minimal diagonal entries, good enough to seed enumerations.
+
+    The output is pinned, not just any reduced basis: the class walk takes
+    the first minimal vector in the walk order of the reduced form, so the
+    class reps depend on U and on the order of ties among the minimal
+    vectors.  Each round sorts the rows by diagonal entry (stably, so only
+    when the diagonal is out of order) and then tries the shears (i, j) in
+    row-major order; any change to that sequence changes the reps.
     """
     n = len(gram)
     g = [list(r) for r in gram]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    span = range(n)
+    pairs = [(i, j) for i in span for j in span if i != j]
     while True:
         changed = False
-        order = sorted(range(n), key=lambda k: g[k][k])
-        if order != list(range(n)):
+        if any(g[k][k] > g[k + 1][k + 1] for k in range(n - 1)):
+            order = sorted(span, key=lambda k: g[k][k])
             g = [[g[a][b] for b in order] for a in order]
             u = [u[a] for a in order]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                d = g[j][j]
-                mu = (2 * g[i][j] + d) // (2 * d)
-                if mu == 0:
-                    continue
-                if g[i][i] - 2 * mu * g[i][j] + mu * mu * d >= g[i][i]:
-                    continue
-                u[i] = [u[i][k] - mu * u[j][k] for k in range(n)]
-                g[i] = [g[i][k] - mu * g[j][k] for k in range(n)]
-                for k in range(n):
-                    g[k][i] -= mu * g[k][j]
-                changed = True
+        for i, j in pairs:
+            gi, gj = g[i], g[j]
+            gij, d = gi[j], gj[j]
+            mu = (2 * gij + d) // (2 * d)
+            # the shear changes g_ii by mu * (mu * d - 2 * g_ij); keep it only if that is < 0
+            if mu == 0 or mu * (mu * d - 2 * gij) >= 0:
+                continue
+            ui, uj = u[i], u[j]
+            for k in span:
+                ui[k] -= mu * uj[k]
+                gi[k] -= mu * gj[k]
+            for row in g:
+                row[i] -= mu * row[j]
+            changed = True
         if not changed:
             return g, u
 

@@ -139,8 +139,17 @@ class OrderLattice:
         the solutions of the integer form at value 2 den^2 n.
         """
         if self._gram is None:
-            pair = self.alg.trace_pairing
-            self._gram = [[pair(r, s) for s in self.rows] for r in self.rows]
+            # tr(x conj(y)) = 2 x0 y0 - 2a x1 y1 - 2b x2 y2 + 2ab x3 y3 (qalg.trace_pairing),
+            # symmetric, so the 10 upper entries are mirrored
+            a, b, rows = self.alg.a, self.alg.b, self.rows
+            w1, w2, w3 = -2 * a, -2 * b, 2 * a * b
+            g = [[0] * 4 for _ in range(4)]
+            for m in range(4):
+                x0, x1, x2, x3 = rows[m]
+                for n in range(m, 4):
+                    y0, y1, y2, y3 = rows[n]
+                    g[m][n] = g[n][m] = 2 * x0 * y0 + w1 * x1 * y1 + w2 * x2 * y2 + w3 * x3 * y3
+            self._gram = g
         return self._gram
 
     def reduced_gram(self) -> tuple[list[list[int]], list[list[int]]]:

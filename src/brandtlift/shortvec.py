@@ -23,6 +23,7 @@ values along which Q is an integer quadratic.
 from __future__ import annotations
 
 from math import floor, isqrt, lcm
+from operator import mul
 from typing import Iterator
 
 from .linalg import leading_minors
@@ -45,26 +46,36 @@ def _runs(g: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int
     weight = [m // (delta[j] * delta[j + 1]) for j in range(n)]
     mbound = m * bound
     x = [0] * n
-
-    def level(j: int, used: int, zero: bool):
-        # used: M times the norm of the terms of coordinates j+1, ..., n-1
-        c = sum(a * xi for a, xi in zip(coef[j], x[j + 1 :]))
+    # an explicit stack in place of one nested generator per coordinate:
+    # nxt[j] and top[j] are the next and the last x_j to try; base[j], cs[j]
+    # and zeros[j] are the used, the C_j and the zero that level j was
+    # entered with (zero: every coordinate after j is 0)
+    nxt, top, base, cs, zeros = [0] * n, [0] * n, [0] * n, [0] * n, [True] * n
+    j, used, zero = n - 1, 0, True
+    while True:
+        # enter level j: used is M times the norm of the terms of coordinates j+1, ..., n-1
+        c = sum(map(mul, coef[j], x[j + 1 :]))
         s = isqrt((mbound - used) // weight[j])
         dj = delta[j + 1]
-        hi = (s - c) // dj
         if j == 0:
-            lo = 1 if zero else -((s + c) // dj)
+            lo, hi = 1 if zero else -((s + c) // dj), (s - c) // dj
             if lo <= hi:
                 yield tuple(x[1:]), lo, hi, 2 * c, (used + weight[0] * c * c) // m
+            j = 1
+        else:
+            nxt[j], top[j] = 0 if zero else -((s + c) // dj), (s - c) // dj
+            base[j], cs[j], zeros[j] = used, c, zero
+        # step: the next x_j at the lowest level with one left, or done
+        while j < n and nxt[j] > top[j]:
+            x[j] = 0
+            j += 1
+        if j == n:
             return
-        wj = weight[j]
-        for xj in range(0 if zero else -((s + c) // dj), hi + 1):
-            x[j] = xj
-            t = dj * xj + c
-            yield from level(j - 1, used + wj * t * t, zero and xj == 0)
-        x[j] = 0
-
-    yield from level(n - 1, 0, True)
+        xj = x[j] = nxt[j]
+        nxt[j] = xj + 1
+        t = delta[j + 1] * xj + cs[j]
+        used, zero = base[j] + weight[j] * t * t, zeros[j] and xj == 0
+        j -= 1
 
 
 def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -93,10 +104,14 @@ def vector_counts(gram, bound) -> dict[int, int]:
         return counts
     get = counts.get
     a = gram[0][0] if gram else 0
+    a2 = 2 * a
     for _, lo, hi, lin, rest in _runs(gram, b):
-        for x0 in range(lo, hi + 1):
-            q = (a * x0 + lin) * x0 + rest
+        # Q along the run, stepped by its first and second differences
+        q, dq = (a * lo + lin) * lo + rest, a * (2 * lo + 1) + lin
+        for _ in range(hi - lo + 1):
             counts[q] = get(q, 0) + 2
+            q += dq
+            dq += a2
     return counts
 
 

@@ -1,0 +1,149 @@
+"""Reference copies of the lattice kernels before their fast paths.
+
+hnf, greedy_reduce, _runs and vector_counts are kept here exactly as they
+were written before the fast paths went into brandtlift.linalg and
+brandtlift.shortvec; test_kernels.py checks that the library returns what
+these return, so the class reps, the counts and every output byte stay.
+"""
+
+from math import floor, isqrt, lcm
+
+from brandtlift.linalg import _xgcd, leading_minors
+
+
+def hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form with zero rows dropped.
+
+    Pivots are positive, pivot columns strictly increase, and entries above
+    each pivot are reduced into [0, pivot).  The result is the canonical
+    basis of the row span, so two integer matrices generate the same lattice
+    iff their HNFs are equal.
+    """
+    m = [[int(x) for x in row] for row in rows]
+    if not m:
+        return []
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            if m[i][c] == 0:
+                continue
+            a, b = m[r][c], m[i][c]
+            g, s, t = _xgcd(a, b)
+            # unimodular 2-row mix: new r-row has entry g, new i-row entry 0
+            u, v = a // g, b // g
+            row_r = [s * x + t * y for x, y in zip(m[r], m[i])]
+            row_i = [u * y - v * x for x, y in zip(m[r], m[i])]
+            m[r], m[i] = row_r, row_i
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return [row for row in m[:r] if any(row)]
+
+
+def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Greedy length reduction of a positive definite integer Gram matrix.
+
+    Returns (reduced, U) with U unimodular and reduced = U * gram * U^T, so
+    a short vector c for the reduced form corresponds to c * U in the
+    original basis.  Pairwise shears are only committed when they strictly
+    shrink a diagonal entry, which bounds the number of steps; the result
+    has near-minimal diagonal entries, good enough to seed enumerations.
+    """
+    n = len(gram)
+    g = [list(r) for r in gram]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    while True:
+        changed = False
+        order = sorted(range(n), key=lambda k: g[k][k])
+        if order != list(range(n)):
+            g = [[g[a][b] for b in order] for a in order]
+            u = [u[a] for a in order]
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                d = g[j][j]
+                mu = (2 * g[i][j] + d) // (2 * d)
+                if mu == 0:
+                    continue
+                if g[i][i] - 2 * mu * g[i][j] + mu * mu * d >= g[i][i]:
+                    continue
+                u[i] = [u[i][k] - mu * u[j][k] for k in range(n)]
+                g[i] = [g[i][k] - mu * g[j][k] for k in range(n)]
+                for k in range(n):
+                    g[k][i] -= mu * g[k][j]
+                changed = True
+        if not changed:
+            return g, u
+
+
+def _runs(g: list[list[int]], bound: int):
+    """Walk the nonzero x with Q(x) <= bound for an integer Gram g.
+
+    Yields (tail, lo, hi, b, rest): tail = (x_1, ..., x_{n-1}) is fixed,
+    and x = (x_0,) + tail for x_0 in [lo, hi] are exactly the vectors with
+    that tail and Q(x) <= bound, where Q(x) = g00*x_0^2 + b*x_0 + rest.
+    Of each pair {x, -x} only the one whose last nonzero coordinate is
+    positive is walked.
+    """
+    n = len(g)
+    if n == 0:
+        return
+    delta, coef = leading_minors(g)
+    m = lcm(*(delta[j] * delta[j + 1] for j in range(n)))
+    weight = [m // (delta[j] * delta[j + 1]) for j in range(n)]
+    mbound = m * bound
+    x = [0] * n
+
+    def level(j: int, used: int, zero: bool):
+        # used: M times the norm of the terms of coordinates j+1, ..., n-1
+        c = sum(a * xi for a, xi in zip(coef[j], x[j + 1 :]))
+        s = isqrt((mbound - used) // weight[j])
+        dj = delta[j + 1]
+        hi = (s - c) // dj
+        if j == 0:
+            lo = 1 if zero else -((s + c) // dj)
+            if lo <= hi:
+                yield tuple(x[1:]), lo, hi, 2 * c, (used + weight[0] * c * c) // m
+            return
+        wj = weight[j]
+        for xj in range(0 if zero else -((s + c) // dj), hi + 1):
+            x[j] = xj
+            t = dj * xj + c
+            yield from level(j - 1, used + wj * t * t, zero and xj == 0)
+        x[j] = 0
+
+    yield from level(n - 1, 0, True)
+
+
+def vector_counts(gram, bound) -> dict[int, int]:
+    """Counts {Q(x): #x} over nonzero integer vectors with Q(x) <= bound.
+
+    Both signs are counted, so every count is even.
+    """
+    b = floor(bound)
+    counts: dict[int, int] = {}
+    if b < 0:
+        return counts
+    get = counts.get
+    a = gram[0][0] if gram else 0
+    for _, lo, hi, lin, rest in _runs(gram, b):
+        for x0 in range(lo, hi + 1):
+            q = (a * x0 + lin) * x0 + rest
+            counts[q] = get(q, 0) + 2
+    return counts

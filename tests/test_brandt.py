@@ -107,10 +107,14 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     monkeypatch.setattr(brandt, "vector_counts", recorded_vector_counts)
     job(module)
     h = classes170.h
-    assert len(builds) == h * (h + 1) // 2
+    # the pairs (i, i) and (0, j) take the Grams that the class walk reduced
+    assert len(builds) == (h - 1) * (h - 2) // 2
     assert set(builds.values()) == {1}
-    assert len(bounds) == len(units) == len(builds)
-    assert all(bound <= degree * unit for bound, unit in zip(bounds, units))
+    assert len(units) == len(builds)
+    # every pair is counted once, in the order its form was kept
+    forms = list(module._forms.values())
+    assert len(bounds) == len(forms) == h * (h + 1) // 2
+    assert all(bound <= degree * unit for bound, (_, unit) in zip(bounds, forms))
 
 
 def test_ramified_and_level_matrices(module174):
@@ -287,6 +291,33 @@ def test_full_matrix_rows_carry_the_same_certificate(classes174, monkeypatch, ex
     plant_counts(monkeypatch, module, {(0, 1): extra})
     with pytest.raises(RuntimeError, match=match):
         module.brandt_matrix(59)
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_walk_forms_give_the_matrices_of_built_pair_lattices(request, level):
+    # the pairs (i, i) and (0, j) count the walk's left orders and reps; a
+    # module that builds every pair lattice I_i conj(I_j) gets the same B(p)
+    classes = request.getfixturevalue(f"classes{level}")
+    module, built = BrandtModule(classes), BrandtModule(classes)
+    built._form = lambda i, j: brandt._pair_form(classes.reps[i], classes.reps[j])
+    module.brandt_matrix(19)
+    built.brandt_matrix(19)
+    for p in primerange(2, 20):
+        assert module.brandt_matrix(p) == built.brandt_matrix(p), p
+    h = classes.h
+    assert all(module._forms[i, i][0] is classes.right_orders[i].reduced_gram()[0] for i in range(h))
+    assert all(module._forms[0, j][0] is classes.reps[j].reduced_gram()[0] for j in range(1, h))
+
+
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (3, 3)])
+def test_form_with_the_wrong_unit_fails_the_divisibility_check(classes174, key):
+    # a unit twice too large: the elements of norm n Nm_i Nm_j with n odd
+    # fall off its lattice of values, and python -O keeps the check
+    module = BrandtModule(classes174)
+    gram, unit = module._form(*key)
+    module._forms[key] = (gram, 2 * unit)
+    with pytest.raises(RuntimeError, match=f"an element of I_{key[0]} conj\\(I_{key[1]}\\) has a norm outside"):
+        module.brandt_matrix(7)
 
 
 def test_self_adjoint_for_weighted_pairing(module174):

@@ -162,7 +162,8 @@ def test_run_congruence_checks_validates_ell(module170):
 def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     # N=222: the Sturm bound 76 puts T_61 ... T_73 among the degrees the
     # check reads; the module keeps the pair forms of its count pass, so
-    # the row passes that read them build no pair lattice I_i conj(I_j) again
+    # the row passes that read them build no pair lattice I_i conj(I_j)
+    # again, and the pairs (i, i) and (0, j) take the walk's reduced Grams
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()
@@ -176,7 +177,7 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     report = run_congruence_checks(module, [(5, -4)], [(5, 2)], 3, bound=10)
     assert report.sturm == 76
     assert report.eigenvalue_check.compared_primes[-1] == 73
-    assert len(builds) == classes.h * (classes.h + 1) // 2
+    assert len(builds) == (classes.h - 1) * (classes.h - 2) // 2
     assert set(builds.values()) == {1}
 
 

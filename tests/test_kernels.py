@@ -1,0 +1,74 @@
+"""The lattice kernels return exactly what their reference copies return.
+
+hnf, greedy_reduce, _runs and vector_counts have fast paths; the class
+reps depend on greedy_reduce's U and on the walk order of _runs, so the
+outputs must match entry for entry and in order, not just as sets.
+"""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import reference_kernels as ref
+from brandtlift.linalg import greedy_reduce, hnf, leading_minors
+from brandtlift.shortvec import _runs, vector_counts
+
+
+def _gram(b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+
+
+def _positive_definite(g) -> bool:
+    try:
+        leading_minors(g)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 x 4, with negative entries, zero rows and rows dependent on earlier ones."""
+    ncols = draw(st.integers(1, 4))
+    entry = st.integers(-60, 60)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "dependent" and rows:
+            cs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[k] for c, r in zip(cs, rows)) for k in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=integer_matrices())
+def test_hnf_matches_the_reference(m):
+    assert hnf(m) == ref.hnf(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.sampled_from([3, 4]))
+def test_greedy_reduce_matches_the_reference(data, n):
+    # B B^T with entries of B up to 2^9, so Gram entries up to about 2^20
+    b = data.draw(st.lists(st.lists(st.integers(-512, 512), min_size=n, max_size=n), min_size=n, max_size=n))
+    g = _gram(b)
+    assume(_positive_definite(g))
+    assert greedy_reduce(g) == ref.greedy_reduce(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_runs_and_counts_match_the_reference(data, n):
+    # the library walks reduced Grams only; reducing first keeps the walks short
+    b = data.draw(st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=n, max_size=n))
+    g = _gram(b)
+    assume(_positive_definite(g))
+    g = greedy_reduce(g)[0]
+    bound = data.draw(st.integers(0, 3 * max(g[k][k] for k in range(n))))
+    assert list(_runs(g, bound)) == list(ref._runs(g, bound))
+    counts = vector_counts(g, bound)
+    expected = ref.vector_counts(g, bound)
+    assert counts == expected and list(counts) == list(expected)
