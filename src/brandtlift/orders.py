@@ -22,10 +22,9 @@ per walk (Kirschmer and Voight, SIAM J. Comput. 39 (2010)).  So each class
 costs O(p) small echelon forms.  Each neighbour I is replaced by the small
 equivalent lattice conj(alpha) I / Nm(I), alpha minimal in I.  If
 I = x I_k, the minimal vectors of I are the x beta with beta minimal in
-I_k, so I reduces to conj(beta) I_k / Nm(I_k): the ideals of one class
-reduce to only a few lattices.  The walk keeps every reduced lattice it
-has classified and skips one it meets again, with no norm profile and no
-equivalence test.
+I_k, so I reduces to conj(beta) I_k / Nm(I_k), whichever alpha it takes.
+These few lattices are a complete key for class k: the walk looks each
+reduced neighbour up among them, and one found in no class is a new class.
 
 Two identities for locally principal ideals (Voight, Quaternion Algebras,
 GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
@@ -418,24 +417,42 @@ def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> O
     rows = [[p * x for x in row] for row in ideal.rows]
     for c in sub_rows:
         rows.append(vec_mat(c, ideal.rows))
-    out = OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
-    # the preimage of a right submodule is a right ideal of the same order
-    out._right = ideal._right
-    return out
+    return OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
+
+
+def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
+    """conj(alpha) I / Nm(I) for alpha = row / den in I, with its norm Nm(alpha) / Nm(I)."""
+    # conj(alpha) / Nm(I) = conj(row) / (den Nm(I))
+    d = ideal.den * ideal.norm
+    norm, rem = divmod(ideal.alg.trace_pairing(row, row) // 2, ideal.den * d)
+    assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
+    small = ideal._mul_row(_conj(row), d)
+    return OrderLattice(small.alg, small.den, small.rows, norm)
 
 
 def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
     """Replace an ideal by a small equivalent integral one inside base."""
-    # alpha = row / den; conj(alpha) / Nm(I) = conj(row) / (den Nm(I))
-    row, d = ideal.minimal_vector(), ideal.den * ideal.norm
-    norm, rem = divmod(ideal.alg.trace_pairing(row, row) // 2, ideal.den * d)
-    assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
-    small = ideal._mul_row(_conj(row), d)
-    small = OrderLattice(small.alg, small.den, small.rows, norm)
-    small._right = ideal._right  # O_R(x I) = O_R(I)
+    small = _conj_quotient(ideal, ideal.minimal_vector())
     # Nm(small)^2 is the covolume ratio to base
-    assert small._det() * base.den**4 == norm**2 * base._det() * small.den**4
+    assert small._det() * base.den**4 == small.norm**2 * base._det() * small.den**4
     return small
+
+
+def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
+    """The lattices conj(beta) I / Nm(I) over the minimal vectors beta of I.
+
+    w is the number of units of O_L(I).  If u is one, conj(u beta) I = conj(beta) I,
+    so when the minimal vectors, both signs, number w, they are the unit
+    multiples of one, and for a reduced I that one is the scalar Nm(I),
+    which gives I itself.
+    """
+    gram, umat = ideal.reduced_gram()
+    vecs = list(iter_short_vectors(gram, min(gram[m][m] for m in range(4))))
+    least = min(val for _, val in vecs)
+    mins = [c for c, val in vecs if val == least]
+    if 2 * len(mins) == w:
+        return [ideal]
+    return [_conj_quotient(ideal, vec_mat(vec_mat(c, umat), ideal.rows)) for c in mins]
 
 
 def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
@@ -478,24 +495,13 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     the class-walk ideals and ClassSet.reps do.  The test searches
     lhs * conj(rhs) for an element of reduced norm Nm(lhs) * Nm(rhs), which
     exists exactly in the equivalent case.  Ideals whose right orders
-    conj(I) I / Nm(I) differ raise ValueError; the walk's ideals carry their
-    right order from construction, so it is computed only for others.
+    conj(I) I / Nm(I), computed once per lattice, differ raise ValueError.
     """
     if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     if _right_order(lhs) != _right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
     return exists_value(*_pair_form(lhs, rhs))
-
-
-# the walk buckets classes by their counts of elements of norm k Nm(I), k <= this
-_PROFILE_DEPTH = 8
-
-
-def _norm_profile(ideal: OrderLattice) -> tuple[int, ...]:
-    unit = 2 * ideal.den**2 * ideal.norm
-    counts = vector_counts(ideal.reduced_gram()[0], unit * _PROFILE_DEPTH)
-    return tuple(counts.get(unit * k, 0) for k in range(1, _PROFILE_DEPTH + 1))
 
 
 @dataclass
@@ -547,17 +553,13 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     """Enumerate the right ideal classes of an Eichler order by p-neighbors.
 
     Breadth-first traversal at the smallest prime not dividing the level,
-    with every new class certified inequivalent by short-vector search and
-    the whole walk certified complete by the Eichler mass formula.
-
-    Each neighbour is reduced to conj(alpha) I / Nm(I), alpha a minimal
-    vector of I, and a reduced lattice met before is skipped: its class is
-    already known.  Such repeats are the rule, not chance.  If I = x I_k,
-    the minimal vectors of I are the x beta with beta minimal in I_k, so
-    conj(x beta) x I_k / Nm(x I_k) = conj(beta) I_k / Nm(I_k): every ideal
-    of a class reduces to one of the few lattices that its minimal vectors
-    give.  The skip drops only tests that would succeed, so the classes,
-    their order, the reps and the weights are those of the full scan.
+    certified complete by the Eichler mass formula.  Each neighbour is
+    reduced to conj(alpha) I / Nm(I), alpha minimal in I, and looked up in
+    the reduced forms conj(beta) I_k / Nm(I_k) of the classes found so far
+    (_reduced_forms).  Every ideal of class k reduces to one of those of
+    I_k, and the forms of two classes never meet, so a neighbour found
+    there is in a known class and any other is a new one: no equivalence
+    test is needed.
     """
     alg = base.alg
     N = base.reduced_discriminant()
@@ -571,32 +573,27 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
 
     first = OrderLattice(alg, base.den, base.rows, 1)
-    first._right = base
     classes = [first]
     # O_L(I) = I conj(I) / Nm(I)
     orders = [_pair_product(first, first, first.norm)]
     weights = [unit_weight(orders[0])]
-    # class indices by norm profile, in discovery order
-    by_profile = {_norm_profile(first): [0]}
-    # every reduced lattice classified so far, new class or not
-    seen = {first}
+    # every lattice that an ideal of a known class can reduce to, with its class
+    known = dict.fromkeys(_reduced_forms(first, weights[0]), 0)
     acc = Fraction(1, weights[0])
     frontier = [first]
 
     while frontier and acc < target_mass:
         current = frontier.pop(0)
         for sub in _neighbor_submodules(current, base, p, idem):
-            neighbor = _neighbor_ideal(current, sub, p)
-            reduced = _reduce_ideal(neighbor, base)
-            if reduced in seen:
-                continue
-            seen.add(reduced)
-            same = by_profile.setdefault(_norm_profile(reduced), [])
-            if any(equivalent_ideals(classes[k], reduced) for k in same):
+            reduced = _reduce_ideal(_neighbor_ideal(current, sub, p), base)
+            if reduced in known:
                 continue
             left = _pair_product(reduced, reduced, reduced.norm)
             w = unit_weight(left)
-            same.append(len(classes))
+            forms = _reduced_forms(reduced, w)
+            if reduced not in forms:
+                raise RuntimeError("a new class rep is not among its own reduced forms")
+            known.update(dict.fromkeys(forms, len(classes)))
             classes.append(reduced)
             orders.append(left)
             weights.append(w)

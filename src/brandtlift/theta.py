@@ -127,6 +127,10 @@ def _det3(u, v, w) -> int:
     )
 
 
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     """Canonical representative of the Gram matrix under GL_3(Z) changes.
 
@@ -138,28 +142,24 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     """
     g, _ = greedy_reduce(gram)
     cap = max(g[i][i] for i in range(3))
-    vecs = []
-    for v, val in iter_short_vectors(g, cap):
-        vecs.append((val, v))
-        vecs.append((val, tuple(-x for x in v)))
-    vecs.sort()
-
-    def bil(u, w):
-        return sum(u[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
-
+    # (Q(v), v, G v), so a bilinear value is one 3-term dot product; negating
+    # v1, v2 and v3 together keeps the key, so v1 takes one sign of each pair only
+    halves = sorted((val, v, vec_mat(v, g)) for v, val in iter_short_vectors(g, cap))
+    vecs = sorted(halves + [(val, tuple(-x for x in v), [-x for x in gv]) for val, v, gv in halves])
     best = None
-    for q1, v1 in vecs:
+    for q1, v1, _ in halves:
         if best is not None and q1 > best[0]:
             break
-        for q2, v2 in vecs:
+        for q2, v2, gv2 in vecs:
             if best is not None and (q1, q2) > best[:2]:
                 break
-            for q3, v3 in vecs:
+            b12 = _dot(v1, gv2)
+            for q3, v3, gv3 in vecs:
                 if best is not None and (q1, q2, q3) > best[:3]:
                     break
                 if _det3(v1, v2, v3) not in (1, -1):
                     continue
-                key = (q1, q2, q3, bil(v1, v2), bil(v1, v3), bil(v2, v3))
+                key = (q1, q2, q3, b12, _dot(v1, gv3), _dot(v2, gv3))
                 if best is None or key < best:
                     best = key
     assert best is not None, "no unimodular triple found; gram was not a basis form"

@@ -1,14 +1,17 @@
 """Reference copies of the lattice kernels before their fast paths.
 
-hnf, greedy_reduce, _runs and vector_counts are kept here exactly as they
-were written before the fast paths went into brandtlift.linalg and
-brandtlift.shortvec; test_kernels.py checks that the library returns what
-these return, so the class reps, the counts and every output byte stay.
+hnf, greedy_reduce, _runs, vector_counts and canonical_gram are kept here
+exactly as they were written before the fast paths went into
+brandtlift.linalg, brandtlift.shortvec and brandtlift.theta; test_kernels.py
+checks that the library returns what these return, so the class reps, the
+counts, the class order and every output byte stay.
 """
 
 from math import floor, isqrt, lcm
 
 from brandtlift.linalg import _xgcd, leading_minors
+from brandtlift.shortvec import iter_short_vectors
+from brandtlift.theta import _det3
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -147,3 +150,44 @@ def vector_counts(gram, bound) -> dict[int, int]:
             q = (a * x0 + lin) * x0 + rest
             counts[q] = get(q, 0) + 2
     return counts
+
+
+def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
+    """Canonical representative of the Gram matrix under GL_3(Z) changes.
+
+    Minimizes the key (G00, G11, G22, G01, G02, G12) lexicographically over
+    all ordered bases drawn from vectors of norm up to the largest diagonal
+    entry of the (pre-reduced) input.  The pre-reduced basis itself is a
+    candidate, and any key-minimizing basis must consist of such short
+    vectors, so the search is exhaustive.
+    """
+    g, _ = greedy_reduce(gram)
+    cap = max(g[i][i] for i in range(3))
+    vecs = []
+    for v, val in iter_short_vectors(g, cap):
+        vecs.append((val, v))
+        vecs.append((val, tuple(-x for x in v)))
+    vecs.sort()
+
+    def bil(u, w):
+        return sum(u[i] * g[i][j] * w[j] for i in range(3) for j in range(3))
+
+    best = None
+    for q1, v1 in vecs:
+        if best is not None and q1 > best[0]:
+            break
+        for q2, v2 in vecs:
+            if best is not None and (q1, q2) > best[:2]:
+                break
+            for q3, v3 in vecs:
+                if best is not None and (q1, q2, q3) > best[:3]:
+                    break
+                if _det3(v1, v2, v3) not in (1, -1):
+                    continue
+                key = (q1, q2, q3, bil(v1, v2), bil(v1, v3), bil(v2, v3))
+                if best is None or key < best:
+                    best = key
+    assert best is not None, "no unimodular triple found; gram was not a basis form"
+    q1, q2, q3, b12, b13, b23 = best
+    return ((q1, b12, b13), (b12, q2, b23), (b13, b23, q3))
+

@@ -1,8 +1,9 @@
 """The lattice kernels return exactly what their reference copies return.
 
-hnf, greedy_reduce, _runs and vector_counts have fast paths; the class
-reps depend on greedy_reduce's U and on the walk order of _runs, so the
-outputs must match entry for entry and in order, not just as sets.
+hnf, greedy_reduce, _runs, vector_counts and canonical_gram have fast
+paths; the class reps depend on greedy_reduce's U and on the walk order of
+_runs, and the class order on canonical_gram, so the outputs must match
+entry for entry and in order, not just as sets.
 """
 
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
 from brandtlift.shortvec import _runs, vector_counts
+from brandtlift.theta import canonical_gram
 
 
 def _gram(b: list[list[int]]) -> list[list[int]]:
@@ -72,3 +74,13 @@ def test_runs_and_counts_match_the_reference(data, n):
     counts = vector_counts(g, bound)
     expected = ref.vector_counts(g, bound)
     assert counts == expected and list(counts) == list(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3))
+def test_canonical_gram_matches_the_reference(b):
+    # ternary B B^T, including forms with many minimal vectors (B a signed
+    # permutation or nearly so) and far from reduced ones
+    g = _gram(b)
+    assume(_positive_definite(g))
+    assert canonical_gram(g) == ref.canonical_gram(g)

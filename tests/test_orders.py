@@ -8,7 +8,7 @@ from math import gcd, lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint, primerange
 
@@ -22,6 +22,8 @@ from brandtlift.orders import (
     _level_raise,
     _pair_product,
     _projective_points,
+    _reduce_ideal,
+    _reduced_forms,
     _right_action_matrices,
     _split_idempotent,
     eichler_mass,
@@ -527,6 +529,8 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
     classes = request.getfixturevalue(f"classes{level}")
     reps, h = classes.reps, classes.h
     base = reps[0]
+    forms = [set(_reduced_forms(rep, w)) for rep, w in zip(reps, classes.weights)]
+    assert all(not forms[i] & forms[j] for j in range(h) for i in range(j))
     p = next(r for r in primerange(2, 100) if level % r)
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
     found = [[0] * h for _ in range(h)]
@@ -535,36 +539,48 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
             neighbour = _neighbor_ideal(rep, sub, p)
             matches = [i for i in range(h) if equivalent_ideals(reps[i], neighbour)]
             assert len(matches) == 1, (j, matches)
+            # the walk's key names the same class
+            reduced = _reduce_ideal(neighbour, base)
+            assert [i for i in range(h) if reduced in forms[i]] == matches
             found[matches[0]][j] += 1
     module = request.getfixturevalue(f"module{level}")
     assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
 
 
-def test_walk_classifies_each_reduced_lattice_once(monkeypatch):
-    profiled, neighbours, tests = [], [], []
-    norm_profile, neighbor_ideal = orders._norm_profile, orders._neighbor_ideal
-    equivalent = orders.equivalent_ideals
-
-    def recorded_profile(ideal):
-        profiled.append((ideal.den, ideal.rows))
-        return norm_profile(ideal)
-
-    def recorded_neighbour(ideal, sub, p):
-        neighbours.append(sub)
-        return neighbor_ideal(ideal, sub, p)
+def test_walk_identifies_classes_without_equivalence_tests(monkeypatch):
+    tests = []
 
     def recorded_test(lhs, rhs):
         tests.append(rhs)
-        return equivalent(lhs, rhs)
+        return equivalent_ideals(lhs, rhs)
 
-    monkeypatch.setattr(orders, "_norm_profile", recorded_profile)
-    monkeypatch.setattr(orders, "_neighbor_ideal", recorded_neighbour)
     monkeypatch.setattr(orders, "equivalent_ideals", recorded_test)
-    classes = build_classes(5, 66)
-    assert classes.h == 48
-    assert len(set(profiled)) == len(profiled)
-    # a neighbour in a known class costs at least one test unless it is skipped
-    assert len(tests) < len(neighbours) - classes.h
+    assert build_classes(5, 66).h == 48
+    assert tests == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    level=st.sampled_from([170, 174, 222]),
+    data=st.data(),
+    coords=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+)
+def test_left_multiples_reduce_into_their_class_forms(classes170, classes174, classes222, level, data, coords):
+    # x in O_L(I_i) with Nm(x) > 1: x I_i is an integral ideal of norm
+    # Nm(x) Nm(I_i) in class i, and its reduced lattice is one of I_i's forms
+    classes = {170: classes170, 174: classes174, 222: classes222}[level]
+    i = data.draw(st.integers(0, classes.h - 1))
+    rep, order = classes.reps[i], classes.right_orders[i]
+    gram = order.gram_int()
+    value = sum(coords[m] * gram[m][n] * coords[n] for m in range(4) for n in range(4))
+    nm, rem = divmod(value, 2 * order.den**2)
+    assert rem == 0
+    assume(nm > 1)
+    moved = rep._mul_row(vec_mat(coords, order.rows), order.den)
+    moved = OrderLattice(moved.alg, moved.den, moved.rows, nm * rep.norm)
+    assert moved != rep
+    reduced = _reduce_ideal(moved, classes.reps[0])
+    assert reduced in _reduced_forms(rep, classes.weights[i])
 
 
 # Eichler orders: each level raise at p is Z + eO + pO, which is [[Z, Z], [pZ, Z]]
