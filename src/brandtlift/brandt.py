@@ -53,13 +53,14 @@ class HeckeMatrix:
 
 
 class BrandtModule:
-    """The Brandt matrices of one class set, counted to the degree asked.
+    """The Brandt matrices of one class set, kept as certified rows.
 
-    brandt_matrix(p) decides how far to count: on a cache miss it runs one
-    count pass over the h(h+1)/2 pair lattices I_i conj(I_j) to norm p and
-    caches B(r) for every prime r <= p.  The class walk has already reduced
-    2h - 1 of those lattices, so the pass builds only the (h-1)(h-2)/2
-    others (_form), by two identities for locally principal ideals
+    Every count goes through _row: row i, asked at degree p, counts the h
+    pair lattices I_i conj(I_k) to norm p and keeps row i of B(r) for every
+    prime r <= p.  brandt_matrix(p) is its h rows, so a full matrix counts
+    each of the h(h+1)/2 pair lattices once.  The class walk has already
+    reduced 2h - 1 of those lattices, so only the (h-1)(h-2)/2 others are
+    built (_form), by two identities for locally principal ideals
     (Voight, GTM 288, ch. 16-17):
 
     - I conj(I) = Nm(I) O_L(I), so the pair (i, i) counts the left order
@@ -68,17 +69,18 @@ class BrandtModule:
       itself: conjugation keeps the reduced norm, so conj(I_j) and I_j have
       the same counts.
 
-    The pass keeps the reduced Gram of every pair it counts, so a later
-    pass, to any degree, builds no lattice again.  eigenvector remembers
-    the lines it certifies; past the cached degrees the congruence checks
-    read a_p on those lines from two rows of B(p) (_eigenvalue), counted
-    over the 2h - 1 pair lattices of the two rows only.
+    The module keeps the reduced Gram of every pair it counts, so a later
+    row, to any degree, builds no lattice again.  eigenvector remembers the
+    lines it certifies; on those lines the congruence checks read a_p from
+    two rows of B(p) (_eigenvalue), which count at most the 2h - 1 pair
+    lattices of the two rows.
     """
 
     def __init__(self, classes: ClassSet):
         self.classes = classes
         self.h = classes.h
         self.level = classes.q * classes.M
+        # p: B(p) as brandt_matrix returned it, a view of the h rows at p
         self._matrices: dict[int, HeckeMatrix] = {}
         # (i, j) with i <= j: _form(i, j), a reduced Gram with the counts of I_i conj(I_j) and its unit
         self._forms: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
@@ -141,21 +143,12 @@ class BrandtModule:
         return tuple(c // w[i] for c in raw)
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
-        """Degree-p Brandt matrix, every row certified (_certified_row)."""
+        """Degree-p Brandt matrix: its h rows, each certified (_row)."""
         if not isprime(p):
             raise ValueError(f"need a prime degree, got {p}")
-        if p in self._matrices:
-            return self._matrices[p]
-        h = self.h
-        counts = {}
-        for i in range(h):
-            for j in range(i, h):
-                counts[i, j] = counts[j, i] = self._pair_counts(i, j, p)
-        for r in primerange(2, p + 1):
-            rows = tuple(self._certified_row(i, [counts[i, k].get(r, 0) for k in range(h)], r) for i in range(h))
-            kind = "U_p" if self.level % r == 0 else "T_p"
-            # a degree read before keeps its object
-            self._matrices.setdefault(r, HeckeMatrix(r, kind, rows))
+        if p not in self._matrices:
+            kind = "U_p" if self.level % p == 0 else "T_p"
+            self._matrices[p] = HeckeMatrix(p, kind, tuple(self._row(i, p) for i in range(self.h)))
         return self._matrices[p]
 
     def pairing(self, u, v) -> Fraction:
@@ -206,11 +199,10 @@ class BrandtModule:
         """Row i of B(p), p prime, from a pass over the h pair lattices of row i.
 
         A miss counts I_i conj(I_k) for every k to norm p and keeps row i of
-        B(r) for every prime r <= p, each certified as brandt_matrix
-        certifies its rows (_certified_row).  The raw counts are symmetric,
-        so where row k is already counted to p, the count at norm r is read
-        off it as row_k(r)[i] w_k instead: two rows count 2h - 1 pair
-        lattices, not 2h.
+        B(r) for every prime r <= p, each certified (_certified_row).  The
+        raw counts are symmetric, so where row k is already counted to p,
+        the count at norm r is read off it as row_k(r)[i] w_k instead: two
+        rows count 2h - 1 pair lattices, and h rows h(h+1)/2.
         """
         rows = self._rows.setdefault(i, {})
         if p not in rows:
@@ -233,16 +225,16 @@ class BrandtModule:
     def _eigenvalue(self, phi, p: int) -> int:
         """The B(p) eigenvalue of phi, read from two rows when phi is certified.
 
-        On a line that eigenvector certified, and with B(p) not cached, a_p
-        is (row_i . phi) / phi_i at two i with phi_i != 0: rows already
-        counted to p first, then the first others.  That line is a
-        one-dimensional joint eigenspace of the eigendata's matrices, which
-        commute with B(p) at square-free level (Pizer 1980), so phi is a B(p)
-        eigenvector; the second row checks the first.  Any other input takes
-        eigenvalue_of and its check of every coordinate.
+        On a line that eigenvector certified, a_p is (row_i . phi) / phi_i at
+        two i with phi_i != 0: rows already counted to p first, then the
+        first others.  That line is a one-dimensional joint eigenspace of
+        the eigendata's matrices, which commute with B(p) at square-free
+        level (Pizer 1980), so phi is a B(p) eigenvector; the second row
+        checks the first.  Any other input takes eigenvalue_of and its check
+        of every coordinate.
         """
         support = [k for k, x in enumerate(phi) if x]
-        if p in self._matrices or len(support) < 2 or not self._on_eigenline(phi):
+        if len(support) < 2 or not self._on_eigenline(phi):
             return self.eigenvalue_of(phi, p)
         rows = sorted(support, key=lambda k: p not in self._rows.get(k, ()))[:2]
         reads = set()
@@ -260,10 +252,10 @@ class BrandtModule:
 
         Two rows where every vector is nonzero are counted first; _eigenvalue
         prefers counted rows, so those two serve every vector at every prime
-        up to p, over 2h - 1 pair lattices (_row).  Uncertified vectors are
-        left to eigenvalue_of, prime by prime.
+        up to p, over at most 2h - 1 pair lattices (_row).  Uncertified
+        vectors are left to eigenvalue_of, prime by prime.
         """
-        if p in self._matrices or not all(self._on_eigenline(v) for v in vectors):
+        if not all(self._on_eigenline(v) for v in vectors):
             return
         for i in [k for k in range(self.h) if all(v[k] for v in vectors)][:2]:
             self._row(i, p)

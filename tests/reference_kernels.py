@@ -4,12 +4,18 @@ hnf, greedy_reduce, _runs, vector_counts and canonical_gram are kept here
 exactly as they were written before the fast paths went into
 brandtlift.linalg, brandtlift.shortvec and brandtlift.theta; test_kernels.py
 checks that the library returns what these return, so the class reps, the
-counts, the class order and every output byte stay.
+counts, the class order and every output byte stay.  ref_brandt_matrices is
+the all-pairs count pass that BrandtModule ran before it read B(p) off its
+rows; test_brandt.py pins the Brandt matrices to it.
 """
 
+from fractions import Fraction
 from math import floor, isqrt, lcm
 
+from sympy import primerange
+
 from brandtlift.linalg import _xgcd, leading_minors
+from brandtlift.orders import _pair_form
 from brandtlift.shortvec import iter_short_vectors
 from brandtlift.theta import _det3
 
@@ -191,3 +197,25 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     q1, q2, q3, b12, b13, b23 = best
     return ((q1, b12, b13), (b12, q2, b23), (b13, b23, q3))
 
+
+
+def ref_brandt_matrices(classes, bound: int) -> dict:
+    """{r: entries of B(r)} for every prime r <= bound, from one count of every pair.
+
+    Every I_i conj(I_j) with i <= j is built by _pair_form, with no forms
+    from the class walk, and counted once to norm bound Nm_i Nm_j, with no
+    count read off another row.  B(r)[i][j] is the count at norm
+    r Nm_i Nm_j over w_i, as a Fraction, so a count that w_i does not
+    divide cannot match an integer entry.
+    """
+    h, w = classes.h, classes.weights
+    counts = {}
+    for i in range(h):
+        for j in range(i, h):
+            gram, unit = _pair_form(classes.reps[i], classes.reps[j])
+            raw = vector_counts(gram, bound * unit)
+            counts[i, j] = counts[j, i] = {r: raw.get(r * unit, 0) for r in primerange(2, bound + 1)}
+    return {
+        r: tuple(tuple(Fraction(counts[i, j][r], w[i]) for j in range(h)) for i in range(h))
+        for r in primerange(2, bound + 1)
+    }

@@ -10,6 +10,7 @@ from brandtlift.brandt import BrandtModule, eigenvectors
 from brandtlift.congruence import check_eigenvalue_congruence, sturm_bound
 from brandtlift.lift import lift_eigenforms
 
+from reference_kernels import ref_brandt_matrices
 from conftest import (
     EIGEN_170_F,
     EIGEN_170_G,
@@ -69,6 +70,23 @@ def count_pair_lattice_builds(monkeypatch) -> Counter:
     return builds
 
 
+def rows_counted_to(module, p):
+    return sorted(i for i, rows in module._rows.items() if p in rows)
+
+
+def record_count_bounds(monkeypatch) -> list:
+    """The bound of every vector_counts call that BrandtModule makes from now on."""
+    bounds = []
+    vector_counts = brandt.vector_counts
+
+    def counted(gram, bound):
+        bounds.append(bound)
+        return vector_counts(gram, bound)
+
+    monkeypatch.setattr(brandt, "vector_counts", counted)
+    return bounds
+
+
 def test_one_count_pass_serves_every_smaller_degree(classes174, monkeypatch):
     module = BrandtModule(classes174)
     module.brandt_matrix(19)
@@ -91,20 +109,15 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
 ):
     module = BrandtModule(classes170)
     builds = count_pair_lattice_builds(monkeypatch)
-    units, bounds = [], []
-    pair_form, vector_counts = brandt._pair_form, brandt.vector_counts
+    units, bounds = [], record_count_bounds(monkeypatch)
+    pair_form = brandt._pair_form
 
     def recorded_pair_form(lhs, rhs):
         gram, unit = pair_form(lhs, rhs)
         units.append(unit)
         return gram, unit
 
-    def recorded_vector_counts(gram, bound):
-        bounds.append(bound)
-        return vector_counts(gram, bound)
-
     monkeypatch.setattr(brandt, "_pair_form", recorded_pair_form)
-    monkeypatch.setattr(brandt, "vector_counts", recorded_vector_counts)
     job(module)
     h = classes170.h
     # the pairs (i, i) and (0, j) take the Grams that the class walk reduced
@@ -185,27 +198,47 @@ def test_row_eigenvalues_match_the_full_matrices(request, level):
             assert module._eigenvalue(phi, p) == a, (p, phi)
             # any nonzero multiple of a certified vector is read from rows too
             assert module._eigenvalue([-3 * x for x in phi], p) == a
-    # two rows served both forms at every degree past the eigendata
+    # two rows served both forms at every degree past the eigendata; the
+    # others stay at the eigendata's degree, and no full matrix is made
     assert set(module._matrices) == cached
-    assert len(module._rows) == 2
-    assert all(set(rows) == set(primerange(2, top + 1)) for rows in module._rows.values())
+    reached = rows_counted_to(module, top)
+    assert len(reached) == 2
+    assert all(set(module._rows[i]) == set(primerange(2, top + 1)) for i in reached)
+    degree = max(p for data in CHECK_LEVELS[level] for p, _ in data)
+    assert len(module._rows) == module.h
+    assert all(set(rows) == set(primerange(2, degree + 1))
+               for i, rows in module._rows.items() if i not in reached)
 
 
 def test_read_ahead_counts_the_shared_pair_lattice_once(classes170, monkeypatch):
     module, phis = certified_pair(classes170, 170)
     top = prevprime(max(sturm_bound(2, 170), 20) + 1)
-    bounds = []
-    vector_counts = brandt.vector_counts
-
-    def counted(gram, bound):
-        bounds.append(bound)
-        return vector_counts(gram, bound)
-
-    monkeypatch.setattr(brandt, "vector_counts", counted)
+    bounds = record_count_bounds(monkeypatch)
     module._read_ahead(phis, top)
     # rows i and i' share I_i conj(I_i'): the second row reads it off the first
-    assert len(module._rows) == 2
+    assert len(rows_counted_to(module, top)) == 2
     assert len(bounds) == 2 * classes170.h - 1
+
+
+def test_full_matrix_after_a_read_ahead_reads_the_two_rows_counted(classes170, monkeypatch):
+    # B(53) is its h rows: the two that the read-ahead counted to 53 are
+    # kept, and the other rows read their pairs with those two off them
+    module, phis = certified_pair(classes170, 170)
+    module._read_ahead(phis, 53)
+    bounds = record_count_bounds(monkeypatch)
+    mat = module.brandt_matrix(53)
+    h = classes170.h
+    assert len(bounds) == h * (h + 1) // 2 - (2 * h - 1) == 253
+    assert mat.entries == ref_brandt_matrices(classes170, 53)[53]
+
+
+@pytest.mark.parametrize("level, top", [(170, 19), (174, 19), (222, 19), (174, 59)])
+def test_matrices_match_the_all_pairs_reference(request, level, top):
+    # degrees asked in increasing order: each asks every row to count further
+    classes = request.getfixturevalue(f"classes{level}")
+    module, ref = BrandtModule(classes), ref_brandt_matrices(classes, top)
+    for r in primerange(2, top + 1):
+        assert module.brandt_matrix(r).entries == ref[r], r
 
 
 def test_uncertified_vectors_keep_the_full_check(classes174):
@@ -216,7 +249,8 @@ def test_uncertified_vectors_keep_the_full_check(classes174):
         check_eigenvalue_congruence(module, phi_f, mixed, 5)
     with pytest.raises(ValueError, match="not a B\\(7\\) eigenvector"):
         module._eigenvalue(mixed, 7)
-    assert 7 in module._matrices and not module._rows
+    # the full check counted every row to 7
+    assert 7 in module._matrices and rows_counted_to(module, 7) == list(range(module.h))
 
 
 def plant_counts(monkeypatch, module, extras):
