@@ -71,9 +71,9 @@ class BrandtModule:
 
     The module keeps the reduced Gram of every pair it counts, so a later
     row, to any degree, builds no lattice again.  eigenvector remembers the
-    lines it certifies; on those lines the congruence checks read a_p from
-    two rows of B(p) (_eigenvalue), which count at most the 2h - 1 pair
-    lattices of the two rows.
+    lines it certifies; eigenvalues reads a_p on those lines from two rows
+    of B(p), which count at most the 2h - 1 pair lattices of the two rows,
+    and checks any other vector on all h rows.
     """
 
     def __init__(self, classes: ClassSet):
@@ -183,17 +183,57 @@ class BrandtModule:
         return [[1 if i == k else 0 for i in range(self.h)] for k in range(self.h)]
 
     def eigenvalue_of(self, phi, p: int) -> int:
-        """The B(p) eigenvalue of an exact eigenvector phi."""
+        """The B(p) eigenvalue of an exact eigenvector phi (see eigenvalues)."""
+        return self.eigenvalues(phi, [p])[p]
+
+    def eigenvalues(self, phi, primes) -> dict[int, int]:
+        """The B(p) eigenvalue a_p of phi at each prime p of primes, as {p: a_p}.
+
+        The rows read are chosen once, counted to the largest prime and read
+        at each prime in increasing order.  On a line that eigenvector
+        certified, with two or more nonzero entries, they are two rows i
+        with phi_i != 0, and a_p = (row_i . phi) / phi_i: rows already
+        counted to the largest prime first, then rows nonzero on every
+        certified line, so lines read one after another share the two rows
+        and their 2h - 1 pair lattices (_row).  Such a line is a
+        one-dimensional joint eigenspace of the eigendata's matrices, which
+        commute with B(p) at square-free level (Pizer 1980), so phi is a
+        B(p) eigenvector; the second row checks the first (RuntimeError).
+        Any other vector is checked on all h rows, with ValueError at the
+        first prime where it is not an eigenvector.
+        """
         if len(phi) != self.h:
             raise ValueError(f"eigenvector needs length h={self.h}, got {len(phi)}")
-        image = mat_vec(self.brandt_matrix(p).entries, list(phi))
-        pivot = next((k for k, x in enumerate(phi) if x), None)
-        if pivot is None:
+        support = [k for k, x in enumerate(phi) if x]
+        if not support:
             raise ValueError("zero vector is not an eigenvector")
-        a, rem = divmod(image[pivot], phi[pivot])
-        if rem or any(image[k] != a * phi[k] for k in range(self.h)):
-            raise ValueError(f"vector is not a B({p}) eigenvector")
-        return a
+        primes = sorted(set(primes))
+        for p in primes:
+            if not isprime(p):
+                raise ValueError(f"need a prime degree, got {p}")
+        if not primes:
+            return {}
+        top = primes[-1]
+        certified = len(support) > 1 and tuple(primitive_vector(phi)) in self._eigenlines
+        if certified:
+            rows = sorted(support, key=lambda k: (top not in self._rows.get(k, ()),
+                                                  not all(v[k] for v in self._eigenlines)))[:2]
+            for i in rows:
+                self._row(i, top)
+        else:
+            self.brandt_matrix(top)
+            # a nonzero entry first, as a_p is read off the first row
+            rows = support + [k for k, x in enumerate(phi) if not x]
+        out = {}
+        for p in primes:
+            image = [sum(b * x for b, x in zip(self._row(i, p), phi)) for i in rows]
+            a, rem = divmod(image[0], phi[rows[0]])
+            if rem or any(y != a * phi[i] for y, i in zip(image, rows)):
+                if certified:
+                    raise RuntimeError(f"rows {rows} of B({p}) give no common integer eigenvalue")
+                raise ValueError(f"vector is not a B({p}) eigenvector")
+            out[p] = a
+        return out
 
     def _row(self, i: int, p: int) -> tuple[int, ...]:
         """Row i of B(p), p prime, from a pass over the h pair lattices of row i.
@@ -217,50 +257,6 @@ class BrandtModule:
             for r in primes:
                 rows[r] = self._certified_row(i, [c.get(r, 0) for c in counts], r)
         return rows[p]
-
-    def _on_eigenline(self, phi) -> bool:
-        """Whether phi is a nonzero multiple of a vector that eigenvector certified."""
-        return len(phi) == self.h and any(phi) and tuple(primitive_vector(phi)) in self._eigenlines
-
-    def _eigenvalue(self, phi, p: int) -> int:
-        """The B(p) eigenvalue of phi, read from two rows when phi is certified.
-
-        On a line that eigenvector certified, a_p is (row_i . phi) / phi_i at
-        two i with phi_i != 0: rows already counted to p first, then the
-        first others.  That line is a one-dimensional joint eigenspace of
-        the eigendata's matrices, which commute with B(p) at square-free
-        level (Pizer 1980), so phi is a B(p) eigenvector; the second row
-        checks the first.  Any other input takes eigenvalue_of and its check
-        of every coordinate.
-        """
-        support = [k for k, x in enumerate(phi) if x]
-        if len(support) < 2 or not self._on_eigenline(phi):
-            return self.eigenvalue_of(phi, p)
-        rows = sorted(support, key=lambda k: p not in self._rows.get(k, ()))[:2]
-        reads = set()
-        for i in rows:
-            a, rem = divmod(sum(b * x for b, x in zip(self._row(i, p), phi)), phi[i])
-            if rem:
-                raise RuntimeError(f"row {i} of B({p}) gives a non-integer eigenvalue")
-            reads.add(a)
-        if len(reads) > 1:
-            raise RuntimeError(f"rows {rows} of B({p}) give the eigenvalues {sorted(reads)}")
-        return a
-
-    def _read_ahead(self, vectors, p: int) -> None:
-        """Count the rows that _eigenvalue reads for vectors, to degree p.
-
-        Two rows where every vector is nonzero are counted first; _eigenvalue
-        prefers counted rows, so those two serve every vector at every prime
-        up to p, over at most 2h - 1 pair lattices (_row).  Uncertified
-        vectors are left to eigenvalue_of, prime by prime.
-        """
-        if not all(self._on_eigenline(v) for v in vectors):
-            return
-        for i in [k for k in range(self.h) if all(v[k] for v in vectors)][:2]:
-            self._row(i, p)
-        for v in vectors:
-            self._eigenvalue(v, p)
 
     def atkin_lehner_sign(self, phi, p: int) -> int:
         """Atkin-Lehner sign at p dividing the level, from the U_p eigenvalue.

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime, prevprime, primerange
+from sympy import factorint, isprime, primerange
 
 from .brandt import BrandtModule
 from .lift import LiftResult, lift_eigenforms
@@ -61,16 +61,10 @@ class IrreducibilityVerdict:
 
 def check_eigenvalue_congruence(module: BrandtModule, phi_f, phi_g, ell: int) -> EigenvalueVerdict:
     """Compare eigenvalues of the two vectors mod ell for p up to Sturm."""
-    bound = sturm_bound(2, module.level)
-    primes = tuple(primerange(2, bound + 1))
-    if primes:
-        module._read_ahead((phi_f, phi_g), primes[-1])
-    for p in primes:
-        af = module._eigenvalue(phi_f, p)
-        ag = module._eigenvalue(phi_g, p)
-        if (af - ag) % ell:
-            return EigenvalueVerdict(False, p, primes)
-    return EigenvalueVerdict(True, None, primes)
+    primes = tuple(primerange(2, sturm_bound(2, module.level) + 1))
+    af, ag = module.eigenvalues(phi_f, primes), module.eigenvalues(phi_g, primes)
+    first = next((p for p in primes if (af[p] - ag[p]) % ell), None)
+    return EigenvalueVerdict(first is None, first, primes)
 
 
 def check_lift_congruence(wf, wg, ell: int) -> LiftVerdict:
@@ -106,13 +100,14 @@ def check_hypotheses(N: int, q: int, ell: int) -> HypothesisFlags:
 
 
 def irreducibility_heuristic(module: BrandtModule, phi, ell: int, bound: int) -> IrreducibilityVerdict:
-    """Certified irreducible iff some a_p with p coprime to ell*N avoids 1+p mod ell."""
-    for p in primerange(2, bound + 1):
-        if (ell * module.level) % p == 0:
-            continue
-        if (module._eigenvalue(phi, p) - (1 + p)) % ell:
-            return IrreducibilityVerdict(True, p)
-    return IrreducibilityVerdict(False, None)
+    """Certified irreducible iff some a_p with p coprime to ell*N avoids 1+p mod ell.
+
+    a_p is read at every prime p <= bound, so the rows read are counted
+    once, to the largest of them; the scan skips the primes dividing ell*N.
+    """
+    a = module.eigenvalues(phi, primerange(2, bound + 1))
+    witness = next((p for p in a if (ell * module.level) % p and (a[p] - (1 + p)) % ell), None)
+    return IrreducibilityVerdict(witness is not None, witness)
 
 
 @dataclass(frozen=True)
@@ -231,10 +226,10 @@ def run_congruence_checks(
     phi_f, phi_g = wf.phi, wg.phi
     if primitive_vector(phi_f) == primitive_vector(phi_g):
         raise ValueError("the eigendata of f and g cut out the same eigenline")
-    # past the eigendata's degrees a_p is read from rows of B(p), each counted
-    # to the degree asked: counting them to the largest degree first serves
-    # every degree the checks read
-    module._read_ahead((phi_f, phi_g), prevprime(irr_bound + 1))
+    # the irreducibility scans read up to max(sturm, 20): run first, they
+    # count the rows that the Sturm-bound check then reads again
+    irreducibility_f = irreducibility_heuristic(module, phi_f, ell, irr_bound)
+    irreducibility_g = irreducibility_heuristic(module, phi_g, ell, irr_bound)
     return CongruenceReport(
         N=N,
         q=classes.q,
@@ -252,6 +247,6 @@ def run_congruence_checks(
             check_norm_divisibility(module, phi_g, ell),
         ),
         hypothesis_flags=check_hypotheses(N, classes.q, ell),
-        irreducibility_f=irreducibility_heuristic(module, phi_f, ell, irr_bound),
-        irreducibility_g=irreducibility_heuristic(module, phi_g, ell, irr_bound),
+        irreducibility_f=irreducibility_f,
+        irreducibility_g=irreducibility_g,
     )

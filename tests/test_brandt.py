@@ -185,19 +185,30 @@ def certified_pair(classes, level):
     return module, [module.eigenvector(data) for data in CHECK_LEVELS[level]]
 
 
+def full_matrix_eigenvalue(module, phi, p):
+    """The B(p) eigenvalue of phi from every row of the full matrix."""
+    image = [sum(b * x for b, x in zip(row, phi)) for row in module.brandt_matrix(p).entries]
+    k = next(k for k, x in enumerate(phi) if x)
+    assert image == [image[k] // phi[k] * x for x in phi], p
+    return image[k] // phi[k]
+
+
 @pytest.mark.parametrize("level", CHECK_LEVELS)
 def test_row_eigenvalues_match_the_full_matrices(request, level):
     full = request.getfixturevalue(f"module{level}")
     module, phis = certified_pair(full.classes, level)
     cached = set(module._matrices)
     top = prevprime(max(sturm_bound(2, level), 20) + 1)
-    module._read_ahead(phis, top)
-    for p in primerange(2, top + 1):
-        for phi in phis:
-            a = full.eigenvalue_of(phi, p)
-            assert module._eigenvalue(phi, p) == a, (p, phi)
+    primes = list(primerange(2, top + 1))
+    full.brandt_matrix(top)
+    expected = [{p: full_matrix_eigenvalue(full, phi, p) for p in primes} for phi in phis]
+    assert [module.eigenvalues(phi, primes) for phi in phis] == expected
+    for p in primes:
+        for phi, table in zip(phis, expected):
+            a = table[p]
+            assert module.eigenvalue_of(phi, p) == a, (p, phi)
             # any nonzero multiple of a certified vector is read from rows too
-            assert module._eigenvalue([-3 * x for x in phi], p) == a
+            assert module.eigenvalue_of([-3 * x for x in phi], p) == a
     # two rows served both forms at every degree past the eigendata; the
     # others stay at the eigendata's degree, and no full matrix is made
     assert set(module._matrices) == cached
@@ -210,21 +221,28 @@ def test_row_eigenvalues_match_the_full_matrices(request, level):
                for i, rows in module._rows.items() if i not in reached)
 
 
-def test_read_ahead_counts_the_shared_pair_lattice_once(classes170, monkeypatch):
-    module, phis = certified_pair(classes170, 170)
-    top = prevprime(max(sturm_bound(2, 170), 20) + 1)
+def test_read_ahead_counts_the_shared_pair_lattice_once(request, monkeypatch):
+    # f and g read in two calls, each at the top degree alone: f counts two
+    # rows nonzero on both certified lines, and g reads the same two
     bounds = record_count_bounds(monkeypatch)
-    module._read_ahead(phis, top)
-    # rows i and i' share I_i conj(I_i'): the second row reads it off the first
-    assert len(rows_counted_to(module, top)) == 2
-    assert len(bounds) == 2 * classes170.h - 1
+    for level, calls in ((170, 47), (174, 31)):
+        classes = request.getfixturevalue(f"classes{level}")
+        module, phis = certified_pair(classes, level)
+        top = prevprime(max(sturm_bound(2, level), 20) + 1)
+        bounds.clear()
+        for phi in phis:
+            module.eigenvalues(phi, [top])
+        # rows i and i' share I_i conj(I_i'): the second row reads it off the first
+        assert len(rows_counted_to(module, top)) == 2
+        assert len(bounds) == 2 * classes.h - 1 == calls
 
 
 def test_full_matrix_after_a_read_ahead_reads_the_two_rows_counted(classes170, monkeypatch):
-    # B(53) is its h rows: the two that the read-ahead counted to 53 are
-    # kept, and the other rows read their pairs with those two off them
+    # B(53) is its h rows: the two that the reads of f and g at 53 counted
+    # are kept, and the other rows read their pairs with those two off them
     module, phis = certified_pair(classes170, 170)
-    module._read_ahead(phis, 53)
+    for phi in phis:
+        module.eigenvalues(phi, [53])
     bounds = record_count_bounds(monkeypatch)
     mat = module.brandt_matrix(53)
     h = classes170.h
@@ -247,8 +265,11 @@ def test_uncertified_vectors_keep_the_full_check(classes174):
     mixed = [a + b for a, b in zip(phi_f, phi_g)]
     with pytest.raises(ValueError, match="not a B\\(5\\) eigenvector"):
         check_eigenvalue_congruence(module, phi_f, mixed, 5)
+    # read alone up to the Sturm prime, it still fails first at B(5)
+    with pytest.raises(ValueError, match="not a B\\(5\\) eigenvector"):
+        module.eigenvalues(mixed, primerange(2, sturm_bound(2, 174) + 1))
     with pytest.raises(ValueError, match="not a B\\(7\\) eigenvector"):
-        module._eigenvalue(mixed, 7)
+        module.eigenvalue_of(mixed, 7)
     # the full check counted every row to 7
     assert 7 in module._matrices and rows_counted_to(module, 7) == list(range(module.h))
 
@@ -465,6 +486,12 @@ def test_eigenvalue_of_error_paths(module170, phi170_f):
         module170.eigenvalue_of(phi170_f + [7], 3)
     with pytest.raises(ValueError, match="length h=24, got 23"):
         module170.eigenvalue_of(phi170_f[:-1], 3)
+    # a composite degree is rejected on the certified line and off it
+    for phi in (phi170_f, mixed):
+        with pytest.raises(ValueError, match="need a prime degree, got 4"):
+            module170.eigenvalue_of(phi, 4)
+    with pytest.raises(ValueError, match="need a prime degree, got 4"):
+        module170.eigenvalues(phi170_f, [3, 4])
 
 
 def test_eigendata_cuts_are_minimal(module170, module174, phi170_f, phi174_f):
