@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import isprime, primerange
+from sympy import isprime, primefactors, primerange
 
 from .linalg import mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet, _pair_form
@@ -44,7 +44,7 @@ class HeckeMatrix:
     At p | M it counts all integral right ideals of norm p, as the local
     order [[Z, Z], [pZ, Z]] has 2p + 1 of them (Voight, GTM 288, ch. 23),
     so its column sums are 2p + 1.  At p = q it is the permutation of the
-    classes by the two-sided prime of norm q, with column sums 1.
+    classes by the two-sided prime of norm q, W_q, with column sums 1.
     """
 
     p: int
@@ -55,13 +55,23 @@ class HeckeMatrix:
 class BrandtModule:
     """The Brandt matrices of one class set, kept as certified rows.
 
-    Every count goes through _row: row i, asked at degree p, counts the h
-    pair lattices I_i conj(I_k) to norm p and keeps row i of B(r) for every
-    prime r <= p.  brandt_matrix(p) is its h rows, so a full matrix counts
-    each of the h(h+1)/2 pair lattices once.  The class walk has already
-    reduced 2h - 1 of those lattices, so only the (h-1)(h-2)/2 others are
-    built (_form), by two identities for locally principal ideals
-    (Voight, GTM 288, ch. 16-17):
+    Every count goes through _row: row i, asked at degree p, reads the
+    counts of the h pair lattices I_i conj(I_k) to norm p and keeps row i
+    of B(r) for every prime r <= p.  brandt_matrix(p) is its h rows.
+
+    The Atkin-Lehner involutions W_p (p | N) permute the classes:
+    I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p
+    (ClassSet._atkin_lehner).  If I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p,
+    then I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
+    up to scale, with the same counts at norm n Nm_Wi Nm_Wj (Voight, GTM 288,
+    ch. 23; Pizer, J. Algebra 64 (1980)).  So the group G that the W_p
+    generate keeps every B(n)[i, j], and the module counts one pair lattice
+    per orbit of G on the unordered pairs {i, j}: the orbit's least sorted
+    pair, its key (_key).  The W_p are found at the first count, so a module
+    that counts nothing pays nothing for them.  The class walk has already
+    reduced the lattices of two kinds of keys, so only the other keys are
+    built (_form), by two identities for locally principal ideals (Voight,
+    GTM 288, ch. 16-17):
 
     - I conj(I) = Nm(I) O_L(I), so the pair (i, i) counts the left order
       right_orders[i] at norm n where the pair lattice has norm n Nm_i^2;
@@ -69,11 +79,15 @@ class BrandtModule:
       itself: conjugation keeps the reduced norm, so conj(I_j) and I_j have
       the same counts.
 
-    The module keeps the reduced Gram of every pair it counts, so a later
-    row, to any degree, builds no lattice again.  eigenvector remembers the
-    lines it certifies; eigenvalues reads a_p on those lines from two rows
-    of B(p), which count at most the 2h - 1 pair lattices of the two rows,
-    and checks any other vector on all h rows.
+    An orbit holding either kind has it as its key: G maps a pair (i, i)
+    to pairs (k, k), and a pair (0, j) sorts before every pair (i, j) with
+    i > 0.  The module keeps the reduced Gram of every key it builds and
+    the counts of every key to the largest degree counted, so a later row,
+    to any degree, builds no lattice again, and a row reads the counts of
+    the keys that earlier rows counted far enough.  eigenvector remembers
+    the lines it certifies; eigenvalues reads a_p on those lines from two
+    rows of B(p), which count at most the 2h - 1 pair lattices of the two
+    rows, and checks any other vector on all h rows.
     """
 
     def __init__(self, classes: ClassSet):
@@ -82,12 +96,38 @@ class BrandtModule:
         self.level = classes.q * classes.M
         # p: B(p) as brandt_matrix returned it, a view of the h rows at p
         self._matrices: dict[int, HeckeMatrix] = {}
-        # (i, j) with i <= j: _form(i, j), a reduced Gram with the counts of I_i conj(I_j) and its unit
+        # keys[i][j]: the key of the orbit of {i, j}, from the first count on (_key)
+        self._keys: list[list[tuple[int, int]]] | None = None
+        # key: _form(*key), a reduced Gram with the counts of I_i conj(I_j) and its unit
         self._forms: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
+        # key: (degree d, {n: elements of norm n Nm_i Nm_j}) for every n <= d
+        self._counts: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
         # i: {prime r: row i of B(r)}, for every prime up to the degree row i was counted to
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}
         # primitive vectors that eigenvector certified as one-dimensional joint eigenspaces
         self._eigenlines: set[tuple[int, ...]] = set()
+
+    def _key(self, i: int, j: int) -> tuple[int, int]:
+        """The least sorted pair in the orbit of {i, j} under the W_p (see the class docstring).
+
+        The first call finds the W_p and keys all h^2 pairs: the pairs in
+        increasing order, each one not yet keyed being the least of its
+        orbit, which it keys through the |G| elements of G.  The W_p
+        commute, as the J_p do, so G is the products of subsets of them.
+        """
+        if self._keys is None:
+            h = self.h
+            group = {tuple(range(h))}
+            for w in (self.classes._atkin_lehner(p) for p in primefactors(self.level)):
+                group |= {tuple(w[k] for k in g) for g in group}
+            keys = [[None] * h for _ in range(h)]
+            for a in range(h):
+                for b in range(a, h):
+                    if keys[a][b] is None:
+                        for s in group:
+                            keys[s[a]][s[b]] = keys[s[b]][s[a]] = (a, b)
+            self._keys = keys
+        return self._keys[i][j]
 
     def _form(self, i: int, j: int) -> tuple[list[list[int]], int]:
         """Reduced Gram of a lattice with the counts of I_i conj(I_j), i <= j, and its unit.
@@ -106,20 +146,24 @@ class BrandtModule:
         return _pair_form(classes.reps[i], classes.reps[j])
 
     def _pair_counts(self, i: int, j: int, p: int) -> dict[int, int]:
-        """Elements of I_i conj(I_j) with norm n Nm_i Nm_j, by n <= p.
+        """Elements of I_i conj(I_j) with norm n Nm_i Nm_j, by n, for every n <= p at least.
 
-        I_j conj(I_i) is the conjugate lattice, with the same counts, so
-        both orders share one kept form.  Every value counted must be a
-        multiple of the form's unit; RuntimeError otherwise.
+        They are the counts of the pair's key (_key), made when the key is
+        first asked past the degree it was counted to.  Every value counted
+        must be a multiple of the form's unit; RuntimeError otherwise.
         """
-        key = (i, j) if i <= j else (j, i)
-        if key not in self._forms:
-            self._forms[key] = self._form(*key)
-        gram, unit = self._forms[key]
-        raw = vector_counts(gram, p * unit)
-        if any(val % unit for val in raw):
-            raise RuntimeError(f"an element of I_{i} conj(I_{j}) has a norm outside Nm_{i} Nm_{j} Z")
-        return {val // unit: cnt for val, cnt in raw.items()}
+        key = self._key(i, j)
+        counted = self._counts.get(key)
+        if counted is None or counted[0] < p:
+            if key not in self._forms:
+                self._forms[key] = self._form(*key)
+            gram, unit = self._forms[key]
+            raw = vector_counts(gram, p * unit)
+            if any(val % unit for val in raw):
+                a, b = key
+                raise RuntimeError(f"an element of I_{a} conj(I_{b}) has a norm outside Nm_{a} Nm_{b} Z")
+            counted = self._counts[key] = (p, {val // unit: cnt for val, cnt in raw.items()})
+        return counted[1]
 
     def _column_sum(self, r: int) -> int:
         """What every column of B(r) sums to (see HeckeMatrix)."""
@@ -195,7 +239,9 @@ class BrandtModule:
         with phi_i != 0, and a_p = (row_i . phi) / phi_i: rows already
         counted to the largest prime first, then rows nonzero on every
         certified line, so lines read one after another share the two rows
-        and their 2h - 1 pair lattices (_row).  Such a line is a
+        and their at most 2h - 1 keys (_row).  The second row is outside the
+        W_p orbit of the first where the support allows: a row in that
+        orbit reads the same counts (_key).  Such a line is a
         one-dimensional joint eigenspace of the eigendata's matrices, which
         commute with B(p) at square-free level (Pizer 1980), so phi is a
         B(p) eigenvector; the second row checks the first (RuntimeError).
@@ -216,8 +262,12 @@ class BrandtModule:
         top = primes[-1]
         certified = len(support) > 1 and tuple(primitive_vector(phi)) in self._eigenlines
         if certified:
-            rows = sorted(support, key=lambda k: (top not in self._rows.get(k, ()),
-                                                  not all(v[k] for v in self._eigenlines)))[:2]
+            first, *rest = sorted(support, key=lambda k: (top not in self._rows.get(k, ()),
+                                                          not all(v[k] for v in self._eigenlines)))
+            # a row in the W_p orbit of the first reads the same counts, so it
+            # checks nothing: the second comes from another orbit if one is nonzero
+            orbit = self._key(first, first)
+            rows = [first, next((k for k in rest if self._key(k, k) != orbit), rest[0])]
             for i in rows:
                 self._row(i, top)
         else:
@@ -236,34 +286,29 @@ class BrandtModule:
         return out
 
     def _row(self, i: int, p: int) -> tuple[int, ...]:
-        """Row i of B(p), p prime, from a pass over the h pair lattices of row i.
+        """Row i of B(p), p prime, from the counts of the h pairs (i, k) to norm p.
 
-        A miss counts I_i conj(I_k) for every k to norm p and keeps row i of
-        B(r) for every prime r <= p, each certified (_certified_row).  The
-        raw counts are symmetric, so where row k is already counted to p,
-        the count at norm r is read off it as row_k(r)[i] w_k instead: two
-        rows count 2h - 1 pair lattices, and h rows h(h+1)/2.
+        A miss keeps row i of B(r) for every prime r <= p, each certified
+        (_certified_row).  A pair whose key is already counted to p is read,
+        not counted again (_pair_counts).
         """
         rows = self._rows.setdefault(i, {})
         if p not in rows:
-            w, primes = self.classes.weights, list(primerange(2, p + 1))
-            counts = []
-            for k in range(self.h):
-                known = self._rows.get(k, {})
-                if p in known:
-                    counts.append({r: known[r][i] * w[k] for r in primes})
-                else:
-                    counts.append(self._pair_counts(i, k, p))
-            for r in primes:
+            counts = [self._pair_counts(i, k, p) for k in range(self.h)]
+            for r in primerange(2, p + 1):
                 rows[r] = self._certified_row(i, [c.get(r, 0) for c in counts], r)
         return rows[p]
 
     def atkin_lehner_sign(self, phi, p: int) -> int:
-        """Atkin-Lehner sign at p dividing the level, from the U_p eigenvalue.
+        """Atkin-Lehner sign at p dividing the level: -lambda, lambda the B(p) eigenvalue of phi.
 
-        At an exactly-dividing prime of a weight-2 newform the involution
-        eigenvalue is the negative of the U_p eigenvalue; the ramified prime
-        follows the same rule here (checked against both worked levels).
+        That is the weight-2 rule a_p = -w_p at a prime exactly dividing the
+        level, at q and at p | M alike.  The class permutations W_p
+        (ClassSet._atkin_lehner) satisfy two identities, which the tests pin
+        at N=170, 174 and 222: at p | M, B(p) phi = -W_p phi on each line
+        that discover_eigensystems reports but the Eisenstein line, so
+        -lambda is the W_p eigenvalue of phi; and B(q) is the permutation
+        matrix of W_q, so lambda is the W_q eigenvalue of phi.
         """
         if self.level % p != 0:
             raise ValueError(f"{p} does not divide the level {self.level}")

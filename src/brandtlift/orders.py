@@ -25,6 +25,15 @@ I = x I_k, the minimal vectors of I are the x beta with beta minimal in
 I_k, so I reduces to conj(beta) I_k / Nm(I_k), whichever alpha it takes.
 These few lattices are a complete key for class k: the walk looks each
 reduced neighbour up among them, and one found in no class is a new class.
+The ClassSet keeps them, and ClassSet._identify names the class of any
+integral right ideal with an int norm by the same lookup.
+
+At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
+the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
+Atkin-Lehner involution W_p sends the class of I to the class of I J_p.
+ClassSet._atkin_lehner gives it as a permutation of the classes, each
+image named by _identify; the Brandt module counts one pair lattice per
+orbit of the W_p.
 
 Two identities for locally principal ideals (Voight, Quaternion Algebras,
 GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
@@ -455,6 +464,12 @@ def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
     return [_conj_quotient(ideal, vec_mat(vec_mat(c, umat), ideal.rows)) for c in mins]
 
 
+def _lookup(known: dict, ideal: OrderLattice, base: OrderLattice) -> tuple[OrderLattice, int | None]:
+    """The reduced lattice of ideal and its class in known, from reduced form to class, or None."""
+    reduced = _reduce_ideal(ideal, base)
+    return reduced, known.get(reduced)
+
+
 def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
     """lhs * conj(rhs) / shrink, for integral right ideals of one order O with int norms.
 
@@ -488,6 +503,34 @@ def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], i
     return prod.reduced_gram()[0], 2 * prod.den**2 * lhs.norm * rhs.norm
 
 
+def _two_sided_prime(order: OrderLattice, p: int) -> OrderLattice:
+    """J_p = pO + (the kernel mod p of the trace form of O), for p | N, with norm p.
+
+    At a prime p exactly dividing the level, J_p is the two-sided ideal of
+    reduced norm p (Voight, Quaternion Algebras, GTM 288, ch. 23).  It must
+    be a left and a right O-ideal of covolume p^2 covol(O); RuntimeError
+    otherwise.  Conjugation maps O onto itself and keeps tr(x conj(y)), so
+    conj(J_p) = J_p.
+    """
+    # tr(x conj(y)) for x = r_m / den and y = r_n / den (see gram_int)
+    trace = [[g // order.den**2 for g in row] for row in order.gram_int()]
+    echelon, pivots = rref_mod(trace, p)
+    rows = [[p * x for x in row] for row in order.rows]
+    for free in (c for c in range(4) if c not in pivots):
+        v = [int(c == free) for c in range(4)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -echelon[r][free]
+        rows.append(vec_mat(v, order.rows))
+    two_sided = OrderLattice.from_rows(order.alg, order.den, rows, norm=p)
+    mul, d = order.alg.mul, order.den * two_sided.den
+    sides = ((mul(x, y), mul(y, x)) for x in order.rows for y in two_sided.rows)
+    if two_sided.covolume() != p**2 * order.covolume() or any(
+        two_sided._solve(z, d) is None for side in sides for z in side
+    ):
+        raise RuntimeError(f"J_{p} is not a two-sided ideal of covolume {p}^2 covol(O)")
+    return two_sided
+
+
 def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     """Whether two right ideals differ by a left unit: x with lhs = x*rhs.
 
@@ -515,8 +558,10 @@ class ClassSet:
     The private _types[i] is the type of class i: the canonical Gram of the
     trace-zero lattice of right_orders[i].  Equivalent ideals have conjugate
     left orders, whose ternary lattices are isometric, so the type is a class
-    invariant; classes of one type share one theta series.  It is not part
-    of the JSON, of the repr or of equality.
+    invariant; classes of one type share one theta series.  The private
+    _known maps every lattice that an ideal of class i reduces to onto i
+    (the walk's key, see right_ideal_classes); _identify reads it.  Neither
+    is part of the JSON, of the repr or of equality.
     """
 
     presentation: AlgebraPresentation
@@ -528,6 +573,44 @@ class ClassSet:
     weights: list[int]
     mass: Fraction
     _types: list[tuple[tuple[int, int, int], ...]] = field(repr=False, compare=False)
+    _known: dict[OrderLattice, int] = field(repr=False, compare=False)
+
+    def _identify(self, ideal: OrderLattice) -> int:
+        """The class of an integral right ideal of the base order that carries an int norm.
+
+        Such an ideal reduces to one of the lattices of its class in _known.
+        A lattice without an int norm Nm, or of covolume other than
+        Nm^2 covol(O), or one that reduces to a lattice of no class, is not
+        such an ideal, and raises ValueError.
+        """
+        base = self.reps[0]
+        if not isinstance(ideal.norm, int) or ideal.covolume() != ideal.norm**2 * base.covolume():
+            raise ValueError("_identify needs an ideal with an int norm Nm and covolume Nm^2 covol(O)")
+        k = _lookup(self._known, ideal, base)[1]
+        if k is None:
+            raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
+        return k
+
+    def _atkin_lehner(self, p: int) -> tuple[int, ...]:
+        """W_p at p | N as a permutation: class i goes to the class of I_i J_p.
+
+        As conj(J_p) = J_p, I_i J_p is the pair product Nm(I_i) J_p + alpha J_p,
+        certified by its covolume (_pair_product, _two_sided_prime).  W_p must
+        be an involution that keeps each class's weight and type;
+        RuntimeError otherwise, as for a product in no class.
+        """
+        two_sided = _two_sided_prime(self.reps[0], p)
+        perm = []
+        for rep in self.reps:
+            prod = _pair_product(rep, two_sided)
+            try:
+                perm.append(self._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p)))
+            except ValueError as exc:
+                raise RuntimeError(f"W_{p}: {exc}") from exc
+        for i, k in enumerate(perm):
+            if perm[k] != i or self.weights[k] != self.weights[i] or self._types[k] != self._types[i]:
+                raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
+        return tuple(perm)
 
     def to_json_dict(self) -> dict:
         def mat(latt):
@@ -556,10 +639,11 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     certified complete by the Eichler mass formula.  Each neighbour is
     reduced to conj(alpha) I / Nm(I), alpha minimal in I, and looked up in
     the reduced forms conj(beta) I_k / Nm(I_k) of the classes found so far
-    (_reduced_forms).  Every ideal of class k reduces to one of those of
-    I_k, and the forms of two classes never meet, so a neighbour found
-    there is in a known class and any other is a new one: no equivalence
-    test is needed.
+    (_reduced_forms, _lookup).  Every ideal of class k reduces to one of
+    those of I_k, and the forms of two classes never meet, so a neighbour
+    found there is in a known class and any other is a new one: no
+    equivalence test is needed.  The ClassSet keeps the forms as _known,
+    in the final class order, for ClassSet._identify.
     """
     alg = base.alg
     N = base.reduced_discriminant()
@@ -585,8 +669,8 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     while frontier and acc < target_mass:
         current = frontier.pop(0)
         for sub in _neighbor_submodules(current, base, p, idem):
-            reduced = _reduce_ideal(_neighbor_ideal(current, sub, p), base)
-            if reduced in known:
+            reduced, k = _lookup(known, _neighbor_ideal(current, sub, p), base)
+            if k is not None:
                 continue
             left = _pair_product(reduced, reduced, reduced.norm)
             w = unit_weight(left)
@@ -612,6 +696,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     types = [canonical_gram(trace_zero_lattice(o).gram) for o in orders]
     rest = sorted(range(1, len(classes)), key=lambda k: (types[k], classes[k].den, classes[k].rows))
     perm = [0] + rest
+    rank = {k: n for n, k in enumerate(perm)}
     return ClassSet(
         presentation=alg,
         q=q,
@@ -622,4 +707,5 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         weights=[weights[k] for k in perm],
         mass=target_mass,
         _types=[types[k] for k in perm],
+        _known={form: rank[k] for form, k in known.items()},
     )

@@ -27,6 +27,11 @@ def classes222():
 
 
 @pytest.fixture(scope="session")
+def classes330():
+    return build_classes(3, 110)
+
+
+@pytest.fixture(scope="session")
 def module170(classes170):
     return BrandtModule(classes170)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from sympy import prevprime, primerange
+from sympy import prevprime, primefactors, primerange
 
 from brandtlift import brandt, orders
 from brandtlift.brandt import BrandtModule, eigenvectors
@@ -120,13 +120,19 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     monkeypatch.setattr(brandt, "_pair_form", recorded_pair_form)
     job(module)
     h = classes170.h
-    # the pairs (i, i) and (0, j) take the Grams that the class walk reduced
-    assert len(builds) == (h - 1) * (h - 2) // 2
+    # one pair lattice per orbit of the W_p on the pairs, its key: 52 of the
+    # h(h+1)/2 = 300 pairs.  The 28 keys (i, i) and (0, j) take the Grams
+    # that the class walk reduced; the other 24 are built, and so is I_i J_p
+    # for every class i and p = 2, 5, 17, once each
+    keys = list(module._forms)
+    assert len(keys) == 52
+    assert len([key for key in keys if key[0] in (0, key[1])]) == 28
+    assert len(units) == 24
+    assert len(builds) == 24 + 3 * h
     assert set(builds.values()) == {1}
-    assert len(units) == len(builds)
-    # every pair is counted once, in the order its form was kept
+    # every key is counted once, in the order its form was kept
     forms = list(module._forms.values())
-    assert len(bounds) == len(forms) == h * (h + 1) // 2
+    assert len(bounds) == len(forms)
     assert all(bound <= degree * unit for bound, (_, unit) in zip(bounds, forms))
 
 
@@ -225,38 +231,99 @@ def test_read_ahead_counts_the_shared_pair_lattice_once(request, monkeypatch):
     # f and g read in two calls, each at the top degree alone: f counts two
     # rows nonzero on both certified lines, and g reads the same two
     bounds = record_count_bounds(monkeypatch)
-    for level, calls in ((170, 47), (174, 31)):
+    expected = {170: ((1, 3), 22), 174: ((1, 6), 21)}
+    for level in expected:
         classes = request.getfixturevalue(f"classes{level}")
         module, phis = certified_pair(classes, level)
         top = prevprime(max(sturm_bound(2, level), 20) + 1)
         bounds.clear()
         for phi in phis:
             module.eigenvalues(phi, [top])
-        # rows i and i' share I_i conj(I_i'): the second row reads it off the first
-        assert len(rows_counted_to(module, top)) == 2
-        assert len(bounds) == 2 * classes.h - 1 == calls
+        # each key of the 2h - 1 pairs of the two rows is counted once: 22
+        # keys at N=170 and 21 at N=174.  The second row is outside the W_p
+        # orbit of the first, row 1: the orbit's row 2 reads the same counts
+        (first, second), size = expected[level]
+        assert rows_counted_to(module, top) == [first, second]
+        assert module._key(second, second) != module._key(first, first) == module._key(2, 2)
+        assert len({module._key(i, k) for i in (first, second) for k in range(classes.h)}) == len(bounds) == size
 
 
 def test_full_matrix_after_a_read_ahead_reads_the_two_rows_counted(classes170, monkeypatch):
     # B(53) is its h rows: the two that the reads of f and g at 53 counted
-    # are kept, and the other rows read their pairs with those two off them
+    # are kept, and the other rows read the 22 keys of those two counted
     module, phis = certified_pair(classes170, 170)
     for phi in phis:
         module.eigenvalues(phi, [53])
     bounds = record_count_bounds(monkeypatch)
     mat = module.brandt_matrix(53)
-    h = classes170.h
-    assert len(bounds) == h * (h + 1) // 2 - (2 * h - 1) == 253
+    assert len(bounds) == len(module._forms) - 22 == 30
     assert mat.entries == ref_brandt_matrices(classes170, 53)[53]
 
 
-@pytest.mark.parametrize("level, top", [(170, 19), (174, 19), (222, 19), (174, 59)])
+# {(level, top): ref_brandt_matrices(classes, top)}, shared by the tests below
+REFERENCE = {}
+
+
+def reference(request, level, top):
+    if (level, top) not in REFERENCE:
+        classes = request.getfixturevalue(f"classes{level}")
+        REFERENCE[level, top] = ref_brandt_matrices(classes, top)
+    return REFERENCE[level, top]
+
+
+@pytest.mark.parametrize("level, top", [(170, 19), (174, 19), (222, 19), (174, 59), (330, 13)])
 def test_matrices_match_the_all_pairs_reference(request, level, top):
-    # degrees asked in increasing order: each asks every row to count further
+    # degrees asked in increasing order: each asks every row to count further;
+    # N=330 = 3 * 2 * 5 * 11 has h=36 and 16 Atkin-Lehner elements
     classes = request.getfixturevalue(f"classes{level}")
-    module, ref = BrandtModule(classes), ref_brandt_matrices(classes, top)
+    module, ref = BrandtModule(classes), reference(request, level, top)
     for r in primerange(2, top + 1):
         assert module.brandt_matrix(r).entries == ref[r], r
+
+
+def atkin_lehner(classes) -> dict:
+    """{p: W_p} at every p | N, as class permutations."""
+    return {p: classes._atkin_lehner(p) for p in primefactors(classes.q * classes.M)}
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_atkin_lehner_involutions_commute_with_the_reference_matrices(request, level):
+    # the all-pairs reference counts every pair lattice, with no W_p orbits:
+    # the W_p are commuting involutions, each commuting with every B(n),
+    # n <= 19, and B(q) is the permutation matrix of W_q
+    classes = request.getfixturevalue(f"classes{level}")
+    ref, h = reference(request, level, 19), classes.h
+    perms = atkin_lehner(classes)
+    assert len(perms) == 3
+    assert all(u[v[i]] == v[u[i]] for u in perms.values() for v in perms.values() for i in range(h))
+    for p, w in perms.items():
+        assert all(w[w[i]] == i for i in range(h)), p
+        for n in primerange(2, 20):
+            assert all(ref[n][w[i]][w[j]] == ref[n][i][j] for i in range(h) for j in range(h)), (p, n)
+    w = perms[classes.q]
+    assert ref[classes.q] == tuple(tuple(int(i == w[j]) for j in range(h)) for i in range(h))
+
+
+@pytest.mark.parametrize("level", CHECK_LEVELS)
+def test_level_matrices_are_minus_the_atkin_lehner_involutions_on_discovered_newforms(request, level):
+    # at p | M, B(p) phi = -W_p phi on every line that discover reports but
+    # the Eisenstein line, on which B(p) is 2p + 1 and W_p is 1
+    module = request.getfixturevalue(f"module{level}")
+    classes, h = module.classes, module.h
+    perms = atkin_lehner(classes)
+    found = module.discover_eigensystems()
+    w = classes.weights
+    eisenstein = [lcm(*w) // wi for wi in w]
+    assert eisenstein in [vec for _, vec in found] and len(found) > 1
+    for p in primefactors(classes.M):
+        b = module.brandt_matrix(p).entries
+        for _, phi in found:
+            image = [sum(x * y for x, y in zip(row, phi)) for row in b]
+            moved = [phi[perms[p][i]] for i in range(h)]
+            if phi == eisenstein:
+                assert image == [(2 * p + 1) * x for x in phi] and moved == phi
+            else:
+                assert image == [-x for x in moved], (p, phi)
 
 
 def test_uncertified_vectors_keep_the_full_check(classes174):
@@ -275,8 +342,13 @@ def test_uncertified_vectors_keep_the_full_check(classes174):
 
 
 def plant_counts(monkeypatch, module, extras):
-    """Add extras[i, j] elements at the largest norm counted in I_i conj(I_j), from now on."""
-    planted = {id(module._forms[min(ij), max(ij)][0]): extra for ij, extra in extras.items()}
+    """Add extras[i, j] elements at the largest norm counted in the key of (i, j), from now on.
+
+    A key's counts serve every pair of its orbit (BrandtModule._key).
+    """
+    planted = Counter()
+    for ij, extra in extras.items():
+        planted[id(module._forms[module._key(*ij)][0])] += extra
     vector_counts = brandt.vector_counts
 
     def planted_counts(gram, bound):
@@ -301,15 +373,29 @@ def test_planted_row_count_fails_the_row_certificate(request, monkeypatch, level
     module, (phi_f, phi_g) = certified_pair(classes, level)
     top = prevprime(sturm_bound(2, level) + 1)
     w, h = classes.weights, classes.h
-    # the rows read are the first two where both forms are nonzero
-    read = [k for k in range(h) if phi_f[k] and phi_g[k]][:2]
+    # the rows read are the first where both forms are nonzero and the next
+    # such row outside its W_p orbit
+    both = [k for k in range(h) if phi_f[k] and phi_g[k]]
+    read = [both[0], next(k for k in both if module._key(k, k) != module._key(both[0], both[0]))]
     i = read[0]
     if plant == "moved":
-        # L elements move from I_i conj(I_k2) to I_i conj(I_k) with w_k = w_k2:
+        # lcm(w) elements move from the key of (i, k2) to the key of (i, k):
+        # each key's counts serve every pair of its orbit, so in each row
+        # read the pairs of the two keys must weigh the same, sum 1 / w_x;
         # every column sum stays, row i and phi_f no longer agree
+        def pairs(r, key):
+            return [x for x in range(h) if module._key(r, x) == key]
+
+        def moved(k, k2):
+            a, b = module._key(i, k), module._key(i, k2)
+            return a != b and all(
+                sum(Fraction(1, w[x]) for x in pairs(r, a)) == sum(Fraction(1, w[x]) for x in pairs(r, b))
+                for r in read
+            ) and sum(phi_f[x] for x in pairs(i, a)) != sum(phi_f[x] for x in pairs(i, b))
+
         k, k2 = next((k, k2) for k in range(h) for k2 in range(h)
-                     if {k, k2}.isdisjoint(read) and w[k] == w[k2] and phi_f[k] != phi_f[k2])
-        shift = {k: lcm(w[i], w[k]), k2: -lcm(w[i], w[k])}
+                     if {k, k2}.isdisjoint(read) and moved(k, k2))
+        shift = {k: lcm(*w), k2: -lcm(*w)}
     else:
         k = next(k for k in range(h) if k not in read)
         shift = {k: 1 if plant == "unit_orbit" else lcm(w[i], w[k])}
@@ -360,15 +446,24 @@ def test_walk_forms_give_the_matrices_of_built_pair_lattices(request, level):
     for p in primerange(2, 20):
         assert module.brandt_matrix(p) == built.brandt_matrix(p), p
     h = classes.h
-    assert all(module._forms[i, i][0] is classes.right_orders[i].reduced_gram()[0] for i in range(h))
-    assert all(module._forms[0, j][0] is classes.reps[j].reduced_gram()[0] for j in range(1, h))
+    # an orbit of pairs (i, i), or with a pair (0, j), has one as its key
+    assert all(module._key(i, i)[0] == module._key(i, i)[1] for i in range(h))
+    assert all(module._key(0, j)[0] == 0 for j in range(h))
+    diagonal = [i for i in range(h) if (i, i) in module._forms]
+    rows = [j for j in range(1, h) if (0, j) in module._forms]
+    assert len(diagonal) == {170: 5, 174: 5, 222: 4}[level]
+    assert len(rows) == {170: 23, 174: 10, 222: 7}[level]
+    assert all(module._forms[i, i][0] is classes.right_orders[i].reduced_gram()[0] for i in diagonal)
+    assert all(module._forms[0, j][0] is classes.reps[j].reduced_gram()[0] for j in rows)
 
 
-@pytest.mark.parametrize("key", [(0, 0), (0, 1), (3, 3)])
+@pytest.mark.parametrize("key", [(0, 0), (0, 1), (6, 6)])
 def test_form_with_the_wrong_unit_fails_the_divisibility_check(classes174, key):
     # a unit twice too large: the elements of norm n Nm_i Nm_j with n odd
-    # fall off its lattice of values, and python -O keeps the check
+    # fall off its lattice of values, and python -O keeps the check; each
+    # pair is the key of its orbit, so its form is the one counted
     module = BrandtModule(classes174)
+    assert module._key(*key) == key
     gram, unit = module._form(*key)
     module._forms[key] = (gram, 2 * unit)
     with pytest.raises(RuntimeError, match=f"an element of I_{key[0]} conj\\(I_{key[1]}\\) has a norm outside"):

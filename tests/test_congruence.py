@@ -163,7 +163,10 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     # N=222: the Sturm bound 76 puts T_61 ... T_73 among the degrees the
     # check reads; the module keeps the pair forms of its count pass, so
     # the row passes that read them build no pair lattice I_i conj(I_j)
-    # again, and the pairs (i, i) and (0, j) take the walk's reduced Grams
+    # again.  One pair lattice per orbit of the W_p on the pairs is counted,
+    # its key: 28 of the h(h+1)/2 = 105.  The 11 keys (i, i) and (0, j) take
+    # the walk's reduced Grams, the other 17 are built, and so is I_i J_p
+    # for every class i and p = 2, 3, 37
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()
@@ -177,7 +180,8 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     report = run_congruence_checks(module, [(5, -4)], [(5, 2)], 3, bound=10)
     assert report.sturm == 76
     assert report.eigenvalue_check.compared_primes[-1] == 73
-    assert len(builds) == (classes.h - 1) * (classes.h - 2) // 2
+    assert len(module._forms) == 28
+    assert len(builds) == 17 + 3 * classes.h
     assert set(builds.values()) == {1}
 
 

@@ -26,6 +26,7 @@ from brandtlift.orders import (
     _reduced_forms,
     _right_action_matrices,
     _split_idempotent,
+    _two_sided_prime,
     eichler_mass,
     eichler_order,
     equivalent_ideals,
@@ -547,6 +548,41 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
     assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
 
 
+@pytest.mark.parametrize("level", [170, 174, 222])
+def test_identified_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, request):
+    # the same count with each neighbour named by ClassSet._identify alone
+    classes = request.getfixturevalue(f"classes{level}")
+    reps, h = classes.reps, classes.h
+    base = reps[0]
+    p = next(r for r in primerange(2, 100) if level % r)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
+    found = [[0] * h for _ in range(h)]
+    for j, rep in enumerate(reps):
+        for sub in _neighbor_submodules(rep, base, p, idem):
+            found[classes._identify(_neighbor_ideal(rep, sub, p))][j] += 1
+    module = request.getfixturevalue(f"module{level}")
+    assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
+
+
+def test_identify_rejects_a_lattice_in_no_class(classes170):
+    # i O i^-1 has the covolume of O and the norm-1 element 1, so it reduces
+    # to itself, but it is no right ideal of O, so no class reduces to it
+    base = classes170.reps[0]
+    alg, i = base.alg, (0, 1, 0, 0)
+    rows = [alg.mul(alg.mul(i, r), _conj(i)) for r in base.rows]
+    moved = OrderLattice.from_rows(alg, base.den * -alg.a, rows)
+    assert moved != base and moved.covolume() == base.covolume()
+    with pytest.raises(ValueError, match="reduces to no class's lattice"):
+        classes170._identify(OrderLattice(alg, moved.den, moved.rows, 1))
+    with pytest.raises(ValueError, match="int norm"):
+        classes170._identify(moved)
+    # the maximal order above O has the norm-1 element 1 but covolume
+    # covol(O) / 10: rejected before the reduction, with or without asserts
+    maximal = maximal_order(classes170.presentation)
+    with pytest.raises(ValueError, match="covolume Nm\\^2 covol"):
+        classes170._identify(OrderLattice(alg, maximal.den, maximal.rows, 1))
+
+
 def test_walk_identifies_classes_without_equivalence_tests(monkeypatch):
     tests = []
 
@@ -581,6 +617,7 @@ def test_left_multiples_reduce_into_their_class_forms(classes170, classes174, cl
     assert moved != rep
     reduced = _reduce_ideal(moved, classes.reps[0])
     assert reduced in _reduced_forms(rep, classes.weights[i])
+    assert classes._identify(moved) == i
 
 
 # Eichler orders: each level raise at p is Z + eO + pO, which is [[Z, Z], [pZ, Z]]
@@ -666,3 +703,46 @@ def test_left_multiples_keep_the_type(fixture, request):
         x = alg.element(*coords)
         moved = ref_colon_order(ref_mul_element(cs.reps[i], x, "left"), "right")
         assert canonical_gram(trace_zero_lattice(moved).gram) == cs._types[i]
+
+
+# Atkin-Lehner involutions: W_p permutes the classes by the two-sided prime J_p.
+
+
+@pytest.mark.parametrize("level", [11, 170, 174, 222])
+def test_two_sided_primes_have_norm_p_and_square_into_p_O(level, request):
+    classes = build_classes(11, 1) if level == 11 else request.getfixturevalue(f"classes{level}")
+    base = classes.reps[0]
+    for p in factorint(level):
+        two_sided = _two_sided_prime(base, p)
+        assert two_sided.norm == p and two_sided.covolume() == p**2 * base.covolume()
+        assert two_sided.conjugated() == two_sided
+        # J_p^2 lies in pO, and pO in J_p
+        d = p * two_sided.den**2
+        assert all(base._solve(base.alg.mul(x, y), d) is not None
+                   for x in two_sided.rows for y in two_sided.rows)
+        assert all(two_sided._solve([p * x for x in r], base.den) is not None for r in base.rows)
+
+
+def test_two_sided_prime_that_is_not_two_sided_fails(classes170, monkeypatch):
+    # the span of the first two basis rows of O mod 2 in place of the kernel
+    # of the trace form: a lattice over 2O that is no two-sided ideal
+    monkeypatch.setattr(orders, "rref_mod", lambda rows, p: ([[0, 0, 1, 0], [0, 0, 0, 1]], [2, 3]))
+    with pytest.raises(RuntimeError, match="J_2 is not a two-sided ideal"):
+        classes170._atkin_lehner(2)
+
+
+def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, monkeypatch):
+    w, h = classes170._atkin_lehner(5), classes170.h
+    # entries x and y swapped, with W_5(x) outside {x, y}: the permutation
+    # is no longer an involution
+    x, y = next((x, y) for x in range(h) for y in range(x + 1, h) if w[x] not in (x, y))
+    swap = {w[x]: w[y], w[y]: w[x]}
+    identify = ClassSet._identify
+
+    def swapped(self, ideal):
+        k = identify(self, ideal)
+        return swap.get(k, k)
+
+    monkeypatch.setattr(ClassSet, "_identify", swapped)
+    with pytest.raises(RuntimeError, match="W_5 is not an involution"):
+        classes170._atkin_lehner(5)
