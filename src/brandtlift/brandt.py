@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import isprime, primefactors, primerange
+from sympy import isprime, primerange
 
 from .linalg import mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet, _pair_form
@@ -61,8 +61,9 @@ class BrandtModule:
 
     The Atkin-Lehner involutions W_p (p | N) permute the classes:
     I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p
-    (ClassSet._atkin_lehner).  If I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p,
-    then I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
+    (ClassSet._atkin_lehner, which maps each orbit of the W_p once).  If
+    I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p, then
+    I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
     up to scale, with the same counts at norm n Nm_Wi Nm_Wj (Voight, GTM 288,
     ch. 23; Pizer, J. Algebra 64 (1980)).  So the group G that the W_p
     generate keeps every B(n)[i, j], and the module counts one pair lattice
@@ -110,7 +111,8 @@ class BrandtModule:
     def _key(self, i: int, j: int) -> tuple[int, int]:
         """The least sorted pair in the orbit of {i, j} under the W_p (see the class docstring).
 
-        The first call finds the W_p and keys all h^2 pairs: the pairs in
+        The first call reads every W_p from the class set's orbit map
+        (ClassSet._atkin_lehner) and keys all h^2 pairs: the pairs in
         increasing order, each one not yet keyed being the least of its
         orbit, which it keys through the |G| elements of G.  The W_p
         commute, as the J_p do, so G is the products of subsets of them.
@@ -118,7 +120,7 @@ class BrandtModule:
         if self._keys is None:
             h = self.h
             group = {tuple(range(h))}
-            for w in (self.classes._atkin_lehner(p) for p in primefactors(self.level)):
+            for w in self.classes._atkin_lehner().values():
                 group |= {tuple(w[k] for k in g) for g in group}
             keys = [[None] * h for _ in range(h)]
             for a in range(h):
@@ -303,9 +305,10 @@ class BrandtModule:
         """Atkin-Lehner sign at p dividing the level: -lambda, lambda the B(p) eigenvalue of phi.
 
         That is the weight-2 rule a_p = -w_p at a prime exactly dividing the
-        level, at q and at p | M alike.  The class permutations W_p
-        (ClassSet._atkin_lehner) satisfy two identities, which the tests pin
-        at N=170, 174 and 222: at p | M, B(p) phi = -W_p phi on each line
+        level, at q and at p | M alike.  The class permutations W_p, which
+        ClassSet._atkin_lehner() maps one orbit of the group they generate
+        at a time, satisfy two identities, which the tests pin at N=170,
+        174 and 222: at p | M, B(p) phi = -W_p phi on each line
         that discover_eigensystems reports but the Eisenstein line, so
         -lambda is the W_p eigenvalue of phi; and B(q) is the permutation
         matrix of W_q, so lambda is the W_q eigenvalue of phi.

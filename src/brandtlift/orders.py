@@ -31,9 +31,11 @@ integral right ideal with an int norm by the same lookup.
 At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
 the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
 Atkin-Lehner involution W_p sends the class of I to the class of I J_p.
-ClassSet._atkin_lehner gives it as a permutation of the classes, each
-image named by _identify; the Brandt module counts one pair lattice per
-orbit of the W_p.
+The J_p commute and J_p^2 = pO, so the W_p generate an elementary abelian
+group G.  ClassSet._atkin_lehner gives every W_p as a permutation of the
+classes from one map of each orbit of G, which names t - 1 + dim H images
+by _identify for an orbit of t classes with stabilizer H, not one per class
+and prime; the Brandt module counts one pair lattice per orbit of the W_p.
 
 Two identities for locally principal ideals (Voight, Quaternion Algebras,
 GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
@@ -561,7 +563,9 @@ class ClassSet:
     invariant; classes of one type share one theta series.  The private
     _known maps every lattice that an ideal of class i reduces to onto i
     (the walk's key, see right_ideal_classes); _identify reads it.  Neither
-    is part of the JSON, of the repr or of equality.
+    is part of the JSON, of the repr or of equality.  _atkin_lehner maps
+    the classes under the Atkin-Lehner involutions W_p, p | N, one orbit
+    at a time.
     """
 
     presentation: AlgebraPresentation
@@ -584,33 +588,80 @@ class ClassSet:
         such an ideal, and raises ValueError.
         """
         base = self.reps[0]
-        if not isinstance(ideal.norm, int) or ideal.covolume() != ideal.norm**2 * base.covolume():
+        # covol(ideal) = Nm^2 covol(O), in integers as in _reduce_ideal
+        if not isinstance(ideal.norm, int) or (
+            ideal._det() * base.den**4 != ideal.norm**2 * base._det() * ideal.den**4
+        ):
             raise ValueError("_identify needs an ideal with an int norm Nm and covolume Nm^2 covol(O)")
         k = _lookup(self._known, ideal, base)[1]
         if k is None:
             raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
         return k
 
-    def _atkin_lehner(self, p: int) -> tuple[int, ...]:
-        """W_p at p | N as a permutation: class i goes to the class of I_i J_p.
+    def _atkin_lehner(self) -> dict[int, tuple[int, ...]]:
+        """Every W_p, p | N, as {p: permutation}: class i goes to the class of I_i J_p.
 
-        As conj(J_p) = J_p, I_i J_p is the pair product Nm(I_i) J_p + alpha J_p,
-        certified by its covolume (_pair_product, _two_sided_prime).  W_p must
-        be an involution that keeps each class's weight and type;
-        RuntimeError otherwise, as for a product in no class.
+        The J_p are commuting two-sided ideals with J_p^2 = pO, so the W_p
+        generate an elementary abelian group G, whose element g, a bitmask
+        over the sorted primes, is the product of the W_p of its bits; the
+        group law is the XOR of bitmasks, written + below.  Each
+        orbit of G is mapped from its least class i0: phi(g) = g(i0), for the
+        g in increasing order.  A g with g + s already labelled, for s in the
+        stabilizer H found so far, is skipped.  Any other g, with lowest bit
+        e_b, names the class k of I_src J_{p_b}, src = phi(g + e_b): if k is
+        already labelled at g', g + g' joins H, else phi(g) = k.  An orbit of
+        t classes costs t - 1 + dim H products, not r t, and
+        W_p(phi(g)) = phi(g + e_p).  As conj(J_p) = J_p, I_src J_p is the
+        pair product Nm(I_src) J_p + alpha J_p, certified by its covolume
+        (_pair_product, _two_sided_prime).
+
+        Each image becomes the next source, so _identify must name every rep
+        by its own class first; an image must keep its source's weight and
+        type and stay in its orbit, and the labelled g of an orbit must be a
+        transversal of H.  RuntimeError otherwise, as for a product in no class.
         """
-        two_sided = _two_sided_prime(self.reps[0], p)
-        perm = []
-        for rep in self.reps:
-            prod = _pair_product(rep, two_sided)
-            try:
-                perm.append(self._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p)))
-            except ValueError as exc:
-                raise RuntimeError(f"W_{p}: {exc}") from exc
-        for i, k in enumerate(perm):
-            if perm[k] != i or self.weights[k] != self.weights[i] or self._types[k] != self._types[i]:
-                raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
-        return tuple(perm)
+        if any(self._identify(rep) != k for k, rep in enumerate(self.reps)):
+            raise RuntimeError("_identify does not name every class rep by its own class")
+        primes = sorted(factorint(self.q * self.M))
+        two_sided = [_two_sided_prime(self.reps[0], p) for p in primes]
+        size = 1 << len(primes)
+        perms = [[None] * self.h for _ in primes]
+        orbit = [None] * self.h  # class: (its orbit's least class, its g)
+
+        def phi(g):  # the class of g in the orbit being mapped
+            return next(label[g ^ s] for s in stab if g ^ s in label)
+
+        for i0 in range(self.h):
+            if orbit[i0] is not None:
+                continue
+            orbit[i0] = (i0, 0)
+            label, stab = {0: i0}, [0]
+            for g in range(1, size):
+                if any(g ^ s in label for s in stab):
+                    continue
+                b = (g & -g).bit_length() - 1
+                src, p = phi(g ^ (1 << b)), primes[b]
+                rep = self.reps[src]
+                prod = _pair_product(rep, two_sided[b])
+                try:
+                    k = self._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p))
+                except ValueError as exc:
+                    raise RuntimeError(f"W_{p}: {exc}") from exc
+                if self.weights[k] != self.weights[src] or self._types[k] != self._types[src]:
+                    raise RuntimeError(f"W_{p} does not keep the weight and type of class {src}")
+                if orbit[k] is None:
+                    orbit[k] = (i0, g)
+                    label[g] = k
+                elif orbit[k][0] == i0:
+                    stab += [s ^ g ^ orbit[k][1] for s in stab]
+                else:
+                    raise RuntimeError(f"W_{p} sends class {src} into the orbit of class {orbit[k][0]}")
+            if len(label) * len(stab) != size:
+                raise RuntimeError(f"the Atkin-Lehner orbit of class {i0} is no transversal of its stabilizer")
+            for g, k in label.items():
+                for b, perm in enumerate(perms):
+                    perm[k] = phi(g ^ (1 << b))
+        return {p: tuple(perm) for p, perm in zip(primes, perms)}
 
     def to_json_dict(self) -> dict:
         def mat(latt):

@@ -6,7 +6,9 @@ brandtlift.linalg, brandtlift.shortvec and brandtlift.theta; test_kernels.py
 checks that the library returns what these return, so the class reps, the
 counts, the class order and every output byte stay.  ref_brandt_matrices is
 the all-pairs count pass that BrandtModule ran before it read B(p) off its
-rows; test_brandt.py pins the Brandt matrices to it.
+rows; test_brandt.py pins the Brandt matrices to it.  ref_atkin_lehner is
+the per-class W_p that ClassSet ran before its orbit map; test_orders.py
+pins the orbit map's permutations to it.
 """
 
 from fractions import Fraction
@@ -15,7 +17,7 @@ from math import floor, isqrt, lcm
 from sympy import primerange
 
 from brandtlift.linalg import _xgcd, leading_minors
-from brandtlift.orders import _pair_form
+from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
 from brandtlift.shortvec import iter_short_vectors
 from brandtlift.theta import _det3
 
@@ -219,3 +221,25 @@ def ref_brandt_matrices(classes, bound: int) -> dict:
         r: tuple(tuple(Fraction(counts[i, j][r], w[i]) for j in range(h)) for i in range(h))
         for r in primerange(2, bound + 1)
     }
+
+
+def ref_atkin_lehner(classes, p: int) -> tuple[int, ...]:
+    """W_p at p | N as a permutation: class i goes to the class of I_i J_p.
+
+    Every I_i J_p is built, as the pair product Nm(I_i) J_p + alpha J_p, and
+    named by ClassSet._identify.  W_p must be an involution that keeps each
+    class's weight and type; RuntimeError otherwise, as for a product in no
+    class.
+    """
+    two_sided = _two_sided_prime(classes.reps[0], p)
+    perm = []
+    for rep in classes.reps:
+        prod = _pair_product(rep, two_sided)
+        try:
+            perm.append(classes._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p)))
+        except ValueError as exc:
+            raise RuntimeError(f"W_{p}: {exc}") from exc
+    for i, k in enumerate(perm):
+        if perm[k] != i or classes.weights[k] != classes.weights[i] or classes._types[k] != classes._types[i]:
+            raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
+    return tuple(perm)

@@ -122,13 +122,16 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     h = classes170.h
     # one pair lattice per orbit of the W_p on the pairs, its key: 52 of the
     # h(h+1)/2 = 300 pairs.  The 28 keys (i, i) and (0, j) take the Grams
-    # that the class walk reduced; the other 24 are built, and so is I_i J_p
-    # for every class i and p = 2, 5, 17, once each
+    # that the class walk reduced; the other 24 are built, and so are the
+    # products I_i J_p of the Atkin-Lehner orbit map, once each: its orbits
+    # of t = 8, 8, 4, 2 and 2 classes, under the 8 elements of the group G,
+    # cost t - 1 + dim H = 7, 7, 4, 3 and 3 products, 24 in all, not 3h
     keys = list(module._forms)
     assert len(keys) == 52
     assert len([key for key in keys if key[0] in (0, key[1])]) == 28
     assert len(units) == 24
-    assert len(builds) == 24 + 3 * h
+    assert h == 24
+    assert len(builds) == 24 + 24
     assert set(builds.values()) == {1}
     # every key is counted once, in the order its form was kept
     forms = list(module._forms.values())
@@ -283,7 +286,7 @@ def test_matrices_match_the_all_pairs_reference(request, level, top):
 
 def atkin_lehner(classes) -> dict:
     """{p: W_p} at every p | N, as class permutations."""
-    return {p: classes._atkin_lehner(p) for p in primefactors(classes.q * classes.M)}
+    return classes._atkin_lehner()
 
 
 @pytest.mark.parametrize("level", CHECK_LEVELS)

@@ -165,8 +165,10 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     # the row passes that read them build no pair lattice I_i conj(I_j)
     # again.  One pair lattice per orbit of the W_p on the pairs is counted,
     # its key: 28 of the h(h+1)/2 = 105.  The 11 keys (i, i) and (0, j) take
-    # the walk's reduced Grams, the other 17 are built, and so is I_i J_p
-    # for every class i and p = 2, 3, 37
+    # the walk's reduced Grams, the other 17 are built, and so are the
+    # products I_i J_p of the Atkin-Lehner orbit map: its orbits of
+    # t = 4, 4, 4 and 2 classes cost t - 1 + dim H = 4, 4, 4 and 3, 15 in
+    # all, not 3h = 42
     classes = build_classes(2, 111)
     module = BrandtModule(classes)
     builds = Counter()
@@ -181,7 +183,7 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     assert report.sturm == 76
     assert report.eigenvalue_check.compared_primes[-1] == 73
     assert len(module._forms) == 28
-    assert len(builds) == 17 + 3 * classes.h
+    assert len(builds) == 17 + 15
     assert set(builds.values()) == {1}
 
 

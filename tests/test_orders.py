@@ -41,6 +41,7 @@ from brandtlift.shortvec import vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 from conftest import build_classes
+from reference_kernels import ref_atkin_lehner
 
 
 def test_maximal_order_discriminants():
@@ -728,13 +729,13 @@ def test_two_sided_prime_that_is_not_two_sided_fails(classes170, monkeypatch):
     # of the trace form: a lattice over 2O that is no two-sided ideal
     monkeypatch.setattr(orders, "rref_mod", lambda rows, p: ([[0, 0, 1, 0], [0, 0, 0, 1]], [2, 3]))
     with pytest.raises(RuntimeError, match="J_2 is not a two-sided ideal"):
-        classes170._atkin_lehner(2)
+        classes170._atkin_lehner()
 
 
 def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, monkeypatch):
-    w, h = classes170._atkin_lehner(5), classes170.h
-    # entries x and y swapped, with W_5(x) outside {x, y}: the permutation
-    # is no longer an involution
+    w, h = classes170._atkin_lehner()[5], classes170.h
+    # entries x and y swapped, with W_5(x) outside {x, y}: _identify now
+    # names the reps of classes W_5(x) and W_5(y) by each other's class
     x, y = next((x, y) for x in range(h) for y in range(x + 1, h) if w[x] not in (x, y))
     swap = {w[x]: w[y], w[y]: w[x]}
     identify = ClassSet._identify
@@ -744,5 +745,34 @@ def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, mon
         return swap.get(k, k)
 
     monkeypatch.setattr(ClassSet, "_identify", swapped)
-    with pytest.raises(RuntimeError, match="W_5 is not an involution"):
-        classes170._atkin_lehner(5)
+    with pytest.raises(RuntimeError, match="does not name every class rep by its own class"):
+        classes170._atkin_lehner()
+
+
+@pytest.mark.parametrize("level", [11, 170, 174, 222, 330])
+def test_orbit_map_matches_the_per_class_reference(level, request):
+    # r = 1, 3, 3, 3 and 4 primes: the orbit map names t - 1 + dim H
+    # products per orbit, the reference one per class and prime
+    classes = build_classes(11, 1) if level == 11 else request.getfixturevalue(f"classes{level}")
+    perms = classes._atkin_lehner()
+    assert list(perms) == sorted(factorint(level))
+    assert perms == {p: ref_atkin_lehner(classes, p) for p in factorint(level)}
+
+
+def test_every_same_type_transposition_of_identify_fails(classes170, monkeypatch):
+    # two classes of one type swapped in _identify's output: the weight and
+    # type checks cannot see it, the check of the reps against their classes does
+    types, h = classes170._types, classes170.h
+    pairs = [(x, y) for x in range(h) for y in range(x + 1, h) if types[x] == types[y]]
+    assert len(pairs) == 64
+    identify = ClassSet._identify
+    for x, y in pairs:
+        swap = {x: y, y: x}
+
+        def swapped(self, ideal):
+            k = identify(self, ideal)
+            return swap.get(k, k)
+
+        monkeypatch.setattr(ClassSet, "_identify", swapped)
+        with pytest.raises(RuntimeError):
+            classes170._atkin_lehner()
