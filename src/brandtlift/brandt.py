@@ -60,19 +60,19 @@ class BrandtModule:
     of B(r) for every prime r <= p.  brandt_matrix(p) is its h rows.
 
     The Atkin-Lehner involutions W_p (p | N) permute the classes:
-    I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p
-    (ClassSet._atkin_lehner, which maps each orbit of the W_p once).  If
+    I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p.
+    ClassSet._atkin_lehner gives the group G that they generate, as class
+    permutations, from one map of each of its orbits.  If
     I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p, then
     I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
     up to scale, with the same counts at norm n Nm_Wi Nm_Wj (Voight, GTM 288,
-    ch. 23; Pizer, J. Algebra 64 (1980)).  So the group G that the W_p
-    generate keeps every B(n)[i, j], and the module counts one pair lattice
-    per orbit of G on the unordered pairs {i, j}: the orbit's least sorted
-    pair, its key (_key).  The W_p are found at the first count, so a module
-    that counts nothing pays nothing for them.  The class walk has already
-    reduced the lattices of two kinds of keys, so only the other keys are
-    built (_form), by two identities for locally principal ideals (Voight,
-    GTM 288, ch. 16-17):
+    ch. 23; Pizer, J. Algebra 64 (1980)).  So G keeps every B(n)[i, j],
+    and the module counts one pair lattice per orbit of G on the unordered
+    pairs {i, j}: the orbit's least sorted pair, its key (_key).  G is
+    found at the first count, so a module that counts nothing pays nothing
+    for it.  The class walk has already reduced the lattices of two kinds
+    of keys, so only the other keys are built (_form), by two identities
+    for locally principal ideals (Voight, GTM 288, ch. 16-17):
 
     - I conj(I) = Nm(I) O_L(I), so the pair (i, i) counts the left order
       right_orders[i] at norm n where the pair lattice has norm n Nm_i^2;
@@ -109,19 +109,16 @@ class BrandtModule:
         self._eigenlines: set[tuple[int, ...]] = set()
 
     def _key(self, i: int, j: int) -> tuple[int, int]:
-        """The least sorted pair in the orbit of {i, j} under the W_p (see the class docstring).
+        """The least sorted pair in the orbit of {i, j} under G (see the class docstring).
 
-        The first call reads every W_p from the class set's orbit map
+        The first call reads G from the class set's orbit map
         (ClassSet._atkin_lehner) and keys all h^2 pairs: the pairs in
         increasing order, each one not yet keyed being the least of its
-        orbit, which it keys through the |G| elements of G.  The W_p
-        commute, as the J_p do, so G is the products of subsets of them.
+        orbit, whose pairs are its images under the elements of G.
         """
         if self._keys is None:
             h = self.h
-            group = {tuple(range(h))}
-            for w in self.classes._atkin_lehner().values():
-                group |= {tuple(w[k] for k in g) for g in group}
+            group = self.classes._atkin_lehner()
             keys = [[None] * h for _ in range(h)]
             for a in range(h):
                 for b in range(a, h):
@@ -305,10 +302,10 @@ class BrandtModule:
         """Atkin-Lehner sign at p dividing the level: -lambda, lambda the B(p) eigenvalue of phi.
 
         That is the weight-2 rule a_p = -w_p at a prime exactly dividing the
-        level, at q and at p | M alike.  The class permutations W_p, which
-        ClassSet._atkin_lehner() maps one orbit of the group they generate
-        at a time, satisfy two identities, which the tests pin at N=170,
-        174 and 222: at p | M, B(p) phi = -W_p phi on each line
+        level, at q and at p | M alike.  The class permutations W_p, the
+        generators of the group G that ClassSet._atkin_lehner() maps one
+        orbit at a time, satisfy two identities, which the tests pin at
+        N=170, 174 and 222: at p | M, B(p) phi = -W_p phi on each line
         that discover_eigensystems reports but the Eisenstein line, so
         -lambda is the W_p eigenvalue of phi; and B(q) is the permutation
         matrix of W_q, so lambda is the W_q eigenvalue of phi.

@@ -26,24 +26,28 @@ I_k, so I reduces to conj(beta) I_k / Nm(I_k), whichever alpha it takes.
 These few lattices are a complete key for class k: the walk looks each
 reduced neighbour up among them, and one found in no class is a new class.
 The ClassSet keeps them, and ClassSet._identify names the class of any
-integral right ideal with an int norm by the same lookup.
+integral right ideal with an int norm by the same lookup.  The public
+equivalent_ideals is the same key for two given ideals: lhs reduces into
+the forms of rhs exactly when lhs = x rhs.
 
 At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
 the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
 Atkin-Lehner involution W_p sends the class of I to the class of I J_p.
 The J_p commute and J_p^2 = pO, so the W_p generate an elementary abelian
-group G.  ClassSet._atkin_lehner gives every W_p as a permutation of the
-classes from one map of each orbit of G, which names t - 1 + dim H images
-by _identify for an orbit of t classes with stabilizer H, not one per class
-and prime; the Brandt module counts one pair lattice per orbit of the W_p.
+group G.  ClassSet._atkin_lehner gives all of G as permutations of the
+classes, indexed by bitmask over the primes, from one map of each orbit of
+G, which names t - 1 + dim H images by _identify for an orbit of t classes
+with stabilizer H, not one per class and prime; the Brandt module counts
+one pair lattice per orbit of G.
 
 Two identities for locally principal ideals (Voight, Quaternion Algebras,
 GTM 288, ch. 16-17) build the lattices that the walk and the Brandt
 matrices need with 4 products instead of 16.  An integral right O-ideal is
 I = Nm(I) O + alpha O for any alpha in I with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1,
 so I conj(J) = Nm(I) conj(J) + alpha conj(J) for a right O-ideal J; and
-I conj(I) = Nm(I) O_L(I) gives every left order of the walk.  Each such
-product is certified by its covolume.
+I conj(I) = Nm(I) O_L(I) gives every left order of the walk.  The same
+product of conj(I), a right O_L(I)-ideal, with itself gives the right order
+conj(I) I = Nm(I) O_R(I).  Each such product is certified by its covolume.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from sympy import factorint, primerange
 from .linalg import greedy_reduce, hnf, leading_minors
 from .linalg import rref_mod, vec_mat
 from .qalg import AlgebraPresentation, finite_ramified_primes
-from .shortvec import exists_value, iter_short_vectors, vector_counts
+from .shortvec import iter_short_vectors, vector_counts
 from .theta import canonical_gram, trace_zero_lattice
 
 
@@ -200,6 +204,7 @@ class OrderLattice:
     # lattice arithmetic ------------------------------------------------
 
     def multiply(self, other: "OrderLattice") -> "OrderLattice":
+        """The product from all 16 row products; no library path calls it, perfbench's tracer wraps it."""
         assert self.alg == other.alg
         mul = self.alg.mul
         prods = [mul(x, y) for x in self.rows for y in other.rows]
@@ -416,14 +421,6 @@ def _neighbor_submodules(
     return subs
 
 
-def _right_order(ideal: OrderLattice) -> OrderLattice:
-    """O_R(I) = conj(I) I / Nm(I) for an invertible ideal, computed once per lattice."""
-    if ideal._right is None:
-        square = ideal.conjugated().multiply(ideal)
-        ideal._right = OrderLattice.from_rows(ideal.alg, square.den * ideal.norm, square.rows)
-    return ideal._right
-
-
 def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> OrderLattice:
     rows = [[p * x for x in row] for row in ideal.rows]
     for c in sub_rows:
@@ -455,7 +452,8 @@ def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
     w is the number of units of O_L(I).  If u is one, conj(u beta) I = conj(beta) I,
     so when the minimal vectors, both signs, number w, they are the unit
     multiples of one, and for a reduced I that one is the scalar Nm(I),
-    which gives I itself.
+    which gives I itself.  w = 0 turns that shortcut off, for an I that
+    need not be reduced.
     """
     gram, umat = ideal.reduced_gram()
     vecs = list(iter_short_vectors(gram, min(gram[m][m] for m in range(4))))
@@ -490,6 +488,18 @@ def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> Orde
     if shrink**4 * prod._det() * lhs.den**4 != rhs.norm**2 * lhs._det() * prod.den**4:
         raise RuntimeError("Nm(I) O + alpha O is not I: the pair product covolume is off")
     return prod
+
+
+def _right_order(ideal: OrderLattice) -> OrderLattice:
+    """O_R(I) = conj(I) I / Nm(I) for an invertible ideal, computed once per lattice.
+
+    conj(I) with I's norm is a right O_L(I)-ideal, so this is its _pair_product with itself.
+    """
+    if ideal._right is None:
+        c = ideal.conjugated()
+        c = OrderLattice(c.alg, c.den, c.rows, ideal.norm)
+        ideal._right = _pair_product(c, c, ideal.norm)
+    return ideal._right
 
 
 def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], int]:
@@ -537,16 +547,17 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
     """Whether two right ideals differ by a left unit: x with lhs = x*rhs.
 
     Both must be integral right ideals of one order that carry int norms, as
-    the class-walk ideals and ClassSet.reps do.  The test searches
-    lhs * conj(rhs) for an element of reduced norm Nm(lhs) * Nm(rhs), which
-    exists exactly in the equivalent case.  Ideals whose right orders
+    the class-walk ideals and ClassSet.reps do.  The test is the walk's key:
+    lhs reduces to one of the lattices conj(beta) rhs / Nm(rhs), beta minimal
+    in rhs, exactly in the equivalent case (_reduce_ideal, _reduced_forms,
+    with no shortcut, as rhs need not be reduced).  Ideals whose right orders
     conj(I) I / Nm(I), computed once per lattice, differ raise ValueError.
     """
     if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     if _right_order(lhs) != _right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
-    return exists_value(*_pair_form(lhs, rhs))
+    return _reduce_ideal(lhs, _right_order(lhs)) in _reduced_forms(rhs, 0)
 
 
 @dataclass
@@ -563,9 +574,9 @@ class ClassSet:
     invariant; classes of one type share one theta series.  The private
     _known maps every lattice that an ideal of class i reduces to onto i
     (the walk's key, see right_ideal_classes); _identify reads it.  Neither
-    is part of the JSON, of the repr or of equality.  _atkin_lehner maps
-    the classes under the Atkin-Lehner involutions W_p, p | N, one orbit
-    at a time.
+    is part of the JSON, of the repr or of equality.  _atkin_lehner gives
+    the group G that the Atkin-Lehner involutions W_p, p | N, generate, as
+    class permutations, mapped one orbit at a time.
     """
 
     presentation: AlgebraPresentation
@@ -598,22 +609,24 @@ class ClassSet:
             raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
         return k
 
-    def _atkin_lehner(self) -> dict[int, tuple[int, ...]]:
-        """Every W_p, p | N, as {p: permutation}: class i goes to the class of I_i J_p.
+    def _atkin_lehner(self) -> list[tuple[int, ...]]:
+        """The group G that the W_p, p | N, generate, as |G| class permutations.
 
-        The J_p are commuting two-sided ideals with J_p^2 = pO, so the W_p
-        generate an elementary abelian group G, whose element g, a bitmask
-        over the sorted primes, is the product of the W_p of its bits; the
-        group law is the XOR of bitmasks, written + below.  Each
-        orbit of G is mapped from its least class i0: phi(g) = g(i0), for the
-        g in increasing order.  A g with g + s already labelled, for s in the
-        stabilizer H found so far, is skipped.  Any other g, with lowest bit
-        e_b, names the class k of I_src J_{p_b}, src = phi(g + e_b): if k is
-        already labelled at g', g + g' joins H, else phi(g) = k.  An orbit of
-        t classes costs t - 1 + dim H products, not r t, and
-        W_p(phi(g)) = phi(g + e_p).  As conj(J_p) = J_p, I_src J_p is the
-        pair product Nm(I_src) J_p + alpha J_p, certified by its covolume
-        (_pair_product, _two_sided_prime).
+        W_p sends class i to the class of I_i J_p.  The J_p are commuting
+        two-sided ideals with J_p^2 = pO, so G is elementary abelian, and
+        its element g, a bitmask over the sorted primes, is the product of
+        the W_p of its bits: G[g] is its permutation, G[0] the identity and
+        W_p = G[1 << b] for p the b-th prime.  The group law is the XOR of
+        bitmasks, written + below.  Each orbit of G is mapped from its least
+        class i0: phi(g) = g(i0), for the g in increasing order.  A g with
+        g + s already labelled, for s in the stabilizer H found so far, is
+        skipped.  Any other g, with lowest bit e_b, names the class k of
+        I_src J_{p_b}, src = phi(g + e_b): if k is already labelled at g',
+        g + g' joins H, else phi(g) = k.  An orbit of t classes costs
+        t - 1 + dim H products, not r t, and G[s](phi(g)) = phi(g + s) for
+        every s.  As conj(J_p) = J_p, I_src J_p is the pair product
+        Nm(I_src) J_p + alpha J_p, certified by its covolume (_pair_product,
+        _two_sided_prime).
 
         Each image becomes the next source, so _identify must name every rep
         by its own class first; an image must keep its source's weight and
@@ -625,7 +638,7 @@ class ClassSet:
         primes = sorted(factorint(self.q * self.M))
         two_sided = [_two_sided_prime(self.reps[0], p) for p in primes]
         size = 1 << len(primes)
-        perms = [[None] * self.h for _ in primes]
+        perms = [[None] * self.h for _ in range(size)]
         orbit = [None] * self.h  # class: (its orbit's least class, its g)
 
         def phi(g):  # the class of g in the orbit being mapped
@@ -659,9 +672,9 @@ class ClassSet:
             if len(label) * len(stab) != size:
                 raise RuntimeError(f"the Atkin-Lehner orbit of class {i0} is no transversal of its stabilizer")
             for g, k in label.items():
-                for b, perm in enumerate(perms):
-                    perm[k] = phi(g ^ (1 << b))
-        return {p: tuple(perm) for p, perm in zip(primes, perms)}
+                for s, perm in enumerate(perms):
+                    perm[k] = phi(g ^ s)
+        return [tuple(perm) for perm in perms]
 
     def to_json_dict(self) -> dict:
         def mat(latt):

@@ -119,19 +119,6 @@ def exists_value(gram, value) -> bool:
     """Whether some integer vector has Q(x) exactly equal to value.
 
     Q only takes int values, so this is False for a value that is not an
-    integer.
+    integer.  No library path calls it; perfbench's tracer still wraps it.
     """
-    if value <= 0:
-        return value == 0
-    t = floor(value)
-    if t != value:
-        return False
-    a2 = 2 * gram[0][0]
-    for _, _, _, lin, rest in _runs(gram, t):
-        # an integer root of g00*x0^2 + lin*x0 + rest - t; the run is not
-        # empty, so the discriminant is not negative
-        disc = lin * lin - 2 * a2 * (rest - t)
-        r = isqrt(disc)
-        if r * r == disc and ((r - lin) % a2 == 0 or (r + lin) % a2 == 0):
-            return True
-    return False
+    return value == 0 if value <= 0 else value in vector_counts(gram, value)

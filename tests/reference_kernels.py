@@ -8,7 +8,11 @@ counts, the class order and every output byte stay.  ref_brandt_matrices is
 the all-pairs count pass that BrandtModule ran before it read B(p) off its
 rows; test_brandt.py pins the Brandt matrices to it.  ref_atkin_lehner is
 the per-class W_p that ClassSet ran before its orbit map; test_orders.py
-pins the orbit map's permutations to it.
+pins the orbit map's permutations to it.  ref_right_order and
+ref_equivalent_ideals are the sixteen-product right order and the
+pair-lattice search that orders ran before both went through the
+two-generator product and the walk's reduced-form key; test_orders.py pins
+_right_order and equivalent_ideals to them.
 """
 
 from fractions import Fraction
@@ -18,7 +22,7 @@ from sympy import primerange
 
 from brandtlift.linalg import _xgcd, leading_minors
 from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
-from brandtlift.shortvec import iter_short_vectors
+from brandtlift.shortvec import exists_value, iter_short_vectors
 from brandtlift.theta import _det3
 
 
@@ -243,3 +247,30 @@ def ref_atkin_lehner(classes, p: int) -> tuple[int, ...]:
         if perm[k] != i or classes.weights[k] != classes.weights[i] or classes._types[k] != classes._types[i]:
             raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
     return tuple(perm)
+
+
+# (lattice, norm): its right order, as the library kept it once per lattice
+_RIGHT_ORDERS = {}
+
+
+def ref_right_order(ideal):
+    """O_R(I) = conj(I) I / Nm(I), from the sixteen products of OrderLattice.multiply."""
+    key = ideal, ideal.norm
+    if key not in _RIGHT_ORDERS:
+        square = ideal.conjugated().multiply(ideal)
+        _RIGHT_ORDERS[key] = OrderLattice.from_rows(ideal.alg, square.den * ideal.norm, square.rows)
+    return _RIGHT_ORDERS[key]
+
+
+def ref_equivalent_ideals(lhs, rhs) -> bool:
+    """Whether lhs = x rhs, by a search of lhs conj(rhs) for an element of norm Nm(lhs) Nm(rhs).
+
+    That element exists exactly in the equivalent case.  The same ValueErrors
+    as equivalent_ideals: for a lattice without an int norm, and for ideals
+    of two different right orders.
+    """
+    if not (isinstance(lhs.norm, int) and isinstance(rhs.norm, int)):
+        raise ValueError("equivalent_ideals needs integral right ideals with int norms")
+    if ref_right_order(lhs) != ref_right_order(rhs):
+        raise ValueError("equivalent_ideals needs right ideals of one order")
+    return exists_value(*_pair_form(lhs, rhs))

@@ -285,8 +285,9 @@ def test_matrices_match_the_all_pairs_reference(request, level, top):
 
 
 def atkin_lehner(classes) -> dict:
-    """{p: W_p} at every p | N, as class permutations."""
-    return classes._atkin_lehner()
+    """{p: W_p} at every p | N, as class permutations: W_p is G[1 << b], p the b-th prime."""
+    group = classes._atkin_lehner()
+    return {p: group[1 << b] for b, p in enumerate(primefactors(classes.q * classes.M))}
 
 
 @pytest.mark.parametrize("level", CHECK_LEVELS)
@@ -606,16 +607,33 @@ def test_module_level_and_free_function(module170, phi170_g):
     assert eigenvectors(module170, EIGEN_170_G) == phi170_g
 
 
-def test_discover_finds_both_newforms(module174, phi174_f, phi174_g):
-    found = module174.discover_eigensystems()
+@pytest.mark.parametrize(
+    "level, form",
+    [
+        (174, "f"),
+        (174, "g"),
+        (170, "f"),
+        pytest.param(
+            170,
+            "g",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="discover tries a_p only in [-2 isqrt(p), 2 isqrt(p)], "
+                "narrower than the Ramanujan bound: N=170's g has a_3 = 3",
+            ),
+        ),
+    ],
+)
+def test_discover_finds_both_newforms(request, level, form):
+    module = request.getfixturevalue(f"module{level}")
+    found = module.discover_eigensystems()
     vectors = [vec for _, vec in found]
-    assert phi174_f in vectors
-    assert phi174_g in vectors
     # the primitive vector with entries proportional to 1/w_i
-    w = module174.classes.weights
+    w = module.classes.weights
     assert [lcm(*w) // wi for wi in w] in vectors
     for system, vec in found:
         for p, ap in system.items():
-            assert module174.eigenvalue_of(vec, p) == ap
+            assert module.eigenvalue_of(vec, p) == ap
         # the eigendata path cuts out the same vector from the full system
-        assert module174.eigenvector(sorted(system.items())) == vec
+        assert module.eigenvector(sorted(system.items())) == vec
+    assert request.getfixturevalue(f"phi{level}_{form}") in vectors

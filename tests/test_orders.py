@@ -25,6 +25,7 @@ from brandtlift.orders import (
     _reduce_ideal,
     _reduced_forms,
     _right_action_matrices,
+    _right_order,
     _split_idempotent,
     _two_sided_prime,
     eichler_mass,
@@ -41,7 +42,7 @@ from brandtlift.shortvec import vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 from conftest import build_classes
-from reference_kernels import ref_atkin_lehner
+from reference_kernels import ref_atkin_lehner, ref_equivalent_ideals, ref_right_order
 
 
 def test_maximal_order_discriminants():
@@ -146,8 +147,9 @@ def test_equivalence_survives_left_multiplication(classes170):
     xrep = ref_mul_element(rep, x, "left")
     xrep = OrderLattice(xrep.alg, xrep.den, xrep.rows, int(x.norm()) * rep.norm)
     assert xrep != rep
-    # x I lies in I, so it is integral
+    # x I lies in I, so it is integral, and its right order is that of I
     assert all(rep._solve(r, xrep.den) is not None for r in xrep.rows)
+    assert _right_order(xrep) == ref_right_order(xrep) == classes170.reps[0]
     for j, other in enumerate(classes170.reps):
         assert equivalent_ideals(other, xrep) == (j == i)
         assert equivalent_ideals(xrep, other) == (j == i)
@@ -393,6 +395,15 @@ def test_product_formula_left_orders_match_the_colon_orders(fixture, request):
         assert order == ref_colon_order(rep, "right")
 
 
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+def test_right_orders_match_the_sixteen_product_reference(fixture, request):
+    # conj(I) I / Nm(I) by the pair product of conj(I) with itself, against
+    # the sixteen products: every rep is a right ideal of the base order
+    cs = request.getfixturevalue(fixture)
+    for rep in cs.reps:
+        assert _right_order(rep) == ref_right_order(rep) == cs.reps[0]
+
+
 @pytest.mark.parametrize("fixture", ["classes170", "classes174"])
 def test_minimal_vector_is_a_lattice_vector_of_least_norm(fixture, request):
     for rep in request.getfixturevalue(fixture).reps:
@@ -527,7 +538,8 @@ def test_neighbor_scan_matches_the_projective_space_closure(level, request):
 @pytest.mark.parametrize("level", [170, 174, 222])
 def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, request):
     # every neighbour of every rep is classified against all reps, with no
-    # walk bookkeeping; the counts must be B(p), whose column sums are p + 1
+    # walk bookkeeping, by equivalent_ideals and by the pair-lattice search
+    # of the reference; the counts must be B(p), whose column sums are p + 1
     classes = request.getfixturevalue(f"classes{level}")
     reps, h = classes.reps, classes.h
     base = reps[0]
@@ -539,7 +551,9 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
     for j, rep in enumerate(reps):
         for sub in _neighbor_submodules(rep, base, p, idem):
             neighbour = _neighbor_ideal(rep, sub, p)
-            matches = [i for i in range(h) if equivalent_ideals(reps[i], neighbour)]
+            tested = [equivalent_ideals(rep_i, neighbour) for rep_i in reps]
+            assert tested == [ref_equivalent_ideals(rep_i, neighbour) for rep_i in reps], j
+            matches = [i for i in range(h) if tested[i]]
             assert len(matches) == 1, (j, matches)
             # the walk's key names the same class
             reduced = _reduce_ideal(neighbour, base)
@@ -733,7 +747,8 @@ def test_two_sided_prime_that_is_not_two_sided_fails(classes170, monkeypatch):
 
 
 def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, monkeypatch):
-    w, h = classes170._atkin_lehner()[5], classes170.h
+    # W_5 is G[1 << 1] over the sorted primes 2, 5, 17
+    w, h = classes170._atkin_lehner()[1 << 1], classes170.h
     # entries x and y swapped, with W_5(x) outside {x, y}: _identify now
     # names the reps of classes W_5(x) and W_5(y) by each other's class
     x, y = next((x, y) for x in range(h) for y in range(x + 1, h) if w[x] not in (x, y))
@@ -752,11 +767,19 @@ def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, mon
 @pytest.mark.parametrize("level", [11, 170, 174, 222, 330])
 def test_orbit_map_matches_the_per_class_reference(level, request):
     # r = 1, 3, 3, 3 and 4 primes: the orbit map names t - 1 + dim H
-    # products per orbit, the reference one per class and prime
+    # products per orbit, the reference one per class and prime.  G is a
+    # group under XOR of bitmasks, and its generators are the reference W_p
     classes = build_classes(11, 1) if level == 11 else request.getfixturevalue(f"classes{level}")
-    perms = classes._atkin_lehner()
-    assert list(perms) == sorted(factorint(level))
-    assert perms == {p: ref_atkin_lehner(classes, p) for p in factorint(level)}
+    group, h = classes._atkin_lehner(), classes.h
+    primes = sorted(factorint(level))
+    assert len(group) == 1 << len(primes)
+    assert group[0] == tuple(range(h))
+    for s, perm in enumerate(group):
+        assert sorted(perm) == list(range(h))
+        for t, other in enumerate(group):
+            assert all(perm[other[i]] == group[s ^ t][i] for i in range(h)), (s, t)
+    for b, p in enumerate(primes):
+        assert group[1 << b] == ref_atkin_lehner(classes, p)
 
 
 def test_every_same_type_transposition_of_identify_fails(classes170, monkeypatch):
