@@ -57,7 +57,8 @@ class BrandtModule:
 
     Every count goes through _row: row i, asked at degree p, reads the
     counts of the h pair lattices I_i conj(I_k) to norm p and keeps row i
-    of B(r) for every prime r <= p.  brandt_matrix(p) is its h rows.
+    of B(r) for every prime r <= p.  These certified rows are the only
+    matrix state: brandt_matrix(p) is a view of the h rows at p.
 
     The Atkin-Lehner involutions W_p (p | N) permute the classes:
     I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p.
@@ -95,8 +96,6 @@ class BrandtModule:
         self.classes = classes
         self.h = classes.h
         self.level = classes.q * classes.M
-        # p: B(p) as brandt_matrix returned it, a view of the h rows at p
-        self._matrices: dict[int, HeckeMatrix] = {}
         # keys[i][j]: the key of the orbit of {i, j}, from the first count on (_key)
         self._keys: list[list[tuple[int, int]]] | None = None
         # key: _form(*key), a reduced Gram with the counts of I_i conj(I_j) and its unit
@@ -131,17 +130,17 @@ class BrandtModule:
     def _form(self, i: int, j: int) -> tuple[list[list[int]], int]:
         """Reduced Gram of a lattice with the counts of I_i conj(I_j), i <= j, and its unit.
 
-        unit is the value of norm Nm_i Nm_j in the pair lattice's terms.  The
-        pairs (i, i) and (0, j) take the Grams that the class walk reduced
-        (see the class docstring); the others build I_i conj(I_j).
+        unit is the value of norm Nm_i Nm_j in the pair lattice's terms
+        (OrderLattice.norm_form).  The pairs (i, i) and (0, j) take the
+        Grams that the class walk reduced (see the class docstring); the
+        others build I_i conj(I_j).
         """
         classes = self.classes
         if i == j:
-            order = classes.right_orders[i]
-            return order.reduced_gram()[0], 2 * order.den**2
+            return classes.right_orders[i].norm_form()
         if i == 0:
             rep = classes.reps[j]
-            return rep.reduced_gram()[0], 2 * rep.den**2 * rep.norm
+            return rep.norm_form(rep.norm)
         return _pair_form(classes.reps[i], classes.reps[j])
 
     def _pair_counts(self, i: int, j: int, p: int) -> dict[int, int]:
@@ -186,13 +185,11 @@ class BrandtModule:
         return tuple(c // w[i] for c in raw)
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
-        """Degree-p Brandt matrix: its h rows, each certified (_row)."""
+        """Degree-p Brandt matrix: a view of its h certified rows (_row)."""
         if not isprime(p):
             raise ValueError(f"need a prime degree, got {p}")
-        if p not in self._matrices:
-            kind = "U_p" if self.level % p == 0 else "T_p"
-            self._matrices[p] = HeckeMatrix(p, kind, tuple(self._row(i, p) for i in range(self.h)))
-        return self._matrices[p]
+        kind = "U_p" if self.level % p == 0 else "T_p"
+        return HeckeMatrix(p, kind, tuple(self._row(i, p) for i in range(self.h)))
 
     def pairing(self, u, v) -> Fraction:
         """Weighted inner product sum(u_i v_i w_i)."""
@@ -235,15 +232,15 @@ class BrandtModule:
         The rows read are chosen once, counted to the largest prime and read
         at each prime in increasing order.  On a line that eigenvector
         certified, with two or more nonzero entries, they are two rows i
-        with phi_i != 0, and a_p = (row_i . phi) / phi_i: rows already
-        counted to the largest prime first, then rows nonzero on every
-        certified line, so lines read one after another share the two rows
-        and their at most 2h - 1 keys (_row).  The second row is outside the
-        W_p orbit of the first where the support allows: a row in that
-        orbit reads the same counts (_key).  Such a line is a
-        one-dimensional joint eigenspace of the eigendata's matrices, which
-        commute with B(p) at square-free level (Pizer 1980), so phi is a
-        B(p) eigenvector; the second row checks the first (RuntimeError).
+        with phi_i != 0, and a_p = (row_i . phi) / phi_i.  One rule picks
+        them: rows nonzero on every certified line first, so lines read one
+        after another share the two rows and their at most 2h - 1 keys
+        (_row), and the second row outside the W_p orbit of the first where
+        the support allows, as a row in that orbit reads the same counts
+        (_key).  Such a line is a one-dimensional joint eigenspace of the
+        eigendata's matrices, which commute with B(p) at square-free level
+        (Pizer 1980), so phi is a B(p) eigenvector; the second row checks
+        the first (RuntimeError).
         Any other vector is checked on all h rows, with ValueError at the
         first prime where it is not an eigenvector.
         """
@@ -261,8 +258,7 @@ class BrandtModule:
         top = primes[-1]
         certified = len(support) > 1 and tuple(primitive_vector(phi)) in self._eigenlines
         if certified:
-            first, *rest = sorted(support, key=lambda k: (top not in self._rows.get(k, ()),
-                                                          not all(v[k] for v in self._eigenlines)))
+            first, *rest = sorted(support, key=lambda k: not all(v[k] for v in self._eigenlines))
             # a row in the W_p orbit of the first reads the same counts, so it
             # checks nothing: the second comes from another orbit if one is nonzero
             orbit = self._key(first, first)

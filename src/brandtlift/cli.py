@@ -3,9 +3,10 @@
 Outputs are deterministic: the same invocation always produces byte
 identical text, so files written here can serve as regression goldens.
 Exit codes: 0 success (and all checks passing), 1 a congruence check
-failed, 2 usage or input errors, including an output path that cannot be
-written, 3 an internal failure (a RuntimeError or a failed assertion inside
-the computation).  Codes 2 and 3 print a one-line "error:" message.
+failed, 2 usage or input errors (a ValueError, or an OSError such as an
+unwritable output path), 3 an internal failure (any other Exception).
+Codes 2 and 3 print a one-line "error:" message; KeyboardInterrupt and
+SystemExit pass through.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
+    except Exception as exc:
         detail = " ".join(str(exc).split()) or "no detail"
         print(f"error: internal failure ({type(exc).__name__}): {detail}", file=sys.stderr)
         return 3

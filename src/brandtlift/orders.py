@@ -24,11 +24,11 @@ equivalent lattice conj(alpha) I / Nm(I), alpha minimal in I.  If
 I = x I_k, the minimal vectors of I are the x beta with beta minimal in
 I_k, so I reduces to conj(beta) I_k / Nm(I_k), whichever alpha it takes.
 These few lattices are a complete key for class k: the walk looks each
-reduced neighbour up among them, and one found in no class is a new class.
-The ClassSet keeps them, and ClassSet._identify names the class of any
-integral right ideal with an int norm by the same lookup.  The public
-equivalent_ideals is the same key for two given ideals: lhs reduces into
-the forms of rhs exactly when lhs = x rhs.
+reduced neighbour up among them, and one found in no class is a new class,
+registered by the step that registers O.  The ClassSet keeps them, and
+ClassSet._identify names the class of any integral right ideal with an int
+norm by the same lookup.  The public equivalent_ideals is the same key for
+two given ideals: lhs reduces into the forms of rhs exactly when lhs = x rhs.
 
 At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
 the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
@@ -172,6 +172,10 @@ class OrderLattice:
             self._red = greedy_reduce(self.gram_int())
         return self._red
 
+    def norm_form(self, n: int = 1) -> tuple[list[list[int]], int]:
+        """The reduced Gram and its value 2 den^2 n at the elements of reduced norm n (see gram_int)."""
+        return self.reduced_gram()[0], 2 * self.den**2 * n
+
     def _short_vector(self, accept) -> list[int]:
         """Numerator row of the first short vector whose value passes accept.
 
@@ -197,7 +201,7 @@ class OrderLattice:
         """
         if self._alpha is None:
             n = self.norm
-            unit = 2 * self.den**2 * n  # the value of norm Nm(I) (see gram_int)
+            unit = self.norm_form(n)[1]
             self._alpha = self._short_vector(lambda val: gcd(val // unit, n) == 1)
         return self._alpha
 
@@ -248,8 +252,8 @@ def ideal_norm(ideal: OrderLattice, reference: OrderLattice) -> Fraction:
 
 def unit_weight(order: OrderLattice) -> int:
     """Number of norm-1 elements; for a definite order these are the units."""
-    scale = 2 * order.den**2  # the value of norm 1 (see gram_int)
-    return vector_counts(order.reduced_gram()[0], scale).get(scale, 0)
+    gram, scale = order.norm_form()
+    return vector_counts(gram, scale).get(scale, 0)
 
 
 def eichler_mass(q: int, M: int) -> Fraction:
@@ -438,11 +442,10 @@ def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
     return OrderLattice(small.alg, small.den, small.rows, norm)
 
 
-def _reduce_ideal(ideal: OrderLattice, base: OrderLattice) -> OrderLattice:
-    """Replace an ideal by a small equivalent integral one inside base."""
+def _reduce_ideal(ideal: OrderLattice) -> OrderLattice:
+    """conj(alpha) I / Nm(I), alpha minimal in I, checked by covol(small) Nm(I)^2 = Nm(small)^2 covol(I)."""
     small = _conj_quotient(ideal, ideal.minimal_vector())
-    # Nm(small)^2 is the covolume ratio to base
-    assert small._det() * base.den**4 == small.norm**2 * base._det() * small.den**4
+    assert small._det() * ideal.norm**2 * ideal.den**4 == small.norm**2 * ideal._det() * small.den**4
     return small
 
 
@@ -462,12 +465,6 @@ def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
     if 2 * len(mins) == w:
         return [ideal]
     return [_conj_quotient(ideal, vec_mat(vec_mat(c, umat), ideal.rows)) for c in mins]
-
-
-def _lookup(known: dict, ideal: OrderLattice, base: OrderLattice) -> tuple[OrderLattice, int | None]:
-    """The reduced lattice of ideal and its class in known, from reduced form to class, or None."""
-    reduced = _reduce_ideal(ideal, base)
-    return reduced, known.get(reduced)
 
 
 def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
@@ -503,7 +500,7 @@ def _right_order(ideal: OrderLattice) -> OrderLattice:
 
 
 def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], int]:
-    """Reduced Gram of lhs * conj(rhs) and its value 2 den^2 Nm(lhs) Nm(rhs) (see gram_int).
+    """Reduced Gram of lhs * conj(rhs) and its value at norm Nm(lhs) Nm(rhs) (norm_form).
 
     Both are integral right ideals of one Eichler order O with int norms.  The
     product is built by _pair_product from the two-generator form
@@ -511,8 +508,7 @@ def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], i
     gcd(Nm(alpha)/Nm(lhs), Nm(lhs)) = 1, and from I conj(I) = Nm(I) O_L(I)
     (Voight, Quaternion Algebras, GTM 288, ch. 16-17).
     """
-    prod = _pair_product(lhs, rhs)
-    return prod.reduced_gram()[0], 2 * prod.den**2 * lhs.norm * rhs.norm
+    return _pair_product(lhs, rhs).norm_form(lhs.norm * rhs.norm)
 
 
 def _two_sided_prime(order: OrderLattice, p: int) -> OrderLattice:
@@ -536,7 +532,7 @@ def _two_sided_prime(order: OrderLattice, p: int) -> OrderLattice:
     two_sided = OrderLattice.from_rows(order.alg, order.den, rows, norm=p)
     mul, d = order.alg.mul, order.den * two_sided.den
     sides = ((mul(x, y), mul(y, x)) for x in order.rows for y in two_sided.rows)
-    if two_sided.covolume() != p**2 * order.covolume() or any(
+    if two_sided._det() * order.den**4 != p**2 * order._det() * two_sided.den**4 or any(
         two_sided._solve(z, d) is None for side in sides for z in side
     ):
         raise RuntimeError(f"J_{p} is not a two-sided ideal of covolume {p}^2 covol(O)")
@@ -557,7 +553,7 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     if _right_order(lhs) != _right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
-    return _reduce_ideal(lhs, _right_order(lhs)) in _reduced_forms(rhs, 0)
+    return _reduce_ideal(lhs) in _reduced_forms(rhs, 0)
 
 
 @dataclass
@@ -599,12 +595,12 @@ class ClassSet:
         such an ideal, and raises ValueError.
         """
         base = self.reps[0]
-        # covol(ideal) = Nm^2 covol(O), in integers as in _reduce_ideal
+        # covol(ideal) = Nm^2 covol(O), in integers
         if not isinstance(ideal.norm, int) or (
             ideal._det() * base.den**4 != ideal.norm**2 * base._det() * ideal.den**4
         ):
             raise ValueError("_identify needs an ideal with an int norm Nm and covolume Nm^2 covol(O)")
-        k = _lookup(self._known, ideal, base)[1]
+        k = self._known.get(_reduce_ideal(ideal))
         if k is None:
             raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
         return k
@@ -701,13 +697,16 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
 
     Breadth-first traversal at the smallest prime not dividing the level,
     certified complete by the Eichler mass formula.  Each neighbour is
-    reduced to conj(alpha) I / Nm(I), alpha minimal in I, and looked up in
-    the reduced forms conj(beta) I_k / Nm(I_k) of the classes found so far
-    (_reduced_forms, _lookup).  Every ideal of class k reduces to one of
-    those of I_k, and the forms of two classes never meet, so a neighbour
-    found there is in a known class and any other is a new one: no
-    equivalence test is needed.  The ClassSet keeps the forms as _known,
-    in the final class order, for ClassSet._identify.
+    reduced to conj(alpha) I / Nm(I), alpha minimal in I (_reduce_ideal),
+    and looked up in the reduced forms conj(beta) I_k / Nm(I_k) of the
+    classes found so far (_reduced_forms).  Every ideal of class k reduces
+    to one of those of I_k, and the forms of two classes never meet, so a
+    neighbour found there is in a known class and any other is a new one:
+    no equivalence test is needed.  Every class, O first, is registered by
+    one step: its left order, unit weight and reduced forms, which must
+    hold the rep itself (RuntimeError otherwise), and its share of the
+    mass.  The ClassSet keeps the forms as _known, in the final class
+    order, for ClassSet._identify.
     """
     alg = base.alg
     N = base.reduced_discriminant()
@@ -720,35 +719,36 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
 
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
 
-    first = OrderLattice(alg, base.den, base.rows, 1)
-    classes = [first]
-    # O_L(I) = I conj(I) / Nm(I)
-    orders = [_pair_product(first, first, first.norm)]
-    weights = [unit_weight(orders[0])]
+    classes, orders, weights = [], [], []
     # every lattice that an ideal of a known class can reduce to, with its class
-    known = dict.fromkeys(_reduced_forms(first, weights[0]), 0)
-    acc = Fraction(1, weights[0])
-    frontier = [first]
+    known = {}
+    acc = Fraction(0)
 
-    while frontier and acc < target_mass:
-        current = frontier.pop(0)
+    def register(rep):  # rep is the next class
+        nonlocal acc
+        # O_L(I) = I conj(I) / Nm(I)
+        left = _pair_product(rep, rep, rep.norm)
+        w = unit_weight(left)
+        forms = _reduced_forms(rep, w)
+        if rep not in forms:
+            raise RuntimeError("a class rep is not among its own reduced forms")
+        known.update(dict.fromkeys(forms, len(classes)))
+        classes.append(rep)
+        orders.append(left)
+        weights.append(w)
+        acc += Fraction(1, w)
+
+    register(OrderLattice(alg, base.den, base.rows, 1))
+    # breadth first: the loop reaches each class that register appends
+    for current in classes:
+        if acc >= target_mass:
+            break
         for sub in _neighbor_submodules(current, base, p, idem):
-            reduced, k = _lookup(known, _neighbor_ideal(current, sub, p), base)
-            if k is not None:
-                continue
-            left = _pair_product(reduced, reduced, reduced.norm)
-            w = unit_weight(left)
-            forms = _reduced_forms(reduced, w)
-            if reduced not in forms:
-                raise RuntimeError("a new class rep is not among its own reduced forms")
-            known.update(dict.fromkeys(forms, len(classes)))
-            classes.append(reduced)
-            orders.append(left)
-            weights.append(w)
-            acc += Fraction(1, w)
-            frontier.append(reduced)
-            if acc >= target_mass:
-                break
+            reduced = _reduce_ideal(_neighbor_ideal(current, sub, p))
+            if reduced not in known:
+                register(reduced)
+                if acc >= target_mass:
+                    break
 
     if acc != target_mass:
         raise RuntimeError(

@@ -168,7 +168,10 @@ def test_internal_failure_exits_3(monkeypatch, capsys):
     import brandtlift.cli as cli
 
     for exc in (RuntimeError("class enumeration ended at mass 1/2,\nexpected 1"),
-                AssertionError("column sum 3 != 4 at j=0")):
+                AssertionError("column sum 3 != 4 at j=0"),
+                ZeroDivisionError("division by zero"),
+                KeyError(7),
+                MemoryError()):
         def broken(base, exc=exc):
             raise exc
 

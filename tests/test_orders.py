@@ -556,7 +556,7 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
             matches = [i for i in range(h) if tested[i]]
             assert len(matches) == 1, (j, matches)
             # the walk's key names the same class
-            reduced = _reduce_ideal(neighbour, base)
+            reduced = _reduce_ideal(neighbour)
             assert [i for i in range(h) if reduced in forms[i]] == matches
             found[matches[0]][j] += 1
     module = request.getfixturevalue(f"module{level}")
@@ -598,6 +598,23 @@ def test_identify_rejects_a_lattice_in_no_class(classes170):
         classes170._identify(OrderLattice(alg, maximal.den, maximal.rows, 1))
 
 
+def test_walk_checks_that_O_is_among_its_own_reduced_forms(monkeypatch):
+    # O is registered by the step that registers every class: forms that
+    # leave the rep out on the first call, O's registration, fail the walk
+    base = eichler_order(maximal_order(choose_presentation(17)), 10)
+    reduced_forms, calls = orders._reduced_forms, []
+
+    def planted(ideal, w):
+        calls.append(ideal)
+        forms = reduced_forms(ideal, w)
+        return [form for form in forms if form != ideal] if len(calls) == 1 else forms
+
+    monkeypatch.setattr(orders, "_reduced_forms", planted)
+    with pytest.raises(RuntimeError, match="not among its own reduced forms"):
+        right_ideal_classes(base)
+    assert calls == [OrderLattice(base.alg, base.den, base.rows, 1)]
+
+
 def test_walk_identifies_classes_without_equivalence_tests(monkeypatch):
     tests = []
 
@@ -630,7 +647,7 @@ def test_left_multiples_reduce_into_their_class_forms(classes170, classes174, cl
     moved = rep._mul_row(vec_mat(coords, order.rows), order.den)
     moved = OrderLattice(moved.alg, moved.den, moved.rows, nm * rep.norm)
     assert moved != rep
-    reduced = _reduce_ideal(moved, classes.reps[0])
+    reduced = _reduce_ideal(moved)
     assert reduced in _reduced_forms(rep, classes.weights[i])
     assert classes._identify(moved) == i
 
