@@ -10,8 +10,10 @@ and cuspidal right eigenvectors have plain coordinate sum zero.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from sympy import isprime, primerange
@@ -30,6 +32,19 @@ def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
         primitive_vector([sum(ck * v[i] for ck, v in zip(c, basis)) for i in range(h)])
         for c in rational_nullspace(diffs)
     ]
+
+
+def _identity(d: int) -> list[list[int]]:
+    """The unit vectors of d orbit coordinates: the whole sign space, where every cut starts."""
+    return [[int(a == b) for b in range(d)] for a in range(d)]
+
+
+def _dimensions(pieces) -> Counter:
+    """Total dimension of the pieces (prefix, t, coords) of each prefix of eigenvalues."""
+    dims = Counter()
+    for prefix, _, coords in pieces:
+        dims[prefix] += len(coords)
+    return dims
 
 
 # discover_eigensystems splits the module by the primes p <= this one
@@ -70,8 +85,8 @@ class BrandtModule:
     ch. 23; Pizer, J. Algebra 64 (1980)).  So G keeps every B(n)[i, j],
     and the module counts one pair lattice per orbit of G on the unordered
     pairs {i, j}: the orbit's least sorted pair, its key (_key).  G is
-    found at the first count, so a module that counts nothing pays nothing
-    for it.  The class walk has already reduced the lattices of two kinds
+    read once, at the first count or split (_group), so a module that
+    counts nothing pays nothing for it.  The class walk has already reduced the lattices of two kinds
     of keys, so only the other keys are built (_form), by two identities
     for locally principal ideals (Voight, GTM 288, ch. 16-17):
 
@@ -90,6 +105,16 @@ class BrandtModule:
     the lines it certifies; eigenvalues reads a_p on those lines from two
     rows of B(p), which count at most the 2h - 1 pair lattices of the two
     rows, and checks any other vector on all h rows.
+
+    G commutes with every B(n), so the module is the direct sum of the
+    sign spaces of G, one for each character, and each B(n) keeps each of
+    them (_sign_spaces).  A sign space has at most one basis vector per
+    orbit of G on the classes, and B(p) on it is a small integer matrix read
+    from the rows of the orbits' least classes (_orbit_matrix).  So
+    eigenvector and discover_eigensystems cut their kernels in each sign
+    space, in orbit coordinates, and lift the result to a class function:
+    at N=2310 the 192 classes fall into 32 sign spaces of dimension at
+    most 10.
     """
 
     def __init__(self, classes: ClassSet):
@@ -107,17 +132,25 @@ class BrandtModule:
         # primitive vectors that eigenvector certified as one-dimensional joint eigenspaces
         self._eigenlines: set[tuple[int, ...]] = set()
 
+    @cached_property
+    def _group(self) -> list[tuple[int, ...]]:
+        """G, as |G| class permutations, read once from the class set's orbit map.
+
+        ClassSet._atkin_lehner gives it: G[s] for s a bitmask over the
+        sorted primes of N, W_p = G[1 << b] for p the b-th.  The pair keys
+        (_key) and the sign spaces (_sign_spaces) both read this one table.
+        """
+        return self.classes._atkin_lehner()
+
     def _key(self, i: int, j: int) -> tuple[int, int]:
         """The least sorted pair in the orbit of {i, j} under G (see the class docstring).
 
-        The first call reads G from the class set's orbit map
-        (ClassSet._atkin_lehner) and keys all h^2 pairs: the pairs in
+        The first call reads G (_group) and keys all h^2 pairs: the pairs in
         increasing order, each one not yet keyed being the least of its
         orbit, whose pairs are its images under the elements of G.
         """
         if self._keys is None:
-            h = self.h
-            group = self.classes._atkin_lehner()
+            h, group = self.h, self._group
             keys = [[None] * h for _ in range(h)]
             for a in range(h):
                 for b in range(a, h):
@@ -202,25 +235,86 @@ class BrandtModule:
         """Primitive integer vector spanning the joint eigenspace.
 
         eigendata is a list of (p, a_p) pairs; the intersection of the
-        kernels of B(p) - a_p must be one-dimensional.
+        kernels of B(p) - a_p must be one-dimensional.  The kernels are cut
+        in each sign space of G, in orbit coordinates (_sign_spaces,
+        _orbit_matrix), and the joint eigenspace is the sum of the pieces:
+        its dimension is the sum of theirs.
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
         self.brandt_matrix(max(p for p, _ in eigendata))
-        mats = [self.brandt_matrix(p).entries for p, _ in eigendata]
-        basis = self._unit_vectors()
-        for mat, (_, ap) in zip(mats, eigendata):
-            basis = _restrict_kernel(basis, [mat_vec(mat, v) for v in basis], ap)
-            if not basis:
-                raise ValueError("no such eigenform for the given eigendata")
-        if len(basis) > 1:
-            raise ValueError(f"underdetermined eigendata: residual dimension {len(basis)}")
-        self._eigenlines.add(tuple(basis[0]))
-        return basis[0]
+        for p, _ in eigendata:
+            if not isprime(p):
+                raise ValueError(f"need a prime degree, got {p}")
+        pieces = []
+        for basis in self._sign_spaces().values():
+            coords = _identity(len(basis))
+            for p, ap in eigendata:
+                mat = self._orbit_matrix(basis, p)
+                coords = _restrict_kernel(coords, [mat_vec(mat, c) for c in coords], ap)
+                if not coords:
+                    break
+            pieces += [(basis, c) for c in coords]
+        if not pieces:
+            raise ValueError("no such eigenform for the given eigendata")
+        if len(pieces) > 1:
+            raise ValueError(f"underdetermined eigendata: residual dimension {len(pieces)}")
+        vec = primitive_vector(self._lift(*pieces[0]))
+        self._eigenlines.add(tuple(vec))
+        return vec
 
-    def _unit_vectors(self) -> list[list[int]]:
-        """The standard basis of the whole module, where every split starts."""
-        return [[1 if i == k else 0 for i in range(self.h)] for k in range(self.h)]
+    def _sign_spaces(self) -> dict[int, list[tuple[int, dict[int, int]]]]:
+        """The nonzero sign spaces of G, as {t: basis}, by character t.
+
+        G is elementary abelian, and (W phi)_i = phi_{W(i)} is its action
+        on class functions.  Its characters are chi_t(s) = (-1)^|t & s|, t
+        a bitmask over the sorted primes of N like the elements s of G, and
+        the sign space of chi_t holds the phi with W phi = chi_t(W) phi for
+        every W in G; there W_p acts by the sign chi_t(W_p).  Every B(n)
+        commutes with G (class docstring), so it keeps each sign space.
+        The orbit of i0, its least class, is {G[s][i0]}, and its stabilizer
+        is H = {s : G[s][i0] = i0}.  The basis holds one (i0, e_O) for each
+        orbit O with H in the kernel of chi_t, e_O being chi_t(s) at class
+        G[s][i0] ({class: sign}, 0 elsewhere).  An orbit of |G/H| classes
+        lies in the |G/H| sign spaces trivial on H, so the dimensions add
+        up to h.
+        """
+        group = self._group
+        orbits, seen = [], set()
+        for i0 in range(self.h):
+            if i0 not in seen:
+                at = {}
+                for s, perm in enumerate(group):
+                    at.setdefault(perm[i0], s)
+                seen.update(at)
+                orbits.append((i0, at, [s for s, perm in enumerate(group) if perm[i0] == i0]))
+        spaces = {}
+        for t in range(len(group)):
+            basis = [
+                (i0, {k: -1 if (t & s).bit_count() & 1 else 1 for k, s in at.items()})
+                for i0, at, stab in orbits
+                if not any((t & s).bit_count() & 1 for s in stab)
+            ]
+            if basis:
+                spaces[t] = basis
+        return spaces
+
+    def _orbit_matrix(self, basis, p: int) -> list[list[int]]:
+        """B(p) on the sign space of basis, in its coordinates: M[a][b] = row i0_a of B(p) . e_b.
+
+        B(p) e_b lies in the sign space, and a vector sum c_a e_a of it has
+        c_a at class i0_a, so one row of B(p) per orbit gives its coordinates.
+        """
+        rows = [self._row(i0, p) for i0, _ in basis]
+        return [[sum(row[k] * x for k, x in e.items()) for _, e in basis] for row in rows]
+
+    def _lift(self, basis, coords) -> list[int]:
+        """The class function sum c_O e_O of orbit coordinates c in the sign space of basis."""
+        vec = [0] * self.h
+        for c, (_, e) in zip(coords, basis):
+            for k, x in e.items():
+                vec[k] = c * x
+        return vec
 
     def eigenvalue_of(self, phi, p: int) -> int:
         """The B(p) eigenvalue of an exact eigenvector phi (see eigenvalues)."""
@@ -316,32 +410,47 @@ class BrandtModule:
     def discover_eigensystems(self) -> list[tuple[dict[int, int], list[int]]]:
         """Search for rational eigensystems using the primes p < 20 coprime to the level.
 
-        Splits the module prime by prime by the integer eigenvalues a in
-        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction), and
-        reports the one-dimensional pieces.  That range is narrower than the
+        Splits each sign space of G (_sign_spaces), in orbit coordinates,
+        prime by prime by the integer eigenvalues a in
+        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction).
+        The pieces of all sign spaces with one prefix of eigenvalues make up
+        that prefix's joint eigenspace in the whole module; a prefix whose
+        pieces have total dimension 1 is split no further, and the
+        one-dimensional ones are reported, with their eigenvalues read off
+        all h rows (eigenvalues).  That range is narrower than the
         Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
         primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if self.level % p]
         if primes:
             self.brandt_matrix(primes[-1])
-        spaces = [self._unit_vectors()]
+        bases = self._sign_spaces()
+        # (prefix of eigenvalues, character t of its sign space, orbit coordinates of a basis)
+        pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
         for p in primes:
-            mat = self.brandt_matrix(p).entries
+            dims = _dimensions(pieces)
             candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
+            mats = {}
             split = []
-            for basis in spaces:
-                if len(basis) == 1:
-                    split.append(basis)
+            for prefix, t, coords in pieces:
+                if dims[prefix] == 1:
+                    split.append((prefix, t, coords))
                     continue
-                images = [mat_vec(mat, v) for v in basis]
+                if t not in mats:
+                    mats[t] = self._orbit_matrix(bases[t], p)
+                images = [mat_vec(mats[t], c) for c in coords]
                 for a in candidates:
-                    sub = _restrict_kernel(basis, images, a)
+                    sub = _restrict_kernel(coords, images, a)
                     if sub:
-                        split.append(sub)
-            spaces = split
-        vectors = [basis[0] for basis in spaces if len(basis) == 1]
-        out = [({p: self.eigenvalue_of(vec, p) for p in primes}, vec) for vec in vectors]
+                        split.append((prefix + (a,), t, sub))
+            pieces = split
+        dims = _dimensions(pieces)
+        vectors = [
+            primitive_vector(self._lift(bases[t], coords[0]))
+            for prefix, t, coords in pieces
+            if dims[prefix] == 1
+        ]
+        out = [(self.eigenvalues(vec, primes), vec) for vec in vectors]
         return sorted(out, key=lambda t: sorted(t[0].items()))
 
 

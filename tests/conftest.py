@@ -27,8 +27,18 @@ def classes222():
 
 
 @pytest.fixture(scope="session")
+def classes290():
+    return build_classes(29, 10)
+
+
+@pytest.fixture(scope="session")
 def classes330():
     return build_classes(3, 110)
+
+
+@pytest.fixture(scope="session")
+def classes2310():
+    return build_classes(2, 1155)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,11 @@ pins the orbit map's permutations to it.  ref_right_order and
 ref_equivalent_ideals are the sixteen-product right order and the
 pair-lattice search that orders ran before both went through the
 two-generator product and the walk's reduced-form key; test_orders.py pins
-_right_order and equivalent_ideals to them.
+_right_order and equivalent_ideals to them.  ref_discover_eigensystems and
+ref_eigenvector are the eigenspace splits that BrandtModule ran on the whole
+module, from its h unit vectors, before it split the Atkin-Lehner sign
+spaces in orbit coordinates; test_brandt.py pins the systems, the vectors
+and their order to them.
 """
 
 from fractions import Fraction
@@ -20,7 +24,8 @@ from math import floor, isqrt, lcm
 
 from sympy import primerange
 
-from brandtlift.linalg import _xgcd, leading_minors
+from brandtlift.brandt import _DISCOVER_PMAX, _restrict_kernel
+from brandtlift.linalg import _xgcd, leading_minors, mat_vec
 from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
 from brandtlift.shortvec import exists_value, iter_short_vectors
 from brandtlift.theta import _det3
@@ -274,3 +279,59 @@ def ref_equivalent_ideals(lhs, rhs) -> bool:
     if ref_right_order(lhs) != ref_right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
     return exists_value(*_pair_form(lhs, rhs))
+
+
+def _unit_vectors(module) -> list[list[int]]:
+    """The standard basis of the whole module, where every split starts."""
+    return [[1 if i == k else 0 for i in range(module.h)] for k in range(module.h)]
+
+
+def ref_eigenvector(module, eigendata) -> list[int]:
+    """Primitive integer vector spanning the joint eigenspace.
+
+    eigendata is a list of (p, a_p) pairs; the intersection of the
+    kernels of B(p) - a_p must be one-dimensional.
+    """
+    if not eigendata:
+        raise ValueError("eigendata must contain at least one (p, a_p) pair")
+    module.brandt_matrix(max(p for p, _ in eigendata))
+    mats = [module.brandt_matrix(p).entries for p, _ in eigendata]
+    basis = _unit_vectors(module)
+    for mat, (_, ap) in zip(mats, eigendata):
+        basis = _restrict_kernel(basis, [mat_vec(mat, v) for v in basis], ap)
+        if not basis:
+            raise ValueError("no such eigenform for the given eigendata")
+    if len(basis) > 1:
+        raise ValueError(f"underdetermined eigendata: residual dimension {len(basis)}")
+    module._eigenlines.add(tuple(basis[0]))
+    return basis[0]
+
+
+def ref_discover_eigensystems(module) -> list[tuple[dict[int, int], list[int]]]:
+    """Search for rational eigensystems using the primes p < 20 coprime to the level.
+
+    Splits the module prime by prime by the integer eigenvalues a in
+    [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction), and
+    reports the one-dimensional pieces.
+    """
+    primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if module.level % p]
+    if primes:
+        module.brandt_matrix(primes[-1])
+    spaces = [_unit_vectors(module)]
+    for p in primes:
+        mat = module.brandt_matrix(p).entries
+        candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
+        split = []
+        for basis in spaces:
+            if len(basis) == 1:
+                split.append(basis)
+                continue
+            images = [mat_vec(mat, v) for v in basis]
+            for a in candidates:
+                sub = _restrict_kernel(basis, images, a)
+                if sub:
+                    split.append(sub)
+        spaces = split
+    vectors = [basis[0] for basis in spaces if len(basis) == 1]
+    out = [({p: module.eigenvalue_of(vec, p) for p in primes}, vec) for vec in vectors]
+    return sorted(out, key=lambda t: sorted(t[0].items()))

@@ -10,7 +10,7 @@ from brandtlift.brandt import BrandtModule, eigenvectors
 from brandtlift.congruence import check_eigenvalue_congruence, sturm_bound
 from brandtlift.lift import lift_eigenforms
 
-from reference_kernels import ref_brandt_matrices
+from reference_kernels import ref_brandt_matrices, ref_discover_eigensystems, ref_eigenvector
 from conftest import (
     EIGEN_170_F,
     EIGEN_170_G,
@@ -271,6 +271,71 @@ def reference(request, level, top):
         classes = request.getfixturevalue(f"classes{level}")
         REFERENCE[level, top] = ref_brandt_matrices(classes, top)
     return REFERENCE[level, top]
+
+
+def test_one_module_maps_the_atkin_lehner_group_once(classes170, monkeypatch):
+    # the pair keys and the sign spaces read one table G
+    calls = []
+    atkin_lehner = orders.ClassSet._atkin_lehner
+
+    def counted(classes):
+        calls.append(classes)
+        return atkin_lehner(classes)
+
+    monkeypatch.setattr(orders.ClassSet, "_atkin_lehner", counted)
+    module = BrandtModule(classes170)
+    module.eigenvector(EIGEN_170_F)
+    module.discover_eigensystems()
+    module.brandt_matrix(23)
+    assert calls == [classes170]
+
+
+@pytest.mark.parametrize("level", [170, 330, 2310])
+def test_sign_spaces_split_the_module_by_atkin_lehner_signs(request, level):
+    classes = request.getfixturevalue(f"classes{level}")
+    module, h = BrandtModule(classes), classes.h
+    primes = primefactors(classes.q * classes.M)
+    spaces = module._sign_spaces()
+    assert sum(len(basis) for basis in spaces.values()) == h
+    for t, basis in spaces.items():
+        # one e_O per orbit, 1 at the orbit's least class, on disjoint supports
+        assert [i0 for i0, _ in basis] == sorted(i0 for i0, _ in basis)
+        assert all(e[i0] == 1 and min(e) == i0 for i0, e in basis)
+        assert len({k for _, e in basis for k in e}) == sum(len(e) for _, e in basis)
+        # W_p e_O = chi_t(W_p) e_O, (W phi)_i = phi_{W(i)}
+        for b, p in enumerate(primes):
+            w, sign = module._group[1 << b], -1 if t >> b & 1 else 1
+            for _, e in basis:
+                dense = [e.get(k, 0) for k in range(h)]
+                assert [dense[w[i]] for i in range(h)] == [sign * x for x in dense], (t, p)
+    # column b of the orbit matrix lifts to B(p) e_b
+    module.brandt_matrix(19)
+    for p in primerange(2, 20):
+        cols = list(zip(*module.brandt_matrix(p).entries))
+        for basis in spaces.values():
+            mat = module._orbit_matrix(basis, p)
+            for b, (_, e) in enumerate(basis):
+                image = [sum(x * cols[k][i] for k, x in e.items()) for i in range(h)]
+                assert image == module._lift(basis, [row[b] for row in mat]), p
+
+
+@pytest.mark.parametrize("level", [170, 174, 222, 290, 330])
+def test_sign_space_splits_match_the_whole_module_reference(request, level):
+    # systems, vectors and their order as the whole-module splits gave them
+    module = BrandtModule(request.getfixturevalue(f"classes{level}"))
+    found = module.discover_eigensystems()
+    expected = ref_discover_eigensystems(module)
+    assert [(list(s.items()), v) for s, v in found] == [(list(s.items()), v) for s, v in expected]
+    for system, vec in found:
+        data = sorted(system.items())
+        assert module.eigenvector(data) == ref_eigenvector(module, data) == vec
+    if level == 170:
+        for data, match in (([(3, -2)], "residual dimension 4$"), ([(3, 100)], "no such eigenform")):
+            with pytest.raises(ValueError, match=match) as new:
+                module.eigenvector(data)
+            with pytest.raises(ValueError) as ref:
+                ref_eigenvector(module, data)
+            assert str(new.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("level, top", [(170, 19), (174, 19), (222, 19), (174, 59), (330, 13)])
