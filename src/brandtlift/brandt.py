@@ -16,10 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import isqrt
 
-from sympy import isprime, primerange
-
 from .linalg import mat_vec, primitive_vector, rational_nullspace
 from .orders import ClassSet, _pair_form
+from .primes import isprime, primerange
 from .shortvec import vector_counts
 
 
@@ -412,7 +411,8 @@ class BrandtModule:
 
         Splits each sign space of G (_sign_spaces), in orbit coordinates,
         prime by prime by the integer eigenvalues a in
-        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction).
+        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction),
+        until the kernels found fill the piece.
         The pieces of all sign spaces with one prefix of eigenvalues make up
         that prefix's joint eigenspace in the whole module; a prefix whose
         pieces have total dimension 1 is split no further, and the
@@ -439,10 +439,15 @@ class BrandtModule:
                 if t not in mats:
                     mats[t] = self._orbit_matrix(bases[t], p)
                 images = [mat_vec(mats[t], c) for c in coords]
+                filled = 0
                 for a in candidates:
                     sub = _restrict_kernel(coords, images, a)
                     if sub:
                         split.append((prefix + (a,), t, sub))
+                        filled += len(sub)
+                        # kernels of distinct a are independent: a filled piece has no more
+                        if filled == len(coords):
+                            break
             pieces = split
         dims = _dimensions(pieces)
         vectors = [

@@ -16,12 +16,11 @@ import json
 import sys
 from fractions import Fraction
 
-from sympy import isprime
-
 from .brandt import BrandtModule
 from .congruence import run_congruence_checks
 from .lift import lift_eigenforms
 from .orders import eichler_mass, eichler_order, maximal_order, right_ideal_classes
+from .primes import isprime
 from .qalg import choose_presentation
 
 DEFAULT_BOUND = 100

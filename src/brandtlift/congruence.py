@@ -13,11 +13,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sympy import factorint, isprime, primerange
-
 from .brandt import BrandtModule
 from .lift import LiftResult, lift_eigenforms
 from .linalg import primitive_vector
+from .primes import factorint, isprime, primerange
 
 
 def sturm_bound(k: int, N: int) -> int:
@@ -79,14 +78,14 @@ def check_lift_congruence(wf, wg, ell: int) -> LiftVerdict:
     sg = wg.series if isinstance(wg, LiftResult) else wg
     if sf.bound != sg.bound:
         raise ValueError(f"truncation bounds differ: {sf.bound} != {sg.bound}")
-    ns = range(sf.bound + 1)
-    all_zero = all(sf.coefficient(n) % ell == 0 for n in ns) and all(
-        sg.coefficient(n) % ell == 0 for n in ns
-    )
+    # an n outside both supports reads 0 = c * 0: only the union can fail
+    ns = sorted(sf.coeffs.keys() | sg.coeffs.keys())
+    pairs = [(sf.coeffs.get(n, 0), sg.coeffs.get(n, 0)) for n in ns]
+    all_zero = all(x % ell == 0 and y % ell == 0 for x, y in pairs)
     for c in range(1, ell):
-        if all((sf.coefficient(n) - c * sg.coefficient(n)) % ell == 0 for n in ns):
+        if all((x - c * y) % ell == 0 for x, y in pairs):
             return LiftVerdict(True, c, None, all_zero)
-    first = next(n for n in ns if (sf.coefficient(n) - sg.coefficient(n)) % ell)
+    first = next(n for n, (x, y) in zip(ns, pairs) if (x - y) % ell)
     return LiftVerdict(False, None, first, all_zero)
 
 

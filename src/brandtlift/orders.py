@@ -57,10 +57,9 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, isqrt, prod
 
-from sympy import factorint, primerange
-
 from .linalg import greedy_reduce, hnf, leading_minors
 from .linalg import rref_mod, vec_mat
+from .primes import factorint, primerange
 from .qalg import AlgebraPresentation, finite_ramified_primes
 from .shortvec import iter_short_vectors, vector_counts
 from .theta import canonical_gram, trace_zero_lattice

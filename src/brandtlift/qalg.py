@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
-from sympy import factorint, isprime
+from .primes import factorint, isprime
 
 Rational = int | Fraction
 

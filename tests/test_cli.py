@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import brandtlift
 from brandtlift.cli import main, parse_eigendata
 from brandtlift.qalg import QuaternionElement
 from brandtlift.theta import QSeries, parse_qseries
@@ -266,3 +271,32 @@ def test_cli_jobs_build_no_quaternion_element(monkeypatch, capsys):
                  "--eigen-g", "2:3", "--ell", "5"]) == 0
     out = capsys.readouterr().out
     assert "N=210" in out
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this brandtlift."""
+    src = str(Path(brandtlift.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_cli_import_loads_no_sympy():
+    done = _fresh_python("import sys, brandtlift.cli\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == b"[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classes", "--q", "11", "--m", "1"],
+    ["check", "--q", "11", "--m", "1", "--eigen-f", "2:-2", "--eigen-g", "2:3", "--ell", "5"],
+    ["lift", "--q", "11", "--m", "1", "--discover"],
+])
+def test_cli_runs_with_sympy_blocked(argv, capsys):
+    # sys.modules[name] = None makes every import of that name fail
+    blocked = _fresh_python("import sys\nsys.modules['sympy'] = None\n"
+                            "from brandtlift.cli import main\nsys.exit(main())", *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert main(argv) == 0
+    assert blocked.stdout == capsys.readouterr().out.encode()

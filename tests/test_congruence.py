@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from brandtlift.brandt import BrandtModule
 from brandtlift.congruence import (
     CongruenceReport,
+    LiftVerdict,
     check_eigenvalue_congruence,
     check_hypotheses,
     check_lift_congruence,
@@ -129,6 +131,35 @@ def test_lift_congruence_failure_reports_exponent():
     assert not verdict.ok
     assert verdict.witness_c is None
     assert verdict.first_failing_exponent == 4
+
+
+def test_lift_congruence_fails_outside_one_support():
+    # the first disagreement is at an n where one series has no coefficient
+    only_f = check_lift_congruence(QSeries(9, {2: 1, 5: 3, 7: 1}), QSeries(9, {2: 1, 7: 1}), 5)
+    assert (only_f.ok, only_f.witness_c, only_f.first_failing_exponent) == (False, None, 5)
+    only_g = check_lift_congruence(QSeries(9, {2: 1, 7: 1}), QSeries(9, {2: 1, 6: 2, 7: 1}), 5)
+    assert (only_g.ok, only_g.witness_c, only_g.first_failing_exponent) == (False, None, 6)
+
+
+def test_lift_congruence_matches_a_scan_of_every_exponent():
+    # the verdict over the union of the supports equals the scan of 0..bound
+    def scan(sf, sg, ell):
+        ns = range(sf.bound + 1)
+        a, b = [sf.coefficient(n) for n in ns], [sg.coefficient(n) for n in ns]
+        all_zero = all(x % ell == 0 for x in a + b)
+        for c in range(1, ell):
+            if all((x - c * y) % ell == 0 for x, y in zip(a, b)):
+                return LiftVerdict(True, c, None, all_zero)
+        return LiftVerdict(False, None, next(n for n in ns if (a[n] - b[n]) % ell), all_zero)
+
+    rng = random.Random(5)
+    for _ in range(300):
+        ell, bound = rng.choice((2, 3, 5, 7)), rng.randrange(12)
+        base = {n: rng.randrange(-9, 10) for n in rng.sample(range(bound + 1), rng.randrange(bound + 2))}
+        c = rng.randrange(1, ell)
+        sf = QSeries(bound, {n: c * x + ell * rng.randrange(-1, 2) for n, x in base.items()})
+        sg = QSeries(bound, {n: x for n, x in base.items() if rng.random() < 0.8})
+        assert check_lift_congruence(sf, sg, ell) == scan(sf, sg, ell)
 
 
 def test_norm_divisibility(module170, phi170_g):
