@@ -100,10 +100,11 @@ class BrandtModule:
     i > 0.  The module keeps the reduced Gram of every key it builds and
     the counts of every key to the largest degree counted, so a later row,
     to any degree, builds no lattice again, and a row reads the counts of
-    the keys that earlier rows counted far enough.  eigenvector remembers
-    the lines it certifies; eigenvalues reads a_p on those lines from two
-    rows of B(p), which count at most the 2h - 1 pair lattices of the two
-    rows, and checks any other vector on all h rows.
+    the keys that earlier rows counted far enough.  eigenvector and
+    discover_eigensystems remember the lines they certify; eigenvalues reads
+    a_p on those lines from two rows of B(p), which count at most the
+    2h - 1 pair lattices of the two rows, and checks any other vector on
+    all h rows.
 
     G commutes with every B(n), so the module is the direct sum of the
     sign spaces of G, one for each character, and each B(n) keeps each of
@@ -113,7 +114,9 @@ class BrandtModule:
     eigenvector and discover_eigensystems cut their kernels in each sign
     space, in orbit coordinates, and lift the result to a class function:
     at N=2310 the 192 classes fall into 32 sign spaces of dimension at
-    most 10.
+    most 10.  They count only the rows of the orbits' least classes, each
+    once, to their largest degree: every pair is in the orbit of a pair
+    (i0, k), so those rows count every key.
     """
 
     def __init__(self, classes: ClassSet):
@@ -237,14 +240,16 @@ class BrandtModule:
         kernels of B(p) - a_p must be one-dimensional.  The kernels are cut
         in each sign space of G, in orbit coordinates (_sign_spaces,
         _orbit_matrix), and the joint eigenspace is the sum of the pieces:
-        its dimension is the sum of theirs.
+        its dimension is the sum of theirs.  Every p is checked first, and
+        the kernels are cut largest degree first, so each orbit row read is
+        counted once, to that degree, and no other row is counted.
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
-        self.brandt_matrix(max(p for p, _ in eigendata))
         for p, _ in eigendata:
             if not isprime(p):
                 raise ValueError(f"need a prime degree, got {p}")
+        eigendata = sorted(eigendata, key=lambda pair: pair[0], reverse=True)
         pieces = []
         for basis in self._sign_spaces().values():
             coords = _identity(len(basis))
@@ -415,16 +420,22 @@ class BrandtModule:
         until the kernels found fill the piece.
         The pieces of all sign spaces with one prefix of eigenvalues make up
         that prefix's joint eigenspace in the whole module; a prefix whose
-        pieces have total dimension 1 is split no further, and the
-        one-dimensional ones are reported, with their eigenvalues read off
-        all h rows (eigenvalues).  That range is narrower than the
+        pieces have total dimension 1 is split no further.  Each such line
+        is a one-dimensional joint eigenspace, as eigenvector certifies, so
+        it is added to the certified lines and reported with its eigenvalues
+        read from two rows (eigenvalues).  The splits read only the rows of
+        the orbits' least classes, which are counted first, each once, to
+        the top prime; the orbit matrices are built as the splits ask for
+        them.  That range is narrower than the
         Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
         primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if self.level % p]
-        if primes:
-            self.brandt_matrix(primes[-1])
         bases = self._sign_spaces()
+        if primes:
+            # the rows that _orbit_matrix reads, each counted once, to the top prime
+            for i0 in sorted({i0 for basis in bases.values() for i0, _ in basis}):
+                self._row(i0, primes[-1])
         # (prefix of eigenvalues, character t of its sign space, orbit coordinates of a basis)
         pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
         for p in primes:
@@ -455,6 +466,8 @@ class BrandtModule:
             for prefix, t, coords in pieces
             if dims[prefix] == 1
         ]
+        # each is a one-dimensional joint eigenspace, the lines eigenvector certifies
+        self._eigenlines.update(tuple(vec) for vec in vectors)
         out = [(self.eigenvalues(vec, primes), vec) for vec in vectors]
         return sorted(out, key=lambda t: sorted(t[0].items()))
 

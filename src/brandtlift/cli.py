@@ -19,7 +19,7 @@ from fractions import Fraction
 from .brandt import BrandtModule
 from .congruence import run_congruence_checks
 from .lift import lift_eigenforms
-from .orders import eichler_mass, eichler_order, maximal_order, right_ideal_classes
+from .orders import eichler_order, maximal_order, right_ideal_classes
 from .primes import isprime
 from .qalg import choose_presentation
 
@@ -85,20 +85,15 @@ def cmd_classes(args) -> int:
             mult[w] = mult.get(w, 0) + 1
         weight_str = " ".join(f"{w}:{mult[w]}" for w in sorted(mult))
         mass = sum(Fraction(1, w) for w in cs.weights)
-        formula = eichler_mass(cs.q, cs.M)
-        ok = "ok" if mass == formula else "MISMATCH"
+        ok = "ok" if mass == cs.mass else "MISMATCH"
         text = (
-            f"N={cs.q * cs.M} q={cs.q} M={cs.M} presentation=({cs.presentation.a},{cs.presentation.b})\n"
+            f"N={module.level} q={cs.q} M={cs.M} presentation=({cs.presentation.a},{cs.presentation.b})\n"
             f"h={cs.h}\n"
             f"weight multiset: {weight_str}\n"
-            f"mass: {mass} (formula {formula}) {ok}\n"
+            f"mass: {mass} (formula {cs.mass}) {ok}\n"
         )
     _emit(text, args.out)
     return 0
-
-
-def _lift_header(q: int, m: int, bound: int) -> str:
-    return f"# N={q * m} q={q} M={m} bound={bound}"
 
 
 def cmd_lift(args) -> int:
@@ -135,11 +130,11 @@ def cmd_lift(args) -> int:
     bound = DEFAULT_BOUND if args.bound is None else args.bound
     lifts, c = lift_eigenforms(module, eigendata, bound, args.ell)
     scale_note = "primitive" if c is None else f"g rescaled by {c} to match f mod {args.ell}"
-    header = _lift_header(args.q, args.m, bound)
+    header = f"# N={module.level} q={cs.q} M={cs.M} bound={bound}"
     meta_all = {}
     for name, lifted in lifts.items():
         meta = lifted.metadata(
-            cs.q * cs.M,
+            module.level,
             cs.q,
             cs.M,
             eigendata=eigendata[name],
@@ -148,15 +143,12 @@ def cmd_lift(args) -> int:
         meta_all[name] = meta
         text = lifted.series.to_text(header=header)
         if args.out:
-            path = f"{args.out}_{name}.txt"
-            with open(path, "w") as fh:
-                fh.write(text)
+            _emit(text, f"{args.out}_{name}.txt")
         else:
-            sys.stdout.write(f"# metadata {json.dumps(meta, sort_keys=True)}\n")
-            sys.stdout.write(text)
+            _emit(f"# metadata {json.dumps(meta, sort_keys=True)}\n", None)
+            _emit(text, None)
     if args.out:
-        with open(f"{args.out}_meta.json", "w") as fh:
-            fh.write(json.dumps(meta_all, indent=2, sort_keys=True) + "\n")
+        _emit(json.dumps(meta_all, indent=2, sort_keys=True) + "\n", f"{args.out}_meta.json")
     return 0
 
 

@@ -10,7 +10,7 @@ verdict depends on is recorded in the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .brandt import BrandtModule
@@ -137,41 +137,22 @@ class CongruenceReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "q": self.q,
-            "M": self.M,
-            "ell": self.ell,
-            "bound": self.bound,
-            "sturm_bound": self.sturm,
-            "phi_f": list(self.phi_f),
-            "phi_g": list(self.phi_g),
-            "phi_scale_witness": self.phi_scale_witness,
-            "eigenvalue_check": {
-                "ok": self.eigenvalue_check.ok,
-                "first_failing_prime": self.eigenvalue_check.first_failing_prime,
-            },
-            "lift_check": {
-                "ok": self.lift_check.ok,
-                "witness_c": self.lift_check.witness_c,
-                "first_failing_exponent": self.lift_check.first_failing_exponent,
-                "all_zero_mod_ell": self.lift_check.all_zero_mod_ell,
-            },
-            "norm_divisibility": {
-                "f": self.norm_divisibility[0],
-                "g": self.norm_divisibility[1],
-            },
-            "hypotheses": {
-                "ell_gt_2": self.hypothesis_flags.ell_gt_2,
-                "coprime_or_ramified": self.hypothesis_flags.coprime_or_ramified,
-                "ok": self.hypothesis_flags.ok,
-            },
-            "irreducibility": {
-                "f": {"ok": self.irreducibility_f.ok, "witness_prime": self.irreducibility_f.witness_prime},
-                "g": {"ok": self.irreducibility_g.ok, "witness_prime": self.irreducibility_g.witness_prime},
-            },
-            "ok": self.ok,
-        }
+        """The report's fields, each verdict as its own fields (dataclasses.asdict).
+
+        Only what the report renames, reshapes or drops is spelled out here:
+        sturm as sturm_bound, the norm pair as f and g, the hypothesis flags
+        with their derived ok, and eigenvalue_check without compared_primes,
+        which only to_text reads.
+        """
+        out = asdict(self)
+        del out["eigenvalue_check"]["compared_primes"]
+        out["sturm_bound"] = out.pop("sturm")
+        out["phi_f"], out["phi_g"] = list(self.phi_f), list(self.phi_g)
+        out["norm_divisibility"] = dict(zip("fg", self.norm_divisibility))
+        out["hypotheses"] = {**out.pop("hypothesis_flags"), "ok": self.hypothesis_flags.ok}
+        out["irreducibility"] = {"f": out.pop("irreducibility_f"), "g": out.pop("irreducibility_g")}
+        out["ok"] = self.ok
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
@@ -216,8 +197,7 @@ def run_congruence_checks(
     if not isprime(ell):
         raise ValueError(f"ell must be prime, got {ell}")
     classes = module.classes
-    N = classes.q * classes.M
-    sturm = sturm_bound(2, N)
+    sturm = sturm_bound(2, module.level)
     irr_bound = max(sturm, 20)
     lifts, c_phi = lift_eigenforms(module, {"f": eigendata_f, "g": eigendata_g}, bound, ell)
     wf, wg = lifts["f"], lifts["g"]
@@ -230,7 +210,7 @@ def run_congruence_checks(
     irreducibility_f = irreducibility_heuristic(module, phi_f, ell, irr_bound)
     irreducibility_g = irreducibility_heuristic(module, phi_g, ell, irr_bound)
     return CongruenceReport(
-        N=N,
+        N=module.level,
         q=classes.q,
         M=classes.M,
         ell=ell,
@@ -245,7 +225,7 @@ def run_congruence_checks(
             check_norm_divisibility(module, phi_f, ell),
             check_norm_divisibility(module, phi_g, ell),
         ),
-        hypothesis_flags=check_hypotheses(N, classes.q, ell),
+        hypothesis_flags=check_hypotheses(module.level, classes.q, ell),
         irreducibility_f=irreducibility_f,
         irreducibility_g=irreducibility_g,
     )

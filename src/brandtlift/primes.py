@@ -78,16 +78,25 @@ def primerange(a: int, b: int) -> list[int]:
 
 
 def factorint(n: int) -> dict[int, int]:
-    """{p: e} with n = prod p^e, in increasing p, for n >= 1; by trial division."""
+    """{p: e} with n = prod p^e, in increasing p, for n >= 1; by trial division.
+
+    isprime is asked at entry and after each prime is divided out, never per
+    trial divisor: a prime cofactor is the last factor, so the division
+    stops there.  A cofactor at or above _MILLER_RABIN_LIMIT is not asked,
+    and trial division goes on until it falls below.
+    """
     n = index(n)
     if n < 1:
         raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}
     p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+    done = n < _MILLER_RABIN_LIMIT and isprime(n)
+    while not done and p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            done = n < _MILLER_RABIN_LIMIT and isprime(n)
         p += 1 if p == 2 else 2
     if n > 1:
         out[n] = 1

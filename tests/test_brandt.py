@@ -218,13 +218,15 @@ def test_row_eigenvalues_match_the_full_matrices(request, level):
             # any nonzero multiple of a certified vector is read from rows too
             assert module.eigenvalue_of([-3 * x for x in phi], p) == a
     # two rows served both forms at every degree past the eigendata; the
-    # others stay at the eigendata's degree, and no full matrix is made
+    # others are the orbits' least classes, whose rows eigenvector read at
+    # the eigendata's degree, and no full matrix is made
     reached = rows_counted_to(module, top)
     assert len(reached) == 2
     assert all(set(module._rows[i]) == set(primerange(2, top + 1)) for i in reached)
     degree = max(p for data in CHECK_LEVELS[level] for p, _ in data)
     assert all(rows_counted_to(module, p) == reached for p in primerange(degree + 1, top + 1))
-    assert len(module._rows) == module.h
+    leaders = {i for i in range(module.h) if module._key(i, i) == (i, i)}
+    assert set(module._rows) == leaders | set(reached) and len(module._rows) < module.h
     assert all(set(rows) == set(primerange(2, degree + 1))
                for i, rows in module._rows.items() if i not in reached)
 
@@ -701,3 +703,15 @@ def test_discover_finds_both_newforms(request, level, form):
         # the eigendata path cuts out the same vector from the full system
         assert module.eigenvector(sorted(system.items())) == vec
     assert request.getfixturevalue(f"phi{level}_{form}") in vectors
+
+
+def test_discover_certifies_its_lines_and_counts_only_the_rows_it_reads(classes170):
+    # the splits read the rows of the orbits' least classes, each counted to
+    # B(19); every line found is a one-dimensional joint eigenspace, so its
+    # a_p are read from two rows, not from all h
+    module = BrandtModule(classes170)
+    found = module.discover_eigensystems()
+    assert all(tuple(vec) in module._eigenlines for _, vec in found)
+    leaders = {i for i in range(module.h) if module._key(i, i) == (i, i)}
+    assert leaders <= set(module._rows) and len(module._rows) <= len(leaders) + 2 < module.h
+    assert all(max(module._rows[i]) == 19 for i in module._rows)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -161,6 +162,12 @@ def test_usage_errors(capsys):
     assert capsys.readouterr().err == "error: the eigendata of f and g cut out the same eigenline\n"
 
 
+def test_huge_non_square_free_m_exits_2_at_once(capsys):
+    # M = 3^2 * 100000000000000003: the factorisation stops at the prime cofactor
+    assert main(["classes", "--q", "2", "--m", "900000000000000027"]) == 2
+    assert capsys.readouterr().err == "error: level N=1800000000000000054 = q*M must be square-free\n"
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     target = tmp_path / "missing" / "x.txt"
     assert main(["classes", "--q", "2", "--m", "1", "--out", str(target)]) == 2
@@ -300,3 +307,35 @@ def test_cli_runs_with_sympy_blocked(argv, capsys):
     assert blocked.returncode == 0, blocked.stderr
     assert main(argv) == 0
     assert blocked.stdout == capsys.readouterr().out.encode()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# the front end's bytes: report JSON and text, lift files; a renamed verdict
+# field, a reordered line or a changed header shows here
+@pytest.mark.parametrize("argv, digest", [
+    (["check", "--q", "17", "--m", "10", "--eigen-f", "3:-2,7:2", "--eigen-g", "3:3",
+      "--ell", "5", "--json"],
+     "493680ba5cd29ca01f69d03a42ffe6a7e1f57b0ec575162d61da03e79712ee70"),
+    (["check", "--q", "2", "--m", "111", "--eigen-f", "5:-4", "--eigen-g", "5:2", "--ell", "3"],
+     "7933c72deba4418aeb2e6958e9cebd7a8d21731d6f800b83ebd515a8496b2084"),
+], ids=["check170-json", "check222-text"])
+def test_check_stdout_is_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode()) == digest
+
+
+def test_lift_files_are_pinned(tmp_path, capsys):
+    prefix = tmp_path / "w174"
+    assert main(["lift", "--q", "3", "--m", "58", "--eigen-f", "5:-3", "--eigen-g", "5:2",
+                 "--ell", "5", "--bound", "99", "--out", str(prefix)]) == 0
+    assert capsys.readouterr().out == ""
+    digests = {suffix: sha256((tmp_path / f"w174{suffix}").read_bytes())
+               for suffix in ("_f.txt", "_g.txt", "_meta.json")}
+    assert digests == {
+        "_f.txt": "1a6e189618fe44880436e788495b0d1c5ff63028a7929e79a4e1501c4e0f16b0",
+        "_g.txt": "1e3eb7f477ddd9268801e9406d0626b69f7f7b1af4add20cc7f71b38187bbbab",
+        "_meta.json": "9b9aadd067ccc8f340432095e995c4630c25e10df5fe85a36dc0f3ce46f964f0",
+    }

@@ -107,3 +107,29 @@ def test_factorint_rejects_n_below_one():
     for n in (0, -1, -12):
         with pytest.raises(ValueError, match="n >= 1"):
             factorint(n)
+
+
+def test_factorint_stops_at_a_prime_cofactor(monkeypatch):
+    # 3^2 * 100000000000000003: trial division to the square root would take
+    # about 1.6 * 10^8 steps; isprime of the cofactor ends it after 3
+    assert factorint(900000000000000027) == {3: 2, 100000000000000003: 1}
+    assert factorint(100000000000000003) == {100000000000000003: 1}
+    # isprime is asked at entry and once per prime divided out, never per divisor
+    asked = []
+    real = primes.isprime
+
+    def recorded(n):
+        asked.append(n)
+        return real(n)
+
+    monkeypatch.setattr(primes, "isprime", recorded)
+    assert factorint(2**3 * 3 * 7**2 * 1000003) == {2: 3, 3: 1, 7: 2, 1000003: 1}
+    assert asked == [2**3 * 3 * 7**2 * 1000003, 3 * 7**2 * 1000003, 7**2 * 1000003, 1000003]
+
+
+def test_factorint_at_or_above_the_isprime_limit():
+    # a cofactor at or above the limit is not asked: trial division goes on
+    # until the cofactor falls below it
+    assert primes._MILLER_RABIN_LIMIT <= 2**91
+    assert factorint(2**100) == {2: 100}
+    assert factorint(2**30 * (2**61 - 1)) == {2: 30, 2**61 - 1: 1}
