@@ -111,10 +111,10 @@ class BrandtModule:
     them (_sign_spaces).  A sign space has at most one basis vector per
     orbit of G on the classes, and B(p) on it is a small integer matrix read
     from the rows of the orbits' least classes (_orbit_matrix).  So
-    eigenvector and discover_eigensystems cut their kernels in each sign
-    space, in orbit coordinates, and lift the result to a class function:
-    at N=2310 the 192 classes fall into 32 sign spaces of dimension at
-    most 10.  They count only the rows of the orbits' least classes, each
+    eigenvector and discover_eigensystems cut their kernels by one step,
+    _cut, in each sign space, in orbit coordinates, and lift the result to
+    a class function: at N=2310 the 192 classes fall into 32 sign spaces of
+    dimension at most 10.  They count only the rows of the orbits' least classes, each
     once, to their largest degree: every pair is in the orbit of a pair
     (i0, k), so those rows count every key.
     """
@@ -237,33 +237,28 @@ class BrandtModule:
         """Primitive integer vector spanning the joint eigenspace.
 
         eigendata is a list of (p, a_p) pairs; the intersection of the
-        kernels of B(p) - a_p must be one-dimensional.  The kernels are cut
-        in each sign space of G, in orbit coordinates (_sign_spaces,
-        _orbit_matrix), and the joint eigenspace is the sum of the pieces:
-        its dimension is the sum of theirs.  Every p is checked first, and
-        the kernels are cut largest degree first, so each orbit row read is
-        counted once, to that degree, and no other row is counted.
+        kernels of B(p) - a_p must be one-dimensional.  Every p is checked
+        first; then the sign spaces of G are cut by each (p, [a_p]),
+        largest degree first (_cut), so each orbit row read is counted
+        once, to that degree, and no other row is counted.  The joint
+        eigenspace is the sum of the pieces, its dimension the sum of theirs.
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
         for p, _ in eigendata:
             if not isprime(p):
                 raise ValueError(f"need a prime degree, got {p}")
-        eigendata = sorted(eigendata, key=lambda pair: pair[0], reverse=True)
-        pieces = []
-        for basis in self._sign_spaces().values():
-            coords = _identity(len(basis))
-            for p, ap in eigendata:
-                mat = self._orbit_matrix(basis, p)
-                coords = _restrict_kernel(coords, [mat_vec(mat, c) for c in coords], ap)
-                if not coords:
-                    break
-            pieces += [(basis, c) for c in coords]
-        if not pieces:
+        bases = self._sign_spaces()
+        pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
+        for p, ap in sorted(eigendata, key=lambda pair: pair[0], reverse=True):
+            pieces = self._cut(bases, pieces, p, [ap])
+        dim = sum(len(coords) for _, _, coords in pieces)
+        if not dim:
             raise ValueError("no such eigenform for the given eigendata")
-        if len(pieces) > 1:
-            raise ValueError(f"underdetermined eigendata: residual dimension {len(pieces)}")
-        vec = primitive_vector(self._lift(*pieces[0]))
+        if dim > 1:
+            raise ValueError(f"underdetermined eigendata: residual dimension {dim}")
+        [(_, t, coords)] = pieces
+        vec = primitive_vector(self._lift(bases[t], coords[0]))
         self._eigenlines.add(tuple(vec))
         return vec
 
@@ -311,6 +306,32 @@ class BrandtModule:
         """
         rows = [self._row(i0, p) for i0, _ in basis]
         return [[sum(row[k] * x for k, x in e.items()) for _, e in basis] for row in rows]
+
+    def _cut(self, bases, pieces, p: int, values) -> list[tuple]:
+        """Each piece cut by the kernels of B(p) - a, a in values: the pieces (prefix + (a,), t, sub).
+
+        A piece (prefix, t, coords) is a subspace of the sign space bases[t]
+        of character t, given by the orbit coordinates of a basis; it is the
+        joint eigenspace in that sign space of the eigenvalues prefix at the
+        degrees cut before, so B(p), which commutes with those matrices,
+        keeps it.  Its B(p) image is read from B(p) on the sign space, built
+        once per character (_orbit_matrix).  A zero kernel gives no piece.
+        """
+        mats, out = {}, []
+        for prefix, t, coords in pieces:
+            if t not in mats:
+                mats[t] = self._orbit_matrix(bases[t], p)
+            images = [mat_vec(mats[t], c) for c in coords]
+            filled = 0
+            for a in values:
+                sub = _restrict_kernel(coords, images, a)
+                if sub:
+                    out.append((prefix + (a,), t, sub))
+                    filled += len(sub)
+                    # kernels of distinct a are independent: a filled piece has no more
+                    if filled == len(coords):
+                        break
+        return out
 
     def _lift(self, basis, coords) -> list[int]:
         """The class function sum c_O e_O of orbit coordinates c in the sign space of basis."""
@@ -414,19 +435,16 @@ class BrandtModule:
     def discover_eigensystems(self) -> list[tuple[dict[int, int], list[int]]]:
         """Search for rational eigensystems using the primes p < 20 coprime to the level.
 
-        Splits each sign space of G (_sign_spaces), in orbit coordinates,
-        prime by prime by the integer eigenvalues a in
-        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction),
-        until the kernels found fill the piece.
-        The pieces of all sign spaces with one prefix of eigenvalues make up
-        that prefix's joint eigenspace in the whole module; a prefix whose
-        pieces have total dimension 1 is split no further.  Each such line
-        is a one-dimensional joint eigenspace, as eigenvector certifies, so
-        it is added to the certified lines and reported with its eigenvalues
-        read from two rows (eigenvalues).  The splits read only the rows of
-        the orbits' least classes, which are counted first, each once, to
-        the top prime; the orbit matrices are built as the splits ask for
-        them.  That range is narrower than the
+        Cuts the sign spaces of G (_cut), prime by prime in increasing
+        order, by the integer eigenvalues a in [-2 isqrt(p), 2 isqrt(p)] and
+        a = p+1 (the Eisenstein direction).  The pieces of all sign spaces
+        with one prefix of eigenvalues make up that prefix's joint eigenspace
+        in the whole module; a prefix whose pieces have total dimension 1 is
+        split no further.  Each such line is a one-dimensional joint
+        eigenspace, as eigenvector certifies, so it is added to the certified
+        lines and reported with its eigenvalues read from two rows
+        (eigenvalues).  The cuts read only the rows of the orbits' least
+        classes, counted first, each once, to the top prime.  That range is narrower than the
         Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
@@ -436,30 +454,14 @@ class BrandtModule:
             # the rows that _orbit_matrix reads, each counted once, to the top prime
             for i0 in sorted({i0 for basis in bases.values() for i0, _ in basis}):
                 self._row(i0, primes[-1])
-        # (prefix of eigenvalues, character t of its sign space, orbit coordinates of a basis)
         pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
         for p in primes:
             dims = _dimensions(pieces)
             candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
-            mats = {}
-            split = []
-            for prefix, t, coords in pieces:
-                if dims[prefix] == 1:
-                    split.append((prefix, t, coords))
-                    continue
-                if t not in mats:
-                    mats[t] = self._orbit_matrix(bases[t], p)
-                images = [mat_vec(mats[t], c) for c in coords]
-                filled = 0
-                for a in candidates:
-                    sub = _restrict_kernel(coords, images, a)
-                    if sub:
-                        split.append((prefix + (a,), t, sub))
-                        filled += len(sub)
-                        # kernels of distinct a are independent: a filled piece has no more
-                        if filled == len(coords):
-                            break
-            pieces = split
+            # a prefix of dimension 1 is split no further
+            lines = [piece for piece in pieces if dims[piece[0]] == 1]
+            rest = [piece for piece in pieces if dims[piece[0]] > 1]
+            pieces = lines + self._cut(bases, rest, p, candidates)
         dims = _dimensions(pieces)
         vectors = [
             primitive_vector(self._lift(bases[t], coords[0]))

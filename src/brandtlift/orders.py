@@ -395,18 +395,19 @@ def _right_mult(mats, e) -> list[list[int]]:
     return [[sum(c * m[i][j] for c, m in zip(e, mats)) for j in range(4)] for i in range(4)]
 
 
-def _neighbor_submodules(
-    ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int]
-) -> list[list[list[int]]]:
-    """The p+1 two-dimensional right submodules of ideal/p ideal, as sorted echelon bases.
+def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int]):
+    """Yield the p+1 p-neighbours of ideal, of norm Nm(ideal) p, one at a time.
 
-    p does not divide the level, so base/p base is M_2(F_p) and ideal/p ideal
-    is free of rank 1 over it.  With idem the coordinates of a rank-1
-    idempotent e of base mod p, the image V = (ideal/p ideal) e is a plane,
-    and the 2-dimensional right submodules are exactly the cyclic ones
-    v (base/p base) for the p+1 lines v of V: in M_2(F_p), v M_2 holds the
-    matrices whose column space lies in that of v, and the column spaces of
-    the lines of M_2 e run once through the lines of F_p^2.
+    Each is p ideal + the preimage of a two-dimensional right submodule of
+    ideal/p ideal, in the sorted order of the submodules' echelon bases.
+    With idem the coordinates of a rank-1 idempotent e of base mod p, the
+    image V = (ideal/p ideal) e is a plane, and those submodules are the
+    cyclic ones v (base/p base) for the p+1 lines v of V (module docstring):
+    in M_2(F_p), v M_2 holds the matrices whose column space lies in that
+    of v, and the column spaces of the lines of M_2 e run once through the
+    lines of F_p^2.  The submodules are all found first, to be sorted; a
+    lattice is built only when asked for, so a walk that stops at the mass
+    builds none of the rest.
     """
     mats = _right_action_matrices(ideal, base)
     image, piv = rref_mod(_right_mult(mats, idem), p)
@@ -421,14 +422,10 @@ def _neighbor_submodules(
     subs.sort()
     distinct = len({tuple(map(tuple, span)) for span in subs})
     assert distinct == p + 1, f"expected {p + 1} neighbor submodules, found {distinct}"
-    return subs
-
-
-def _neighbor_ideal(ideal: OrderLattice, sub_rows: list[list[int]], p: int) -> OrderLattice:
-    rows = [[p * x for x in row] for row in ideal.rows]
-    for c in sub_rows:
-        rows.append(vec_mat(c, ideal.rows))
-    return OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
+    scaled = [[p * x for x in row] for row in ideal.rows]
+    for span in subs:
+        rows = scaled + [vec_mat(c, ideal.rows) for c in span]
+        yield OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
 
 
 def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
@@ -742,8 +739,8 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     for current in classes:
         if acc >= target_mass:
             break
-        for sub in _neighbor_submodules(current, base, p, idem):
-            reduced = _reduce_ideal(_neighbor_ideal(current, sub, p))
+        for neighbour in _neighbors(current, base, p, idem):
+            reduced = _reduce_ideal(neighbour)
             if reduced not in known:
                 register(reduced)
                 if acc >= target_mass:

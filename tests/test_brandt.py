@@ -100,10 +100,12 @@ def test_one_count_pass_serves_every_smaller_degree(classes174, monkeypatch):
 
 @pytest.mark.parametrize("job, degree", [
     (lambda module: module.eigenvector(EIGEN_170_F), 7),
+    # the pairs are cut largest degree first, in whichever order they come
+    (lambda module: module.eigenvector(EIGEN_170_F[::-1]), 7),
     (lambda module: module.discover_eigensystems(), 19),
     # the form with the smaller degrees comes first by name
     (lambda module: lift_eigenforms(module, {"f": EIGEN_170_G, "g": EIGEN_170_F}, 10), 7),
-], ids=["eigenvector", "discover", "lift_eigenforms"])
+], ids=["eigenvector", "eigenvector-reversed", "discover", "lift_eigenforms"])
 def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     classes170, monkeypatch, job, degree
 ):
@@ -133,10 +135,14 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     assert h == 24
     assert len(builds) == 24 + 24
     assert set(builds.values()) == {1}
-    # every key is counted once, in the order its form was kept
+    # every key is counted once, to the largest degree, in the order its
+    # form was kept, by the rows of the 5 orbits' least classes
     forms = list(module._forms.values())
     assert len(bounds) == len(forms)
-    assert all(bound <= degree * unit for bound, (_, unit) in zip(bounds, forms))
+    assert all(bound == degree * unit for bound, (_, unit) in zip(bounds, forms))
+    leaders = {i for i in range(h) if module._key(i, i) == (i, i)}
+    assert len(leaders) == 5 and leaders <= set(module._rows)
+    assert all(max(rows) == degree for rows in module._rows.values())
 
 
 def test_ramified_and_level_matrices(module174):
@@ -637,6 +643,13 @@ def test_eigenvector_error_paths(module170):
         module170.eigenvector([(3, -2)])
     with pytest.raises(ValueError, match="at least one"):
         module170.eigenvector([])
+    with pytest.raises(ValueError, match="need a prime degree, got 4"):
+        module170.eigenvector([(4, 1)])
+    # every degree is checked before the first count
+    fresh = BrandtModule(module170.classes)
+    with pytest.raises(ValueError, match="need a prime degree, got 4"):
+        fresh.eigenvector([(7, 2), (4, 1)])
+    assert not fresh._rows and not fresh._counts
 
 
 def test_eigenvalue_of_error_paths(module170, phi170_f):

@@ -17,9 +17,8 @@ from brandtlift.linalg import clear_denominators, hnf, mat_inv, rref_mod, vec_ma
 from brandtlift.orders import (
     ClassSet,
     OrderLattice,
-    _neighbor_ideal,
-    _neighbor_submodules,
     _level_raise,
+    _neighbors,
     _pair_product,
     _projective_points,
     _reduce_ideal,
@@ -480,16 +479,29 @@ def ref_neighbor_submodules(ideal, base, p):
     return [found[k] for k in sorted(found)]
 
 
+def ref_neighbors(ideal, base, p):
+    """The p-neighbours p ideal + (the preimage of each reference submodule), of norm Nm p."""
+    scaled = [[p * x for x in row] for row in ideal.rows]
+    return [
+        OrderLattice.from_rows(ideal.alg, ideal.den, scaled + [vec_mat(c, ideal.rows) for c in span], ideal.norm * p)
+        for span in ref_neighbor_submodules(ideal, base, p)
+    ]
+
+
+def walk_prime(level):
+    """The class walk's neighbour prime: the least prime not dividing the level."""
+    return next(r for r in primerange(2, 1000) if level % r)
+
+
 def _first_reps(q, m, p, count):
     """The base order of level q*m and the first few of its p-neighbours."""
     base = eichler_order(maximal_order(choose_presentation(q)), m)
     first = OrderLattice(base.alg, base.den, base.rows, 1)
-    subs = ref_neighbor_submodules(first, base, p)
-    return [first] + [_neighbor_ideal(first, sub, p) for sub in subs[:count]]
+    return [first] + ref_neighbors(first, base, p)[:count]
 
 
 def _walk_prime_and_reps(level, request):
-    p = next(r for r in (2, 3, 5, 7, 11) if level % r)
+    p = walk_prime(level)
     if level == 11:
         return p, build_classes(11, 1).reps
     if level in (170, 174):
@@ -526,13 +538,16 @@ def test_neighbor_scan_matches_the_projective_space_closure(level, request):
     p, reps = _walk_prime_and_reps(level, request)
     base = reps[0]
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
+    alg = base.alg
     for rep in reps:
-        subs = _neighbor_submodules(rep, base, p, idem)
-        assert subs == ref_neighbor_submodules(rep, base, p)
-        mats = _right_action_matrices(rep, base)
-        for span in subs:
-            # closed under the right action of base: the rank stays 2
-            assert len(rref_mod(span + [vec_mat(v, m) for v in span for m in mats], p)[1]) == 2
+        neighbours = list(_neighbors(rep, base, p, idem))
+        assert neighbours == ref_neighbors(rep, base, p)
+        for neighbour in neighbours:
+            # a right ideal of base inside rep, of norm Nm(rep) p by its covolume
+            assert neighbour.norm == rep.norm * p == ideal_norm(neighbour, base)
+            assert all(rep._solve(v, neighbour.den) is not None for v in neighbour.rows)
+            d = neighbour.den * base.den
+            assert all(neighbour._solve(alg.mul(v, r), d) is not None for v in neighbour.rows for r in base.rows)
 
 
 @pytest.mark.parametrize("level", [170, 174, 222])
@@ -545,36 +560,20 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
     base = reps[0]
     forms = [set(_reduced_forms(rep, w)) for rep, w in zip(reps, classes.weights)]
     assert all(not forms[i] & forms[j] for j in range(h) for i in range(j))
-    p = next(r for r in primerange(2, 100) if level % r)
+    p = walk_prime(level)
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
     found = [[0] * h for _ in range(h)]
     for j, rep in enumerate(reps):
-        for sub in _neighbor_submodules(rep, base, p, idem):
-            neighbour = _neighbor_ideal(rep, sub, p)
+        for neighbour in _neighbors(rep, base, p, idem):
             tested = [equivalent_ideals(rep_i, neighbour) for rep_i in reps]
             assert tested == [ref_equivalent_ideals(rep_i, neighbour) for rep_i in reps], j
             matches = [i for i in range(h) if tested[i]]
             assert len(matches) == 1, (j, matches)
-            # the walk's key names the same class
+            # the walk's key names the same class, and so does ClassSet._identify
             reduced = _reduce_ideal(neighbour)
             assert [i for i in range(h) if reduced in forms[i]] == matches
+            assert classes._identify(neighbour) == matches[0]
             found[matches[0]][j] += 1
-    module = request.getfixturevalue(f"module{level}")
-    assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
-
-
-@pytest.mark.parametrize("level", [170, 174, 222])
-def test_identified_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, request):
-    # the same count with each neighbour named by ClassSet._identify alone
-    classes = request.getfixturevalue(f"classes{level}")
-    reps, h = classes.reps, classes.h
-    base = reps[0]
-    p = next(r for r in primerange(2, 100) if level % r)
-    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
-    found = [[0] * h for _ in range(h)]
-    for j, rep in enumerate(reps):
-        for sub in _neighbor_submodules(rep, base, p, idem):
-            found[classes._identify(_neighbor_ideal(rep, sub, p))][j] += 1
     module = request.getfixturevalue(f"module{level}")
     assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
 
