@@ -578,6 +578,22 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
     assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
 
 
+@pytest.mark.parametrize("level", [170, 174, 222])
+def test_identified_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, request):
+    # the same count with each neighbour named by ClassSet._identify alone
+    classes = request.getfixturevalue(f"classes{level}")
+    reps, h = classes.reps, classes.h
+    base = reps[0]
+    p = walk_prime(level)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
+    found = [[0] * h for _ in range(h)]
+    for j, rep in enumerate(reps):
+        for neighbour in _neighbors(rep, base, p, idem):
+            found[classes._identify(neighbour)][j] += 1
+    module = request.getfixturevalue(f"module{level}")
+    assert tuple(map(tuple, found)) == module.brandt_matrix(p).entries
+
+
 def test_identify_rejects_a_lattice_in_no_class(classes170):
     # i O i^-1 has the covolume of O and the norm-1 element 1, so it reduces
     # to itself, but it is no right ideal of O, so no class reduces to it
