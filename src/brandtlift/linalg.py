@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -115,13 +116,12 @@ def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 def vec_mat(v, m):
     """Row vector times matrix."""
-    cols = list(zip(*m))
-    return [sum(x * y for x, y in zip(v, col)) for col in cols]
+    return [sum(map(mul, v, col)) for col in zip(*m)]
 
 
 def mat_vec(m, v):
     """Matrix times column vector."""
-    return [sum(x * y for x, y in zip(row, v)) for row in m]
+    return [sum(map(mul, row, v)) for row in m]
 
 
 def _gauss_jordan(m: list[list[int]], ncols: int, p: int | None = None) -> list[int]:

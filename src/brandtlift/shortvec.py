@@ -18,6 +18,16 @@ partial norm is an integer, and each coordinate range comes from one
 math.isqrt, so the bounds are exact.  Coordinates are fixed from the last
 to the first; the first is handed to the consumer as a run of consecutive
 values along which Q is an integer quadratic.
+
+A run with tail fixed has Q = a x_0^2 + 2c x_0 + rest, a = G_00, so
+a Q = (a x_0 + c)^2 + D with D = a rest - c^2.  Its x_0 are all those with
+Q <= bound, so its values are (t^2 + D)/a over the t = c mod a with
+t^2 <= a bound - D; t -> -t maps those onto the t = -c mod a.  The multiset
+of a run's values thus depends only on (+-c mod a, D), and vector_counts
+walks each such class of runs once, weighted by its number of runs.  A
+nonzero tail has D > 0 (D/a is the norm of the tail's part orthogonal to
+x_0); the zero tail, the half-run x_0 >= 1, is the one run with D = 0, so
+its class is its own.
 """
 
 from __future__ import annotations
@@ -96,7 +106,12 @@ def iter_short_vectors(gram, bound) -> Iterator[tuple[tuple[int, ...], int]]:
 def vector_counts(gram, bound) -> dict[int, int]:
     """Counts {Q(x): #x} over nonzero integer vectors with Q(x) <= bound.
 
-    Both signs are counted, so every count is even.
+    Both signs are counted, so every count is even.  Runs of one class
+    (+-c mod a, D) have the same multiset of values (see the module
+    docstring), so each class is walked once, in the order of its first
+    run, adding 2 per run of the class.  The keys keep the order of a walk
+    of every run: a class first adds its values where its first run would,
+    and a later run of it has no value that is not already a key.
     """
     b = floor(bound)
     counts: dict[int, int] = {}
@@ -105,11 +120,25 @@ def vector_counts(gram, bound) -> dict[int, int]:
     get = counts.get
     a = gram[0][0] if gram else 0
     a2 = 2 * a
+    # (+-c mod a, D) -> [2 * #runs, lo, hi, lin, rest] of its first run
+    classes: dict[tuple[int, int], list[int]] = {}
+    seen = classes.get
     for _, lo, hi, lin, rest in _runs(gram, b):
+        c = lin >> 1
+        r = c % a
+        if r + r > a:
+            r = a - r
+        key = r, a * rest - c * c
+        first = seen(key)
+        if first is None:
+            classes[key] = [2, lo, hi, lin, rest]
+        else:
+            first[0] += 2
+    for w, lo, hi, lin, rest in classes.values():
         # Q along the run, stepped by its first and second differences
         q, dq = (a * lo + lin) * lo + rest, a * (2 * lo + 1) + lin
         for _ in range(hi - lo + 1):
-            counts[q] = get(q, 0) + 2
+            counts[q] = get(q, 0) + w
             q += dq
             dq += a2
     return counts

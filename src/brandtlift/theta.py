@@ -37,14 +37,19 @@ class QSeries:
     """Truncated q-expansion with exact integer coefficients.
 
     Coefficients are known exactly for exponents n <= bound; zero
-    coefficients are never stored, so equality is structural.
+    coefficients are never stored, so equality is structural.  Exponents
+    and coefficients must be integral: any other value is a ValueError,
+    not truncated.
     """
 
     bound: int
     coeffs: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {int(n): int(c) for n, c in self.coeffs.items() if c and n <= self.bound}
+        coeffs = self.coeffs
+        if {*map(type, coeffs), *map(type, coeffs.values())} - {int}:
+            coeffs = {_integral(n, "exponent"): _integral(c, "coefficient") for n, c in coeffs.items()}
+        clean = {n: c for n, c in coeffs.items() if c and n <= self.bound}
         if any(n < 0 for n in clean):
             raise ValueError(f"negative exponent {min(clean)} in a q-series")
         object.__setattr__(self, "coeffs", clean)
@@ -58,6 +63,17 @@ class QSeries:
         lines = [] if header is None else [header]
         lines += [f"{n} {self.coeffs[n]}" for n in sorted(self.coeffs)]
         return "\n".join(lines) + "\n"
+
+
+def _integral(x, what: str) -> int:
+    """x as an int; a ValueError, not a silent truncation, if x is not integral."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != x:
+        raise ValueError(f"non-integral {what} {x!r} in a q-series")
+    return n
 
 
 def parse_qseries(text: str) -> tuple[QSeries, str | None]:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import reference_kernels as ref
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
 from brandtlift.shortvec import _runs, vector_counts
-from brandtlift.theta import canonical_gram
+from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 
 def _gram(b: list[list[int]]) -> list[list[int]]:
@@ -74,6 +74,45 @@ def test_runs_and_counts_match_the_reference(data, n):
     counts = vector_counts(g, bound)
     expected = ref.vector_counts(g, bound)
     assert counts == expected and list(counts) == list(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_grouped_counts_match_the_reference_at_long_runs(data, n):
+    # small entries give small diagonals, and bounds up to 40 times the largest
+    # one make runs long, so that runs of one class (+-c mod a, D) repeat and
+    # several classes share a D
+    b = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+    g = _gram(b)
+    assume(_positive_definite(g))
+    g = greedy_reduce(g)[0]
+    bound = data.draw(st.integers(0, 40 * max(g[k][k] for k in range(n))))
+    counts = vector_counts(g, bound)
+    expected = ref.vector_counts(g, bound)
+    assert counts == expected and list(counts) == list(expected)
+
+
+def _run_classes(g, bound) -> tuple[int, int]:
+    """(number of runs, number of distinct (+-c mod a, D)) of the walk of g to bound."""
+    a = g[0][0]
+    runs = [(lin // 2, rest) for _, _, _, lin, rest in _runs(g, bound)]
+    return len(runs), len({(min(c % a, -c % a), a * rest - c * c) for c, rest in runs})
+
+
+def test_grouped_counts_match_the_reference_on_the_paper_types(classes170, classes174, classes222):
+    # the reduced trace-zero Grams that theta_series counts, at a bound where runs repeat
+    for classes in (classes170, classes174, classes222):
+        grams = {tuple(map(tuple, greedy_reduce([list(r) for r in trace_zero_lattice(o).gram])[0]))
+                 for o in classes.right_orders}
+        runs = classes_seen = 0
+        for gram in sorted(grams):
+            g = [list(r) for r in gram]
+            counts = vector_counts(g, 2000)
+            expected = ref.vector_counts(g, 2000)
+            assert counts == expected and list(counts) == list(expected)
+            r, c = _run_classes(g, 2000)
+            runs, classes_seen = runs + r, classes_seen + c
+        assert classes_seen < runs
 
 
 @settings(max_examples=300, deadline=None)

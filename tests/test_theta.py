@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,19 @@ def test_negative_exponent_is_a_value_error():
     with pytest.raises(ValueError, match="negative exponent -1"):
         QSeries(4, {-1: 2, 0: 1})
     assert QSeries(4, {-1: 0, 0: 1}).coeffs == {0: 1}
+
+
+def test_non_integral_entries_are_a_value_error():
+    # a Fraction or a float is not truncated to an int, whether a coefficient or an exponent
+    with pytest.raises(ValueError, match=r"non-integral coefficient Fraction\(3, 2\)"):
+        QSeries(10, {1: Fraction(3, 2), 2: 2})
+    with pytest.raises(ValueError, match="non-integral coefficient 2.7"):
+        QSeries(10, {1: 1, 2: 2.7})
+    with pytest.raises(ValueError, match="non-integral exponent 3.9"):
+        QSeries(10, {1: 1, 3.9: 5})
+    # integral values of other types are taken as their ints
+    s = QSeries(10, {Fraction(4, 2): 3, 5: Fraction(6, 3), 7.0: 0})
+    assert s.coeffs == {2: 3, 5: 2} and all(type(x) is int for kv in s.coeffs.items() for x in kv)
 
 
 def test_theta_series_trivial_bounds():
