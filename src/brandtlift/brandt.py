@@ -85,7 +85,7 @@ class BrandtModule:
     and the module counts one pair lattice per orbit of G on the unordered
     pairs {i, j}: the orbit's least sorted pair, its key (_key).  G is
     read once, at the first count or split (_group), so a module that
-    counts nothing pays nothing for it.  The class walk has already reduced the lattices of two kinds
+    counts nothing pays nothing for it.  The class walk has already built the lattices of two kinds
     of keys, so only the other keys are built (_form), by two identities
     for locally principal ideals (Voight, GTM 288, ch. 16-17):
 
@@ -167,7 +167,7 @@ class BrandtModule:
 
         unit is the value of norm Nm_i Nm_j in the pair lattice's terms
         (OrderLattice.norm_form).  The pairs (i, i) and (0, j) take the
-        Grams that the class walk reduced (see the class docstring); the
+        lattices that the class walk built (see the class docstring); the
         others build I_i conj(I_j).
         """
         classes = self.classes

@@ -30,6 +30,24 @@ ClassSet._identify names the class of any integral right ideal with an int
 norm by the same lookup.  The public equivalent_ideals is the same key for
 two given ideals: lhs reduces into the forms of rhs exactly when lhs = x rhs.
 
+The walk reuses what it has computed, each time by an identity, so its
+reps, weights, types and class order are those of the plain walk.  If a
+neighbour N of I_k reduces to conj(alpha) N / Nm(N) = conj(beta) I_j / Nm(I_j),
+then N = y I_j for y = Nm(N) / (Nm(alpha) Nm(I_j)) alpha conj(beta), and
+p I_k in N in I_k, of index p^2 each, gives p I_j in M in I_j for
+M = p y^-1 I_k = p Nm(I_j) / (Nm(N) Nm(beta)) beta conj(alpha) I_k: a
+p-neighbour of I_j in class k, already known, so the walk finds its
+submodule of I_j/pI_j and builds no lattice for it.  A rep R is O or
+conj(alpha) N / Nm(N) with alpha minimal in N; its elements
+conj(alpha) x / Nm(N), x in N, have norm at least Nm(R)^2, which
+Nm(R) = conj(alpha) alpha / Nm(N) attains, so a unit u of O_L(R) gives the
+minimal vector u Nm(R), and the units are the x / Nm(R) over the minimal
+x of R that lie in O_L(R).  R = conj(alpha) N / Nm(N) is similar to N, so
+the images of N's reduced basis are a reduced basis of R.  And a type,
+the canonical Gram of a ternary lattice, is a GL_3(Z) invariant, so the
+classes whose reduced ternary Grams agree after a change of signs share
+one canonical search.
+
 At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
 the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
 Atkin-Lehner involution W_p sends the class of I to the class of I J_p.
@@ -85,7 +103,7 @@ class OrderLattice:
     Equality and hashing ignore it and compare the lattice itself.
     """
 
-    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_conj", "_alpha", "_right")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_similar", "_mins", "_conj", "_alpha", "_right")
 
     def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
@@ -94,6 +112,9 @@ class OrderLattice:
         self.norm = norm
         self._gram = None
         self._red = None
+        # (I, alpha row) when self = conj(alpha) I / Nm(I): see reduced_gram
+        self._similar = None
+        self._mins = None
         self._conj = None
         self._alpha = None
         self._right = None
@@ -166,9 +187,30 @@ class OrderLattice:
         return self._gram
 
     def reduced_gram(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Length-reduced Gram with the unimodular basis change: (U G U^T, U)."""
+        """Length-reduced Gram with the unimodular basis change: (U G U^T, U).
+
+        A lattice R = conj(alpha) I / Nm(I) made by _reduce_ideal is similar
+        to I, so it takes I's reduction: the images conj(alpha) b / Nm(I) of
+        I's reduced basis b are a basis of R (U holds their coordinates in
+        R's HNF), and their Gram is I's reduced Gram times Nm(alpha_num) / g^2,
+        alpha_num the numerator row of alpha and g = den(I)^2 Nm(I) / den(R)
+        the content that from_rows divided out.  Any other lattice is greedy
+        reduced.
+        """
         if self._red is None:
-            self._red = greedy_reduce(self.gram_int())
+            if self._similar is None:
+                self._red = greedy_reduce(self.gram_int())
+            else:
+                source, row = self._similar
+                gram, umat = source.reduced_gram()
+                mul, d = self.alg.mul, source.den**2 * source.norm
+                crow, nm, g2 = _conj(row), self.alg.trace_pairing(row, row) // 2, (d // self.den) ** 2
+                coords = [self._solve(mul(crow, vec_mat(u, source.rows)), d) for u in umat]
+                scaled = [[divmod(nm * x, g2) for x in r] for r in gram]
+                if None in coords or any(rem for r in scaled for _, rem in r):
+                    raise RuntimeError("conj(alpha) I / Nm(I) does not take the reduced basis of I")
+                self._red = [[x for x, _ in r] for r in scaled], coords
+                self._similar = None
         return self._red
 
     def norm_form(self, n: int = 1) -> tuple[list[list[int]], int]:
@@ -192,6 +234,19 @@ class OrderLattice:
     def minimal_vector(self) -> list[int]:
         """Numerator row r of a nonzero lattice element r / den of smallest reduced norm."""
         return self._short_vector(lambda val: True)
+
+    def _minimal_rows(self) -> tuple[int, list[list[int]]]:
+        """(least value, numerator rows of the minimal vectors, one of each sign pair), enumerated once.
+
+        The value is the reduced Gram's (norm_form), and the rows come in the
+        walk order of the reduced form, up to its least diagonal entry.
+        """
+        if self._mins is None:
+            gram, umat = self.reduced_gram()
+            vecs = list(iter_short_vectors(gram, min(gram[m][m] for m in range(4))))
+            least = min(val for _, val in vecs)
+            self._mins = least, [vec_mat(vec_mat(c, umat), self.rows) for c, val in vecs if val == least]
+        return self._mins
 
     def _generator(self) -> list[int]:
         """Numerator row of an alpha with self = Nm(self) O + alpha O, for an integral ideal.
@@ -395,11 +450,13 @@ def _right_mult(mats, e) -> list[list[int]]:
     return [[sum(c * m[i][j] for c, m in zip(e, mats)) for j in range(4)] for i in range(4)]
 
 
-def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int]):
+def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int], skip=frozenset()):
     """Yield the p+1 p-neighbours of ideal, of norm Nm(ideal) p, one at a time.
 
     Each is p ideal + the preimage of a two-dimensional right submodule of
-    ideal/p ideal, in the sorted order of the submodules' echelon bases.
+    ideal/p ideal, in the sorted order of the submodules' echelon bases,
+    given as tuples of rows mod p.  A submodule in skip when its turn comes
+    (the walk may add to skip while it reads) is passed over unbuilt.
     With idem the coordinates of a rank-1 idempotent e of base mod p, the
     image V = (ideal/p ideal) e is a plane, and those submodules are the
     cyclic ones v (base/p base) for the p+1 lines v of V (module docstring):
@@ -414,16 +471,16 @@ def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int])
     assert len(piv) == 2, "image of the idempotent is not 2-dimensional"
     b1, b2 = image
     lines = [b2] + [[(x + t * y) % p for x, y in zip(b1, b2)] for t in range(p)]
-    subs = []
+    subs = set()
     for v in lines:
         span, piv = rref_mod([vec_mat(v, m) for m in mats], p)
         assert len(piv) == 2, "cyclic submodule is not 2-dimensional"
-        subs.append(span)
-    subs.sort()
-    distinct = len({tuple(map(tuple, span)) for span in subs})
-    assert distinct == p + 1, f"expected {p + 1} neighbor submodules, found {distinct}"
+        subs.add(tuple(map(tuple, span)))
+    assert len(subs) == p + 1, f"expected {p + 1} neighbor submodules, found {len(subs)}"
     scaled = [[p * x for x in row] for row in ideal.rows]
-    for span in subs:
+    for span in sorted(subs):
+        if span in skip:
+            continue
         rows = scaled + [vec_mat(c, ideal.rows) for c in span]
         yield OrderLattice.from_rows(ideal.alg, ideal.den, rows, norm=ideal.norm * p)
 
@@ -438,15 +495,22 @@ def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
     return OrderLattice(small.alg, small.den, small.rows, norm)
 
 
-def _reduce_ideal(ideal: OrderLattice) -> OrderLattice:
-    """conj(alpha) I / Nm(I), alpha minimal in I, checked by covol(small) Nm(I)^2 = Nm(small)^2 covol(I)."""
-    small = _conj_quotient(ideal, ideal.minimal_vector())
+def _reduce_ideal(ideal: OrderLattice) -> tuple[OrderLattice, list[int]]:
+    """(conj(alpha) I / Nm(I), the numerator row of alpha), alpha minimal in I.
+
+    The lattice is checked by covol(small) Nm(I)^2 = Nm(small)^2 covol(I),
+    and takes I's reduced basis when its reduced Gram is first read
+    (OrderLattice.reduced_gram).
+    """
+    row = ideal.minimal_vector()
+    small = _conj_quotient(ideal, row)
     assert small._det() * ideal.norm**2 * ideal.den**4 == small.norm**2 * ideal._det() * small.den**4
-    return small
+    small._similar = ideal, row
+    return small, row
 
 
-def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
-    """The lattices conj(beta) I / Nm(I) over the minimal vectors beta of I.
+def _reduced_forms(ideal: OrderLattice, w: int) -> dict[OrderLattice, list[int]]:
+    """The lattices conj(beta) I / Nm(I) over the minimal vectors beta of I, each with a numerator row of its beta.
 
     w is the number of units of O_L(I).  If u is one, conj(u beta) I = conj(beta) I,
     so when the minimal vectors, both signs, number w, they are the unit
@@ -454,13 +518,35 @@ def _reduced_forms(ideal: OrderLattice, w: int) -> list[OrderLattice]:
     which gives I itself.  w = 0 turns that shortcut off, for an I that
     need not be reduced.
     """
-    gram, umat = ideal.reduced_gram()
-    vecs = list(iter_short_vectors(gram, min(gram[m][m] for m in range(4))))
-    least = min(val for _, val in vecs)
-    mins = [c for c, val in vecs if val == least]
+    mins = ideal._minimal_rows()[1]
     if 2 * len(mins) == w:
-        return [ideal]
-    return [_conj_quotient(ideal, vec_mat(vec_mat(c, umat), ideal.rows)) for c in mins]
+        return {ideal: [ideal.norm * ideal.den, 0, 0, 0]}
+    return {_conj_quotient(ideal, row): row for row in mins}
+
+
+def _returning_span(rep: OrderLattice, beta, alpha, d_alpha: int, source: OrderLattice, p: int) -> tuple:
+    """The submodule of I_j / p I_j spanned by a p-neighbour of rep I_j in the class of source I_k.
+
+    A p-neighbour N of I_k reduced to conj(alpha) N / Nm(N), the form
+    conj(beta) I_j / Nm(I_j) of I_j, where alpha / Nm(N) = alpha / d_alpha
+    and beta are numerator rows (over I_j's den for beta).  The returned
+    neighbour is M = p Nm(I_j) / (Nm(N) Nm(beta)) beta conj(alpha) I_k (see
+    right_ideal_classes): its 4 generators are solved in I_j and
+    echelonized mod p.  RuntimeError if M is not in I_j or does not span a
+    plane mod p.
+    """
+    alg = rep.alg
+    gamma = alg.mul(beta, _conj(alpha))
+    # the generators f gamma r / d over the rows r of I_k, as Nm(beta) = pair(beta, beta) / (2 rep.den^2)
+    f = p * rep.norm * rep.den
+    d = (alg.trace_pairing(beta, beta) // 2) * d_alpha * source.den
+    coords = [rep._solve([f * x for x in alg.mul(gamma, r)], d) for r in source.rows]
+    if None in coords:
+        raise RuntimeError("the returning p-neighbour is not inside the class rep")
+    span, piv = rref_mod(coords, p)
+    if len(piv) != 2:
+        raise RuntimeError("the returning p-neighbour does not span a plane mod p")
+    return tuple(map(tuple, span))
 
 
 def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
@@ -549,7 +635,19 @@ def equivalent_ideals(lhs: OrderLattice, rhs: OrderLattice) -> bool:
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     if _right_order(lhs) != _right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
-    return _reduce_ideal(lhs) in _reduced_forms(rhs, 0)
+    return _reduce_ideal(lhs)[0] in _reduced_forms(rhs, 0)
+
+
+def _type_key(gram) -> tuple[tuple[int, int, int], ...]:
+    """The greedy-reduced ternary Gram with basis vectors 2 and 3 negated so that G01, G02 >= 0.
+
+    Both steps are GL_3(Z) changes of basis, so Grams with one key have one
+    canonical_gram, and the key itself is a Gram to search from.
+    """
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = greedy_reduce(gram)[0]
+    s1, s2 = (-1 if g01 < 0 else 1), (-1 if g02 < 0 else 1)
+    g01, g02, g12 = s1 * g01, s2 * g02, s1 * s2 * g12
+    return ((g00, g01, g02), (g01, g11, g12), (g02, g12, g22))
 
 
 @dataclass
@@ -596,7 +694,7 @@ class ClassSet:
             ideal._det() * base.den**4 != ideal.norm**2 * base._det() * ideal.den**4
         ):
             raise ValueError("_identify needs an ideal with an int norm Nm and covolume Nm^2 covol(O)")
-        k = self._known.get(_reduce_ideal(ideal))
+        k = self._known.get(_reduce_ideal(ideal)[0])
         if k is None:
             raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
         return k
@@ -703,6 +801,32 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     hold the rep itself (RuntimeError otherwise), and its share of the
     mass.  The ClassSet keeps the forms as _known, in the final class
     order, for ClassSet._identify.
+
+    Four identities spare work that the plain walk repeats; the mass
+    certificate still checks every weight, and no step changes a rep, a
+    weight, a type or the class order (module docstring):
+
+    - A neighbour N of I_k that reduces to the form conj(beta) I_j / Nm(I_j)
+      (known keeps a beta per form; the rep's own is Nm(I_j)) proves that
+      M = p Nm(I_j) / (Nm(N) Nm(beta)) beta conj(alpha) I_k, a p-neighbour
+      of I_j, is in class k.  For j > k the walk records (beta, alpha, I_k)
+      and, on reaching I_j, solves M's 4 generators in I_j and echelonizes
+      them mod p (_returning_span); for j = k it does so at once.
+      _neighbors passes those submodules over unbuilt.  Their class is
+      registered, so the plain walk would only have looked them up.  M must
+      lie in I_j and span a plane mod p, RuntimeError otherwise.
+    - A rep R has least norm Nm(R)^2 (RuntimeError otherwise), so its unit
+      count is w = 2 #{x minimal in R, one sign each : x / Nm(R) in O_L(R)},
+      read off the minimal vectors that _reduced_forms enumerates too, not
+      counted on O_L(R).
+    - R = conj(alpha) N / Nm(N) takes N's reduced basis, mapped by
+      conj(alpha) / Nm(N), with no Gram or reduction of its own
+      (OrderLattice.reduced_gram).  No output depends on which reduced
+      basis a rep has: _generator's alpha feeds only products certified by
+      their covolumes, the forms are a set of lattices, _identify takes
+      any minimal vector, and counts do not depend on the basis.
+    - canonical_gram is a GL_3(Z) invariant, so it runs once per _type_key
+      of the ternary Grams, not once per class.
     """
     alg = base.alg
     N = base.reduced_discriminant()
@@ -716,35 +840,54 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     idem = _split_idempotent(base, _right_action_matrices(base, base), p)
 
     classes, orders, weights = [], [], []
-    # every lattice that an ideal of a known class can reduce to, with its class
+    # every lattice conj(beta) I_k / Nm(I_k) that an ideal of a known class k
+    # can reduce to, mapped to k and the numerator row of beta
     known = {}
+    # per class j: (beta, alpha, d_alpha, I_k) of each reduced neighbour of an
+    # earlier class k that proves a neighbour of I_j in class k (_returning_span)
+    returning = []
     acc = Fraction(0)
 
     def register(rep):  # rep is the next class
         nonlocal acc
         # O_L(I) = I conj(I) / Nm(I)
         left = _pair_product(rep, rep, rep.norm)
-        w = unit_weight(left)
+        # the units of O_L(I) are the x / Nm(I), x minimal in I, that lie in it
+        least, mins = rep._minimal_rows()
+        if least != 2 * (rep.den * rep.norm) ** 2:
+            raise RuntimeError("a class rep's least norm is not Nm(I)^2")
+        w = 2 * sum(left._solve(x, rep.den * rep.norm) is not None for x in mins)
         forms = _reduced_forms(rep, w)
         if rep not in forms:
             raise RuntimeError("a class rep is not among its own reduced forms")
-        known.update(dict.fromkeys(forms, len(classes)))
+        k = len(classes)
+        known.update((form, (k, beta)) for form, beta in forms.items())
         classes.append(rep)
         orders.append(left)
         weights.append(w)
+        returning.append([])
         acc += Fraction(1, w)
 
     register(OrderLattice(alg, base.den, base.rows, 1))
     # breadth first: the loop reaches each class that register appends
-    for current in classes:
+    for k, current in enumerate(classes):
         if acc >= target_mass:
             break
-        for neighbour in _neighbors(current, base, p, idem):
-            reduced = _reduce_ideal(neighbour)
+        # the neighbours of I_k whose class is proved, which it need not build
+        proved = {_returning_span(current, *record, p) for record in returning[k]}
+        returning[k] = None
+        for neighbour in _neighbors(current, base, p, idem, proved):
+            reduced, alpha = _reduce_ideal(neighbour)
             if reduced not in known:
                 register(reduced)
                 if acc >= target_mass:
                     break
+            j, beta = known[reduced]
+            record = beta, alpha, neighbour.den * neighbour.norm, current
+            if j == k:
+                proved.add(_returning_span(current, *record, p))
+            elif j > k:
+                returning[j].append(record)
 
     if acc != target_mass:
         raise RuntimeError(
@@ -752,8 +895,11 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         )
 
     # canonical ordering: the base class stays first, the rest sort on their
-    # type (the canonical Gram of the ternary trace-zero lattice), then on the basis
-    types = [canonical_gram(trace_zero_lattice(o).gram) for o in orders]
+    # type (the canonical Gram of the ternary trace-zero lattice), then on the
+    # basis; one canonical search per type key (_type_key)
+    keys = [_type_key(trace_zero_lattice(o).gram) for o in orders]
+    canonical = {key: canonical_gram(key) for key in dict.fromkeys(keys)}
+    types = [canonical[key] for key in keys]
     rest = sorted(range(1, len(classes)), key=lambda k: (types[k], classes[k].den, classes[k].rows))
     perm = [0] + rest
     rank = {k: n for n, k in enumerate(perm)}
@@ -767,5 +913,5 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         weights=[weights[k] for k in perm],
         mass=target_mass,
         _types=[types[k] for k in perm],
-        _known={form: rank[k] for form, k in known.items()},
+        _known={form: rank[k] for form, (k, _) in known.items()},
     )

@@ -37,6 +37,11 @@ def classes330():
 
 
 @pytest.fixture(scope="session")
+def classes139():
+    return build_classes(139, 1)
+
+
+@pytest.fixture(scope="session")
 def classes2310():
     return build_classes(2, 1155)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
+from brandtlift.orders import _type_key
 from brandtlift.shortvec import _runs, vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
@@ -123,3 +124,33 @@ def test_canonical_gram_matches_the_reference(b):
     g = _gram(b)
     assume(_positive_definite(g))
     assert canonical_gram(g) == ref.canonical_gram(g)
+
+
+@st.composite
+def unimodular_3x3(draw):
+    """A product of up to 8 shears, swaps and sign changes of the identity."""
+    u = [[int(i == j) for j in range(3)] for i in range(3)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        kind = draw(st.sampled_from(["shear", "shear", "swap", "sign"]))
+        if kind == "shear":
+            mu = draw(st.integers(-3, 3))
+            u[i] = [x + mu * y for x, y in zip(u[i], u[j])]
+        elif kind == "swap":
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-x for x in u[i]]
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=3, max_size=3), u=unimodular_3x3())
+def test_type_key_has_the_canonical_gram_of_every_equivalent_gram(b, u):
+    # the class walk searches once per _type_key: the sign-normalized greedy
+    # Gram must have the canonical Gram of any GL_3(Z) image of its input
+    g = _gram(b)
+    assume(_positive_definite(g))
+    key = _type_key(g)
+    assert key[0][1] >= 0 and key[0][2] >= 0
+    moved = [[sum(u[i][m] * g[m][n] * u[j][n] for m in range(3) for n in range(3)) for j in range(3)] for i in range(3)]
+    assert canonical_gram(key) == canonical_gram(moved)

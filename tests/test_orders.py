@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sympy import factorint, primerange
 
 from brandtlift import orders
-from brandtlift.linalg import clear_denominators, hnf, mat_inv, rref_mod, vec_mat
+from brandtlift.linalg import clear_denominators, greedy_reduce, hnf, mat_inv, rref_mod, vec_mat
 from brandtlift.orders import (
     ClassSet,
     OrderLattice,
@@ -105,9 +105,16 @@ def test_base_class_first(classes174):
     assert first.is_order()
 
 
-def test_weights_match_unit_counts(classes174):
-    for order, w in zip(classes174.right_orders, classes174.weights):
-        assert unit_weight(order) == w
+@pytest.mark.parametrize("level", [11, 170, 174, 222, 2, 3, 139])
+def test_weights_match_unit_counts(level, request):
+    # the walk reads each weight off the rep's minimal vectors; q = 2 and
+    # q = 3 with m = 1 have the one class O, with 24 and 12 units
+    if level in (170, 174, 222, 139):
+        classes = request.getfixturevalue(f"classes{level}")
+    else:
+        classes = build_classes(level, 1)
+    assert classes.weights == [unit_weight(order) for order in classes.right_orders]
+    assert level not in (2, 3) or classes.weights == [{2: 24, 3: 12}[level]]
 
 
 def test_ideal_norms_recorded(classes170):
@@ -570,7 +577,7 @@ def test_neighbour_classes_give_the_brandt_matrix_at_the_walk_prime(level, reque
             matches = [i for i in range(h) if tested[i]]
             assert len(matches) == 1, (j, matches)
             # the walk's key names the same class, and so does ClassSet._identify
-            reduced = _reduce_ideal(neighbour)
+            reduced, _ = _reduce_ideal(neighbour)
             assert [i for i in range(h) if reduced in forms[i]] == matches
             assert classes._identify(neighbour) == matches[0]
             found[matches[0]][j] += 1
@@ -642,6 +649,73 @@ def test_walk_identifies_classes_without_equivalence_tests(monkeypatch):
     assert tests == []
 
 
+def _recorded_walk(q, m, monkeypatch):
+    """The classes of level q m, with the walk's returning spans and its counts of reductions and canonical searches.
+
+    A returning span is recorded as (I_j, I_k, span): the walk holds the
+    p-neighbour of I_j that span gives to be in the class of I_k.
+    """
+    spans, counts = [], {"reductions": 0, "searches": 0}
+    returning, reduce_ideal, canonical = orders._returning_span, orders._reduce_ideal, orders.canonical_gram
+
+    def recorded(rep, beta, alpha, d_alpha, source, p):
+        span = returning(rep, beta, alpha, d_alpha, source, p)
+        spans.append((rep, source, span))
+        return span
+
+    def counted(ideal):
+        counts["reductions"] += 1
+        return reduce_ideal(ideal)
+
+    def searched(gram):
+        counts["searches"] += 1
+        return canonical(gram)
+
+    monkeypatch.setattr(orders, "_returning_span", recorded)
+    monkeypatch.setattr(orders, "_reduce_ideal", counted)
+    monkeypatch.setattr(orders, "canonical_gram", searched)
+    classes = build_classes(q, m)
+    monkeypatch.undo()
+    return classes, spans, counts
+
+
+@pytest.mark.parametrize(
+    "q, m, reductions, searches",
+    [(17, 10, 40, 5), (3, 58, 35, 5), (2, 111, 26, 5), (3, 110, 89, 6)],
+)
+def test_skipped_neighbours_lie_in_the_classes_the_walk_recorded(q, m, reductions, searches, monkeypatch):
+    # every p-neighbour that the walk proved from a reduction, built from its
+    # span, is a neighbour of its rep, and _identify names the recorded class;
+    # the walk reduces only the others (64, 46, 36 and 112 neighbours in all)
+    # and runs one canonical search per type key
+    classes, spans, counts = _recorded_walk(q, m, monkeypatch)
+    assert counts == {"reductions": reductions, "searches": searches}
+    base, p = classes.reps[0], walk_prime(q * m)
+    idem = _split_idempotent(base, _right_action_matrices(base, base), p)
+    index = {rep: i for i, rep in enumerate(classes.reps)}
+    neighbours = {}
+    for rep, source, span in spans:
+        if rep not in neighbours:
+            neighbours[rep] = set(_neighbors(rep, base, p, idem))
+        scaled = [[p * x for x in row] for row in rep.rows]
+        built = OrderLattice.from_rows(rep.alg, rep.den, scaled + [vec_mat(c, rep.rows) for c in span], rep.norm * p)
+        assert built in neighbours[rep]
+        assert classes._identify(built) == index[source]
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174"])
+def test_reps_keep_a_reduced_basis_of_their_own_lattice(fixture, request):
+    # a rep conj(alpha) N / Nm(N) takes the images of N's reduced basis: its
+    # (reduced Gram, U) must still be (U G U^T, U) for its own Gram G, U unimodular
+    # (U G U^T, U) with |det U| = 1, that is, with an integer inverse; the
+    # basis is greedy reduced, as N's reduction scaled
+    for rep in request.getfixturevalue(fixture).reps:
+        gram, umat = rep.reduced_gram()
+        assert all(x.denominator == 1 for row in mat_inv(umat) for x in row)
+        assert gram == [vec_mat(vec_mat(u, rep.gram_int()), list(zip(*umat))) for u in umat]
+        assert greedy_reduce(gram)[0] == gram
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     level=st.sampled_from([170, 174, 222]),
@@ -662,7 +736,7 @@ def test_left_multiples_reduce_into_their_class_forms(classes170, classes174, cl
     moved = rep._mul_row(vec_mat(coords, order.rows), order.den)
     moved = OrderLattice(moved.alg, moved.den, moved.rows, nm * rep.norm)
     assert moved != rep
-    reduced = _reduce_ideal(moved)
+    reduced, _ = _reduce_ideal(moved)
     assert reduced in _reduced_forms(rep, classes.weights[i])
     assert classes._identify(moved) == i
 
@@ -724,15 +798,17 @@ def test_maximal_order_takes_the_index_p_squared_step(monkeypatch):
 # Types: the canonical Gram of the ternary lattice of each class's left order.
 
 
-@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222"])
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes330", "classes139"])
 def test_stored_types_are_the_canonical_grams_of_the_left_orders(fixture, request):
+    # the walk searches once per type key; every class must get the
+    # canonical Gram of its own left order
     cs = request.getfixturevalue(fixture)
     assert len(cs._types) == cs.h
     for order, gram in zip(cs.right_orders, cs._types):
         assert gram == canonical_gram(trace_zero_lattice(order).gram)
     # the class order is the type order after the base class
     assert cs._types[1:] == sorted(cs._types[1:])
-    expected = {"classes170": 5, "classes174": 5, "classes222": 4}[fixture]
+    expected = {"classes170": 5, "classes174": 5, "classes222": 4, "classes330": 5, "classes139": 9}[fixture]
     assert len(set(cs._types)) == expected
 
 
