@@ -42,7 +42,7 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     basis of the row span, so two integer matrices generate the same lattice
     iff their HNFs are equal.
     """
-    m = [[int(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     if not m:
         return []
     nrows, ncols = len(m), len(m[0])
@@ -55,30 +55,33 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
                 break
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        # the pivot row and its entry a are carried through the column and
+        # stored as row r once the rows below are cleared
+        prow, m[piv] = m[piv], m[r]
+        a = prow[c]
         for i in range(r + 1, nrows):
-            b = m[i][c]
+            row = m[i]
+            b = row[c]
             if b == 0:
                 continue
-            a = m[r][c]
             if b % a == 0:
                 # the pivot divides the entry: one row subtraction clears it,
                 # and the HNF, being unique, comes out the same
                 q = b // a
-                m[i] = [y - q * x for x, y in zip(m[r], m[i])]
+                m[i] = [y - q * x for x, y in zip(prow, row)]
                 continue
             g, s, t = _xgcd(a, b)
             # unimodular 2-row mix: new r-row has entry g, new i-row entry 0
             u, v = a // g, b // g
-            row_r = [s * x + t * y for x, y in zip(m[r], m[i])]
-            row_i = [u * y - v * x for x, y in zip(m[r], m[i])]
-            m[r], m[i] = row_r, row_i
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
+            m[i] = [u * y - v * x for x, y in zip(prow, row)]
+            prow, a = [s * x + t * y for x, y in zip(prow, row)], g
+        if a < 0:
+            prow, a = [-x for x in prow], -a
+        m[r] = prow
         for i in range(r):
-            q = m[i][c] // m[r][c]
+            q = m[i][c] // a
             if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+                m[i] = [x - q * y for x, y in zip(m[i], prow)]
         r += 1
         if r == nrows:
             break

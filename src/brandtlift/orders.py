@@ -66,6 +66,11 @@ so I conj(J) = Nm(I) conj(J) + alpha conj(J) for a right O-ideal J; and
 I conj(I) = Nm(I) O_L(I) gives every left order of the walk.  The same
 product of conj(I), a right O_L(I)-ideal, with itself gives the right order
 conj(I) I = Nm(I) O_R(I).  Each such product is certified by its covolume.
+The alpha is read off the reduced basis b_0, ..., b_3 of I: the first of
+the b_a, then of the b_a + b_b and b_a - b_b for a < b, whose value on the
+reduced Gram meets the gcd condition, and only if none does the first
+short vector that does.  A product's HNF is canonical, so no output
+depends on which alpha is taken.
 """
 
 from __future__ import annotations
@@ -147,17 +152,26 @@ class OrderLattice:
     def _solve(self, num, d: int = 1) -> list[int] | None:
         """Integer coordinates of the element num / d, or None when it is off the lattice.
 
-        The rows are upper triangular, so c . rows = den * num / d is solved
-        by forward substitution.
+        The rows are the 4 x 4 upper triangular HNF that from_rows makes, so
+        c . rows = den * num / d is solved by forward substitution, unrolled:
+        only the entries rows[i][j] with i <= j are read.
         """
-        rows, c = self.rows, []
-        for j in range(4):
-            s = self.den * num[j] - d * sum(ci * rows[i][j] for i, ci in enumerate(c))
-            q, r = divmod(s, d * rows[j][j])
-            if r:
-                return None
-            c.append(q)
-        return c
+        (p0, a01, a02, a03), (_, p1, a12, a13), (_, _, p2, a23), (_, _, _, p3) = self.rows
+        den = self.den
+        n0, n1, n2, n3 = num
+        c0, r = divmod(den * n0, d * p0)
+        if r:
+            return None
+        c1, r = divmod(den * n1 - d * c0 * a01, d * p1)
+        if r:
+            return None
+        c2, r = divmod(den * n2 - d * (c0 * a02 + c1 * a12), d * p2)
+        if r:
+            return None
+        c3, r = divmod(den * n3 - d * (c0 * a03 + c1 * a13 + c2 * a23), d * p3)
+        if r:
+            return None
+        return [c0, c1, c2, c3]
 
     def _det(self) -> int:
         return prod(self.rows[j][j] for j in range(4))
@@ -222,6 +236,7 @@ class OrderLattice:
 
         Vectors come in increasing value, with ties in walk order; the bound
         starts at the least diagonal entry and doubles until one passes.
+        Only _generator's fallback searches this way.
         """
         gram, umat = self.reduced_gram()
         bound = min(gram[m][m] for m in range(4))
@@ -232,8 +247,12 @@ class OrderLattice:
             bound *= 2
 
     def minimal_vector(self) -> list[int]:
-        """Numerator row r of a nonzero lattice element r / den of smallest reduced norm."""
-        return self._short_vector(lambda val: True)
+        """Numerator row r of a nonzero lattice element r / den of smallest reduced norm.
+
+        It is the first minimal vector in walk order (_minimal_rows), the
+        vector that a search sorted by value, stable on ties, returns first.
+        """
+        return self._minimal_rows()[1][0]
 
     def _minimal_rows(self) -> tuple[int, list[list[int]]]:
         """(least value, numerator rows of the minimal vectors, one of each sign pair), enumerated once.
@@ -251,12 +270,32 @@ class OrderLattice:
     def _generator(self) -> list[int]:
         """Numerator row of an alpha with self = Nm(self) O + alpha O, for an integral ideal.
 
-        alpha is the first short vector with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1.
+        Any alpha in I with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1 will do.  The
+        candidates are the reduced basis rows b_0, ..., b_3, then b_a + b_b
+        and b_a - b_b for a < b, each value read off the reduced Gram; the
+        first that meets the gcd condition is alpha.  Only if none does is
+        alpha the first short vector that does (_short_vector).  A rep's
+        own minimal vectors never do: their Nm(x)/Nm(I) is Nm(I).  alpha
+        feeds only _pair_product, whose HNF is canonical and certified by
+        its covolume, so no output depends on which alpha is taken.
         """
         if self._alpha is None:
             n = self.norm
+            gram, umat = self.reduced_gram()
             unit = self.norm_form(n)[1]
-            self._alpha = self._short_vector(lambda val: gcd(val // unit, n) == 1)
+
+            def passes(val):
+                return gcd(val // unit, n) == 1
+
+            u = next((umat[a] for a in range(4) if passes(gram[a][a])), None)
+            if u is None:
+                pairs = ((a, b, s) for a, b in combinations(range(4), 2) for s in (1, -1))
+                u = next(
+                    ([x + s * y for x, y in zip(umat[a], umat[b])] for a, b, s in pairs
+                     if passes(gram[a][a] + gram[b][b] + 2 * s * gram[a][b])),
+                    None,
+                )
+            self._alpha = self._short_vector(passes) if u is None else vec_mat(u, self.rows)
         return self._alpha
 
     # lattice arithmetic ------------------------------------------------

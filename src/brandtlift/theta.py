@@ -106,14 +106,14 @@ def trace_zero_lattice(order) -> TernaryLattice:
     diagonal entries are the reduced norms of the basis vectors.
     """
     alg, den = order.alg, order.den
-    # Z + 2R, with 1 = (den, 0, 0, 0) / den; a member row / den has trace 2 row[0] / den
+    # Z + 2R, with 1 = (den, 0, 0, 0) / den; a member row / den has trace 2 row[0] / den.
+    # Its 4-column HNF is upper triangular: rows 1-3 have trace 0 and row 0
+    # has trace 2 row0[0] / den > 0, so c . ambient has trace 0 exactly when
+    # c0 = 0, and rows 1-3 are a basis of the trace-zero kernel
     ambient = hnf([(den, 0, 0, 0)] + [[2 * x for x in row] for row in order.rows])
-    assert all(2 * row[0] % den == 0 for row in ambient)
-    traces = [2 * row[0] // den for row in ambient]
-    aug = [[traces[m]] + [int(n == m) for n in range(4)] for m in range(4)]
-    kernel = [row[1:] for row in hnf(aug) if row[0] == 0]
-    assert len(kernel) == 3, "trace functional must have a rank-3 kernel"
-    vecs = [vec_mat(c, ambient) for c in kernel]
+    if len(ambient) != 4 or any(row[0] for row in ambient[1:]):
+        raise RuntimeError("Z + 2R is not a full-rank lattice with trace-zero rows 1-3")
+    vecs = ambient[1:]
     # tr(x conj(y)) / 2 for the members vecs / den
     scale = 2 * den**2
     gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]

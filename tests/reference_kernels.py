@@ -16,19 +16,27 @@ _right_order and equivalent_ideals to them.  ref_discover_eigensystems and
 ref_eigenvector are the eigenspace splits that BrandtModule ran on the whole
 module, from its h unit vectors, before it split the Atkin-Lehner sign
 spaces in orbit coordinates; test_brandt.py pins the systems, the vectors
-and their order to them.
+and their order to them.  ref_solve is OrderLattice._solve as a loop over
+the columns, before it was unrolled, and ref_trace_zero_lattice is
+trace_zero_lattice with its second HNF, the kernel of the trace on
+Z + 2R; test_kernels.py pins both.  ref_short_vector is the search by
+doubling bounds that gave every minimal vector and every alpha of the
+two-generator form before minimal_vector read the walk's one enumeration
+and _generator tried the reduced basis first; ref_minimal_vector and
+ref_generator are its two uses, and test_orders.py pins minimal_vector and
+_generator's fallback to them.
 """
 
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 
 from sympy import primerange
 
 from brandtlift.brandt import _DISCOVER_PMAX, _restrict_kernel
-from brandtlift.linalg import _xgcd, leading_minors, mat_vec
+from brandtlift.linalg import _xgcd, leading_minors, mat_vec, vec_mat
 from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
 from brandtlift.shortvec import exists_value, iter_short_vectors
-from brandtlift.theta import _det3
+from brandtlift.theta import TernaryLattice, _det3
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -73,6 +81,61 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
         if r == nrows:
             break
     return [row for row in m[:r] if any(row)]
+
+
+def ref_solve(lattice, num, d: int = 1) -> list[int] | None:
+    """Integer coordinates of num / d in lattice, or None, by forward substitution column by column."""
+    rows, c = lattice.rows, []
+    for j in range(4):
+        s = lattice.den * num[j] - d * sum(ci * rows[i][j] for i, ci in enumerate(c))
+        q, r = divmod(s, d * rows[j][j])
+        if r:
+            return None
+        c.append(q)
+    return c
+
+
+def ref_trace_zero_lattice(order) -> TernaryLattice:
+    """{x in Z + 2R : tr(x) = 0}, its basis cut from Z + 2R by the HNF kernel of the trace."""
+    alg, den = order.alg, order.den
+    ambient = hnf([(den, 0, 0, 0)] + [[2 * x for x in row] for row in order.rows])
+    assert all(2 * row[0] % den == 0 for row in ambient)
+    traces = [2 * row[0] // den for row in ambient]
+    aug = [[traces[m]] + [int(n == m) for n in range(4)] for m in range(4)]
+    kernel = [row[1:] for row in hnf(aug) if row[0] == 0]
+    assert len(kernel) == 3, "trace functional must have a rank-3 kernel"
+    vecs = [vec_mat(c, ambient) for c in kernel]
+    scale = 2 * den**2
+    gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]
+    assert all(t % scale == 0 for row in gram for t in row)
+    return TernaryLattice(tuple(tuple(t // scale for t in row) for row in gram))
+
+
+def ref_short_vector(lattice, accept) -> list[int]:
+    """Numerator row of the first short vector whose value passes accept.
+
+    Vectors come sorted by value, ties in walk order; the bound starts at
+    the least diagonal entry of the reduced Gram and doubles until one passes.
+    """
+    gram, umat = lattice.reduced_gram()
+    bound = min(gram[m][m] for m in range(4))
+    while True:
+        for c, val in sorted(iter_short_vectors(gram, bound), key=lambda cv: cv[1]):
+            if accept(val):
+                return vec_mat(vec_mat(c, umat), lattice.rows)
+        bound *= 2
+
+
+def ref_minimal_vector(lattice) -> list[int]:
+    """The first vector of least value, by the sorted search."""
+    return ref_short_vector(lattice, lambda val: True)
+
+
+def ref_generator(ideal) -> list[int]:
+    """The first short vector alpha with gcd(Nm(alpha)/Nm(I), Nm(I)) = 1, by the sorted search."""
+    n = ideal.norm
+    unit = ideal.norm_form(n)[1]
+    return ref_short_vector(ideal, lambda val: gcd(val // unit, n) == 1)
 
 
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -1,17 +1,19 @@
 """The lattice kernels return exactly what their reference copies return.
 
-hnf, greedy_reduce, _runs, vector_counts and canonical_gram have fast
-paths; the class reps depend on greedy_reduce's U and on the walk order of
-_runs, and the class order on canonical_gram, so the outputs must match
-entry for entry and in order, not just as sets.
+hnf, OrderLattice._solve, greedy_reduce, _runs, vector_counts,
+canonical_gram and trace_zero_lattice have fast paths; the class reps
+depend on greedy_reduce's U and on the walk order of _runs, and the class
+order on canonical_gram, so the outputs must match entry for entry and in
+order, not just as sets.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
-from brandtlift.orders import _type_key
+from brandtlift.orders import OrderLattice, _type_key
 from brandtlift.shortvec import _runs, vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
@@ -50,6 +52,68 @@ def integer_matrices(draw):
 @given(m=integer_matrices())
 def test_hnf_matches_the_reference(m):
     assert hnf(m) == ref.hnf(m)
+
+
+@st.composite
+def triangular_then_free_rows(draw):
+    """4 upper triangular rows with positive pivots, scaled, then 4 or 2 free rows.
+
+    The shapes of the HNF inputs of _pair_product (Nm(I) den conj(J) and the
+    4 rows alpha conj(J)) and of _neighbors (p I and the 2 rows of a span).
+    """
+    scale = draw(st.integers(1, 30))
+    rows = []
+    for i in range(4):
+        pivot = draw(st.integers(1, 40))
+        above = [draw(st.integers(0, pivot - 1)) for _ in range(3 - i)]
+        rows.append([scale * x for x in [0] * i + [pivot] + above])
+    free = st.lists(st.integers(-300, 300), min_size=4, max_size=4)
+    return rows + [draw(free) for _ in range(draw(st.sampled_from([4, 2])))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=triangular_then_free_rows())
+def test_hnf_matches_the_reference_on_product_and_neighbour_shapes(m):
+    assert hnf(m) == ref.hnf(m)
+
+
+@st.composite
+def solve_cases(draw):
+    """(lattice, num, d): 4 x 4 upper triangular rows with positive pivots, den >= 1, d >= 1.
+
+    The entries below the diagonal are arbitrary: neither solve may read
+    them.  num / d is a lattice element (c . rows) / den, such an element
+    with one coordinate moved by a few units, or a random numerator.
+    """
+    entry = st.integers(-50, 50)
+    rows = [[draw(st.integers(1, 12)) if i == j else draw(entry) for j in range(4)] for i in range(4)]
+    den = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["on", "moved", "random"]))
+    if kind == "random":
+        num, d = draw(st.lists(st.integers(-2000, 2000), min_size=4, max_size=4)), draw(st.integers(1, 12))
+    else:
+        # num / (k den) = (c . rows) / den, reading the upper triangle only
+        c = draw(st.lists(st.integers(-20, 20), min_size=4, max_size=4))
+        k = draw(st.integers(1, 6))
+        d = k * den
+        num = [k * sum(c[i] * rows[i][j] for i in range(j + 1)) for j in range(4)]
+        if kind == "moved":
+            num[draw(st.integers(0, 3))] += draw(st.integers(1, 5))
+    return OrderLattice(None, den, rows), num, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=solve_cases())
+def test_solve_matches_the_reference(case):
+    lattice, num, d = case
+    assert lattice._solve(num, d) == ref.ref_solve(lattice, num, d)
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes330", "classes139"])
+def test_trace_zero_lattice_matches_the_reference(fixture, request):
+    # rows 1-3 of the HNF of Z + 2R against the HNF kernel of the trace, for every left order
+    for order in request.getfixturevalue(fixture).right_orders:
+        assert trace_zero_lattice(order).gram == ref.ref_trace_zero_lattice(order).gram
 
 
 @settings(max_examples=300, deadline=None)

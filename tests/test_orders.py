@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import chain, combinations
 from math import gcd, lcm
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from brandtlift.shortvec import vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 from conftest import build_classes
-from reference_kernels import ref_atkin_lehner, ref_equivalent_ideals, ref_right_order
+from reference_kernels import ref_atkin_lehner, ref_equivalent_ideals, ref_generator, ref_minimal_vector, ref_right_order
 
 
 def test_maximal_order_discriminants():
@@ -418,6 +419,79 @@ def test_minimal_vector_is_a_lattice_vector_of_least_norm(fixture, request):
         value = rep.alg.trace_pairing(row, row)
         # on the unreduced Gram, so the check does not share the reduction
         assert min(vector_counts(rep.gram_int(), value)) == value
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes139"])
+def test_identify_reads_every_rep_off_the_walks_enumeration(fixture, request, monkeypatch):
+    # minimal_vector reads the minimal vectors that the walk enumerated once
+    # per rep, so naming the reps, as _atkin_lehner does first, searches no
+    # short vectors at all
+    classes = request.getfixturevalue(fixture)
+
+    def no_search(gram, bound):
+        raise AssertionError("a class rep's short vectors were enumerated again")
+
+    monkeypatch.setattr(orders, "iter_short_vectors", no_search)
+    assert all(classes._identify(rep) == k for k, rep in enumerate(classes.reps))
+
+
+@pytest.mark.parametrize("q, m", [(17, 10), (3, 58), (2, 111), (139, 1)])
+def test_minimal_vector_is_the_first_of_the_sorted_search(q, m, monkeypatch):
+    # for every rep and every neighbour the walk builds, the first minimal
+    # vector in walk order is the one the search sorted by value returns
+    built, neighbors = [], orders._neighbors
+
+    def recorded(*args):
+        for neighbour in neighbors(*args):
+            built.append(neighbour)
+            yield neighbour
+
+    monkeypatch.setattr(orders, "_neighbors", recorded)
+    classes = build_classes(q, m)
+    monkeypatch.undo()
+    assert built
+    for lattice in chain(classes.reps, built):
+        assert lattice.minimal_vector() == ref_minimal_vector(lattice)
+
+
+def _generator_candidates_pass(ideal) -> list[bool]:
+    """Whether b_a, then b_a + b_b and b_a - b_b for a < b, over the reduced basis, meet alpha's gcd condition."""
+    gram, unit = ideal.norm_form(ideal.norm)
+    values = [gram[a][a] for a in range(4)]
+    values += [gram[a][a] + gram[b][b] + s * 2 * gram[a][b] for a, b in combinations(range(4), 2) for s in (1, -1)]
+    return [gcd(val // unit, ideal.norm) == 1 for val in values]
+
+
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes139"])
+def test_generator_of_a_fresh_copy_gives_the_sixteen_product_reference(fixture, request):
+    # a copy greedy reduces its own Gram, so its alpha comes from another
+    # basis than the rep's; it must lie in I, meet the gcd condition and
+    # give the pair products
+    classes = request.getfixturevalue(fixture)
+    base = classes.reps[0]
+    for rep in classes.reps:
+        copy = OrderLattice(rep.alg, rep.den, rep.rows, rep.norm)
+        alpha = copy._generator()
+        assert rep._solve(alpha, rep.den) is not None
+        quotient, rem = divmod(rep.alg.trace_pairing(alpha, alpha) // 2, rep.den**2 * rep.norm)
+        assert rem == 0 and gcd(quotient, rep.norm) == 1
+        assert any(_generator_candidates_pass(copy))
+        for rhs in (base, rep):
+            assert _pair_product(copy, rhs) == ref_multiply(rep, _ref_conjugate(rhs))
+
+
+def test_generator_falls_back_to_the_sorted_search_on_real_reps():
+    # reps of norm 6 where no reduced basis row and no sum or difference of
+    # two meets the gcd condition: alpha is the sorted search's, and it
+    # still gives the left order
+    for (q, m), fallbacks in {(5, 66): [14, 19, 25], (5, 42): [26], (131, 1): [6]}.items():
+        classes = build_classes(q, m)
+        assert [k for k, rep in enumerate(classes.reps) if not any(_generator_candidates_pass(rep))] == fallbacks
+        for k in fallbacks:
+            rep = classes.reps[k]
+            assert rep.norm == 6
+            assert rep._generator() == ref_generator(rep)
+            assert _pair_product(rep, rep, rep.norm) == classes.right_orders[k]
 
 
 def test_pair_product_certificate_rejects_a_bad_generator(classes170):
