@@ -10,6 +10,14 @@ Matrices are row based throughout: a lattice basis is a list of row vectors.
 One Gauss-Jordan routine serves one elimination per field: rref_mod over
 F_p, and rational_nullspace and mat_inv over Q.  HNF and the Bareiss
 leading minors are separate integer algorithms.
+
+The two Gram kernels that every lattice and every short-vector walk goes
+through, greedy_reduce and leading_minors, are generated: for each size n
+one template writes the loop out as straight-line code on local variables,
+built from integer indices only, which is compiled on first use and kept.
+The generated code performs the loop's operations in the loop's order, so
+the results are the loop's bit for bit; tests/reference_kernels.py keeps a
+loop version of each, and the tests compare the kernels with them.
 """
 
 from __future__ import annotations
@@ -88,6 +96,58 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
+class _Kernels(dict):
+    """Generated kernels by dimension n, each compiled on first use and kept.
+
+    source(n) writes the straight-line text of the kernel for n x n input
+    from integer indices only; it is compiled under the file name
+    <linalg.NAME n=N>, which tracebacks show.
+    """
+
+    def __init__(self, name: str, source):
+        super().__init__()
+        self.name, self.source = name, source
+
+    def __missing__(self, n: int):
+        namespace: dict = {}
+        exec(compile(self.source(n), f"<linalg.{self.name} n={n}>", "exec"), namespace)
+        kernel = self[n] = namespace[self.name]
+        return kernel
+
+
+def _minors_source(n: int) -> str:
+    """leading_minors for n x n input as straight-line code on locals a{i}_{j}.
+
+    The Bareiss loop unrolled: every entry is checked to be an int, then at
+    step k the pivot a{k}_{k} is checked and each a{i}_{j}, i, j > k, becomes
+    (a{i}_{j} * a{k}_{k} - a{i}_{k} * a{k}_{j}) // a{k-1}_{k-1}, the
+    previous pivot (at step 0 that divisor is 1 and is left out).
+    """
+
+    def a(i: int, j: int) -> str:
+        return f"a{i}_{j}"
+
+    span = range(n)
+    lines = ["def leading_minors(g):"]
+    if n:
+        lines.append("    " + ", ".join("(" + ", ".join(a(i, j) for j in span) + ",)" for i in span) + ", = g")
+        checks = " and ".join(f"isinstance({a(i, j)}, int)" for i in span for j in span)
+        lines += [f"    if not ({checks}):", "        raise ValueError('gram matrix entries must be ints')"]
+    for k in span:
+        lines += [f"    if {a(k, k)} <= 0:", "        raise ValueError('gram matrix is not positive definite')"]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                step = f"{a(i, j)} * {a(k, k)} - {a(i, k)} * {a(k, j)}"
+                lines.append(f"    {a(i, j)} = ({step}) // {a(k - 1, k - 1)}" if k else f"    {a(i, j)} = {step}")
+    delta = ", ".join(["1"] + [a(k, k) for k in span])
+    coef = ", ".join("[" + ", ".join(a(i, j) for i in range(j + 1, n)) + "]" for j in span)
+    lines.append(f"    return [{delta}], [{coef}]")
+    return "\n".join(lines) + "\n"
+
+
+_MINORS = _Kernels("leading_minors", _minors_source)
+
+
 def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """(Delta, C) of a positive definite integer Gram g by one Bareiss elimination.
 
@@ -96,25 +156,15 @@ def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     both integers: after step k the pivot a[k][k] is Delta_{k+1} and a[i][k]
     is Delta_{k+1} * L_ik (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138,
     2.2).  Raises ValueError if an entry of g is not an int or g is not
-    positive definite (a pivot <= 0, by Sylvester's criterion).
+    positive definite (a pivot <= 0, by Sylvester's criterion, tested in
+    the order of the steps).
+
+    The elimination runs as straight-line code on local variables, one
+    kernel per size n generated by _minors_source and compiled on first
+    use; it performs the loop's operations in the loop's order, and
+    tests/reference_kernels.py keeps the loop as the reference.
     """
-    if not all(isinstance(v, int) for row in g for v in row):
-        raise ValueError("gram matrix entries must be ints")
-    n = len(g)
-    a = [list(row) for row in g]
-    prev = 1
-    for k in range(n):
-        ak = a[k]
-        p = ak[k]
-        if p <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        for i in range(k + 1, n):
-            ai = a[i]
-            f = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * p - f * ak[j]) // prev
-        prev = p
-    return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
+    return _MINORS[len(g)](g)
 
 
 def vec_mat(v, m):
@@ -231,6 +281,65 @@ def mat_inv(rows) -> list[list[Fraction]]:
     return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(m)]
 
 
+def _greedy_source(n: int) -> str:
+    """greedy_reduce for n x n Grams as straight-line code on locals.
+
+    The Gram is taken to be symmetric: its upper triangle is read into
+    g{i}_{j}, i <= j, and U is held in u{i}_{k}.  Each
+    round first sorts the diagonal with n - 1 passes of adjacent swaps, taken
+    only when the left entry is strictly greater, which is the permutation
+    of the stable sort and moves nothing on a sorted diagonal.  Then it tries
+    the shears (i, j), i != j, in row-major order: mu = (2 g_ij + g_jj) //
+    (2 g_jj), kept only if t = mu (mu g_jj - 2 g_ij) < 0, after which g_ii
+    += t (row and column update together), g_ik -= mu g_jk for k != i and
+    row i of U drops mu times row j.  Rounds repeat until no shear is kept.
+    """
+
+    def g(i: int, j: int) -> str:
+        return f"g{min(i, j)}_{max(i, j)}"
+
+    def u(i: int, k: int) -> str:
+        return f"u{i}_{k}"
+
+    span = range(n)
+    lines = ["def greedy_reduce(gram):"]
+    if n:
+        rows = ", ".join("(" + ", ".join(g(i, j) if i <= j else "_" for j in span) + ",)" for i in span)
+        lines.append(f"    {rows}, = gram")
+        names = ", ".join(u(i, k) for i in span for k in span)
+        lines.append(f"    {names}, = " + ", ".join("1" if i == k else "0" for i in span for k in span) + ",")
+    lines += ["    changed = True", "    while changed:", "        changed = False"]
+    for sweep in range(n - 1):
+        for a in range(n - 1 - sweep):
+            b = a + 1
+            left = [g(a, a)] + [g(a, k) for k in span if k not in (a, b)] + [u(a, k) for k in span]
+            right = [g(b, b)] + [g(b, k) for k in span if k not in (a, b)] + [u(b, k) for k in span]
+            lines += [
+                f"        if {g(a, a)} > {g(b, b)}:",
+                f"            {', '.join(left + right)} = {', '.join(right + left)}",
+            ]
+    for i in span:
+        for j in span:
+            if i == j:
+                continue
+            lines += [
+                f"        mu = (2 * {g(i, j)} + {g(j, j)}) // (2 * {g(j, j)})",
+                f"        t = mu * (mu * {g(j, j)} - 2 * {g(i, j)})",
+                "        if t < 0:",
+                f"            {g(i, i)} += t",
+            ]
+            lines += [f"            {g(i, k)} -= mu * {g(j, k)}" for k in span if k != i]
+            lines += [f"            {u(i, k)} -= mu * {u(j, k)}" for k in span]
+            lines.append("            changed = True")
+    reduced = ", ".join("[" + ", ".join(g(i, j) for j in span) + "]" for i in span)
+    unimodular = ", ".join("[" + ", ".join(u(i, k) for k in span) + "]" for i in span)
+    lines.append(f"    return [{reduced}], [{unimodular}]")
+    return "\n".join(lines) + "\n"
+
+
+_GREEDY = _Kernels("greedy_reduce", _greedy_source)
+
+
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     """Greedy length reduction of a positive definite integer Gram matrix.
 
@@ -246,34 +355,13 @@ def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int
     vectors.  Each round sorts the rows by diagonal entry (stably, so only
     when the diagonal is out of order) and then tries the shears (i, j) in
     row-major order; any change to that sequence changes the reps.
+
+    The rounds run as straight-line code on local variables, one kernel
+    per size n generated by _greedy_source and compiled on first use; on a
+    symmetric Gram it performs the loop's operations in the loop's order,
+    and tests/reference_kernels.py keeps a loop version as the reference.
     """
-    n = len(gram)
-    g = [list(r) for r in gram]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    span = range(n)
-    pairs = [(i, j) for i in span for j in span if i != j]
-    while True:
-        changed = False
-        if any(g[k][k] > g[k + 1][k + 1] for k in range(n - 1)):
-            order = sorted(span, key=lambda k: g[k][k])
-            g = [[g[a][b] for b in order] for a in order]
-            u = [u[a] for a in order]
-        for i, j in pairs:
-            gi, gj = g[i], g[j]
-            gij, d = gi[j], gj[j]
-            mu = (2 * gij + d) // (2 * d)
-            # the shear changes g_ii by mu * (mu * d - 2 * g_ij); keep it only if that is < 0
-            if mu == 0 or mu * (mu * d - 2 * gij) >= 0:
-                continue
-            ui, uj = u[i], u[j]
-            for k in span:
-                ui[k] -= mu * uj[k]
-                gi[k] -= mu * gj[k]
-            for row in g:
-                row[i] -= mu * row[j]
-            changed = True
-        if not changed:
-            return g, u
+    return _GREEDY[len(gram)](gram)
 
 
 def clear_denominators(values) -> tuple[int, list[int]]:

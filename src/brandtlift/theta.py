@@ -13,20 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .linalg import greedy_reduce, hnf, vec_mat
+from .linalg import greedy_reduce, hnf, leading_minors, vec_mat
 from .shortvec import iter_short_vectors, vector_counts
 
 
 @dataclass(frozen=True)
 class TernaryLattice:
-    """Rank-3 lattice given by the integer Gram matrix of its norm form."""
+    """Rank-3 lattice given by the integer Gram matrix of its norm form.
+
+    The Gram must be a symmetric positive definite 3x3 integer matrix; any
+    other is a ValueError.
+    """
 
     gram: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        g = self.gram
-        assert len(g) == 3 and all(len(row) == 3 for row in g)
-        assert all(g[i][j] == g[j][i] for i in range(3) for j in range(3))
+        _check_ternary_gram(self.gram)
 
     def determinant(self) -> int:
         return _det3(*self.gram)
@@ -63,6 +65,16 @@ class QSeries:
         lines = [] if header is None else [header]
         lines += [f"{n} {self.coeffs[n]}" for n in sorted(self.coeffs)]
         return "\n".join(lines) + "\n"
+
+
+def _check_ternary_gram(g) -> None:
+    """ValueError unless g is a symmetric positive definite 3x3 integer Gram."""
+    if len(g) != 3 or any(len(row) != 3 for row in g):
+        raise ValueError("a ternary gram matrix is 3x3")
+    if any(g[i][j] != g[j][i] for i in range(3) for j in range(i)):
+        raise ValueError("gram matrix is not symmetric")
+    # raises ValueError on a non-int entry and on a pivot <= 0
+    leading_minors(g)
 
 
 def _integral(x, what: str) -> int:
@@ -118,9 +130,7 @@ def trace_zero_lattice(order) -> TernaryLattice:
     scale = 2 * den**2
     gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]
     assert all(t % scale == 0 for row in gram for t in row)
-    out = TernaryLattice(tuple(tuple(t // scale for t in row) for row in gram))
-    assert out.determinant() > 0
-    return out
+    return TernaryLattice(tuple(tuple(t // scale for t in row) for row in gram))
 
 
 def theta_series(lattice: TernaryLattice, bound: int) -> QSeries:
@@ -154,8 +164,10 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
     all ordered bases drawn from vectors of norm up to the largest diagonal
     entry of the (pre-reduced) input.  The pre-reduced basis itself is a
     candidate, and any key-minimizing basis must consist of such short
-    vectors, so the search is exhaustive.
+    vectors, so the search is exhaustive.  A Gram that is not a symmetric
+    positive definite 3x3 integer matrix is a ValueError.
     """
+    _check_ternary_gram(gram)
     g, _ = greedy_reduce(gram)
     cap = max(g[i][i] for i in range(3))
     # (Q(v), v, G v), so a bilinear value is one 3-term dot product; negating

@@ -24,7 +24,10 @@ doubling bounds that gave every minimal vector and every alpha of the
 two-generator form before minimal_vector read the walk's one enumeration
 and _generator tried the reduced basis first; ref_minimal_vector and
 ref_generator are its two uses, and test_orders.py pins minimal_vector and
-_generator's fallback to them.
+_generator's fallback to them.  leading_minors is the Bareiss loop that
+brandtlift.linalg ran before it generated straight-line code per
+dimension, as it now does for greedy_reduce; test_kernels.py pins both
+generated kernels to the loops here.
 """
 
 from fractions import Fraction
@@ -33,7 +36,7 @@ from math import floor, gcd, isqrt, lcm
 from sympy import primerange
 
 from brandtlift.brandt import _DISCOVER_PMAX, _restrict_kernel
-from brandtlift.linalg import _xgcd, leading_minors, mat_vec, vec_mat
+from brandtlift.linalg import _xgcd, mat_vec, vec_mat
 from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
 from brandtlift.shortvec import exists_value, iter_short_vectors
 from brandtlift.theta import TernaryLattice, _det3
@@ -136,6 +139,32 @@ def ref_generator(ideal) -> list[int]:
     n = ideal.norm
     unit = ideal.norm_form(n)[1]
     return ref_short_vector(ideal, lambda val: gcd(val // unit, n) == 1)
+
+
+def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(Delta, C) of a positive definite integer Gram g by one Bareiss elimination.
+
+    Delta[k] is the k-th leading principal minor and C[j] = [Delta_{j+1} *
+    L_ij for i > j].  Raises ValueError if an entry of g is not an int or
+    a pivot is <= 0, tested step by step.
+    """
+    if not all(isinstance(v, int) for row in g for v in row):
+        raise ValueError("gram matrix entries must be ints")
+    n = len(g)
+    a = [list(row) for row in g]
+    prev = 1
+    for k in range(n):
+        ak = a[k]
+        p = ak[k]
+        if p <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        for i in range(k + 1, n):
+            ai = a[i]
+            f = ai[k]
+            for j in range(k + 1, n):
+                ai[j] = (ai[j] * p - f * ak[j]) // prev
+        prev = p
+    return [1] + [a[k][k] for k in range(n)], [[a[i][j] for i in range(j + 1, n)] for j in range(n)]
 
 
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

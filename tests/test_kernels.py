@@ -1,17 +1,21 @@
 """The lattice kernels return exactly what their reference copies return.
 
-hnf, OrderLattice._solve, greedy_reduce, _runs, vector_counts,
-canonical_gram and trace_zero_lattice have fast paths; the class reps
+hnf, OrderLattice._solve, greedy_reduce, leading_minors, _runs,
+vector_counts, canonical_gram and trace_zero_lattice have fast paths
+(greedy_reduce and leading_minors are generated per dimension); the class reps
 depend on greedy_reduce's U and on the walk order of _runs, and the class
 order on canonical_gram, so the outputs must match entry for entry and in
 order, not just as sets.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
+from brandtlift import linalg
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
 from brandtlift.orders import OrderLattice, _type_key
 from brandtlift.shortvec import _runs, vector_counts
@@ -117,13 +121,65 @@ def test_trace_zero_lattice_matches_the_reference(fixture, request):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), n=st.sampled_from([3, 4]))
+@given(data=st.data(), n=st.integers(1, 5))
 def test_greedy_reduce_matches_the_reference(data, n):
-    # B B^T with entries of B up to 2^9, so Gram entries up to about 2^20
-    b = data.draw(st.lists(st.lists(st.integers(-512, 512), min_size=n, max_size=n), min_size=n, max_size=n))
+    # B B^T with entries of B up to 2^9, so Gram entries up to about 2^20, or
+    # up to 2 in size, where equal diagonal entries test the tie order
+    e = data.draw(st.sampled_from([2, 512]))
+    b = data.draw(st.lists(st.lists(st.integers(-e, e), min_size=n, max_size=n), min_size=n, max_size=n))
     g = _gram(b)
     assume(_positive_definite(g))
     assert greedy_reduce(g) == ref.greedy_reduce(g)
+
+
+def _outcome(f, m):
+    """f(m), or the type and message of the exception it raised."""
+    try:
+        return f(m)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5))
+def test_leading_minors_matches_the_reference(data, n):
+    # positive definite B B^T; any square int matrix with small entries, so
+    # that a zero or negative pivot comes up at every step; or one entry
+    # that is not an int.  The outcome must be equal, exception included: a
+    # pivot tested out of step divides by 0 at the next step
+    kind = data.draw(st.sampled_from(["gram", "square", "not int"]))
+    e = 512 if kind == "gram" else 3
+    m = data.draw(st.lists(st.lists(st.integers(-e, e), min_size=n, max_size=n), min_size=n, max_size=n))
+    if kind == "gram":
+        m = _gram(m)
+    elif kind == "not int":
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        m[i][j] = data.draw(st.sampled_from([Fraction(m[i][j]), float(m[i][j]), Fraction(1, 2)]))
+    assert _outcome(leading_minors, m) == _outcome(ref.leading_minors, m)
+
+
+def test_the_empty_gram():
+    assert leading_minors([]) == ref.leading_minors([]) == ([1], [])
+    assert greedy_reduce([]) == ref.greedy_reduce([]) == ([], [])
+
+
+@pytest.mark.parametrize("name, cache", [("greedy_reduce", "_GREEDY"), ("leading_minors", "_MINORS")])
+def test_each_kernel_is_compiled_once_per_dimension(monkeypatch, name, cache):
+    kernels = getattr(linalg, cache)
+    fresh = type(kernels)(kernels.name, kernels.source)
+    monkeypatch.setattr(linalg, cache, fresh)
+    compiled = []
+
+    def counting_compile(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(linalg, "compile", counting_compile, raising=False)
+    for _ in range(3):
+        for n in range(6):
+            getattr(linalg, name)([[int(i == j) for j in range(n)] for i in range(n)])
+    assert compiled == [f"<linalg.{name} n={n}>" for n in range(6)]
+    assert sorted(fresh) == list(range(6))
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,15 @@ from brandtlift.lift import (
     waldspurger_lift,
 )
 from brandtlift.theta import QSeries, theta_series, trace_zero_lattice
-from conftest import EIGEN_174_F, EIGEN_174_G
+from conftest import (
+    EIGEN_170_F,
+    EIGEN_170_G,
+    EIGEN_174_F,
+    EIGEN_174_G,
+    EIGEN_222_F,
+    EIGEN_222_G,
+    build_classes,
+)
 
 # reference weight-3/2 expansions, truncated at exponent 99; each was
 # published at a fixed normalization, recorded here as a multiplier against
@@ -242,3 +250,62 @@ def test_lift_eigenforms_builds_one_theta_series_per_type(module174, monkeypatch
     types = module174.classes._types
     assert sorted(calls) == sorted(set(types))
     assert len(calls) == 5 < module174.h == 16
+
+
+def _legendre(a: int, p: int) -> int:
+    """(a/p) for an odd prime p, by Euler's criterion."""
+    r = pow(a % p, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def _shimura_mismatches(series: QSeries, ap: dict[int, int]) -> list[tuple[int, int]]:
+    """The (p, n), n <= bound/p^2, where c(p^2 n) + (-n/p) c(n) + p c(n/p^2) != a_p c(n)."""
+    c = series.coefficient
+    out = []
+    for p, a in ap.items():
+        pp = p * p
+        for n in range(1, series.bound // pp + 1):
+            lhs = c(pp * n) + _legendre(-n, p) * c(n) + (p * c(n // pp) if n % pp == 0 else 0)
+            if lhs != a * c(n):
+                out.append((p, n))
+    return out
+
+
+# (level, eigendata by name) at the deep-lift bound; at N=222, f and g lift
+# to 0, so the Eisenstein line (a_5 = 6) is the one that tests the thetas there
+SHIMURA_LIFTS = [
+    (11, {"f": ((2, -2),)}),
+    (170, {"f": EIGEN_170_F, "g": EIGEN_170_G}),
+    (174, {"f": EIGEN_174_F, "g": EIGEN_174_G}),
+    (222, {"f": EIGEN_222_F, "g": EIGEN_222_G, "eis": ((5, 6),)}),
+]
+
+
+@pytest.mark.parametrize("level, eigendata", SHIMURA_LIFTS)
+def test_lifts_satisfy_the_shimura_hecke_relation(level, eigendata, request):
+    """Each lift is a T(p^2) eigenform with the B(p) eigenvalue a_p of its vector.
+
+    For every odd prime p < 20 prime to N, c(p^2 n) + (-n/p) c(n) + p c(n/p^2)
+    = a_p c(n) for all n <= bound/p^2 (Shimura, Ann. of Math. 97 (1973)).
+    The a_p come from the Brandt rows and the check shares no code with the
+    theta enumeration.  It is a partial check: it reads only the
+    coefficients at n <= bound/p^2 and at their multiples by p^2, 12% to
+    27% of those up to the bound (12% when 3 divides N), so a fault
+    confined to the others passes it.
+    """
+    if level == 11:
+        module = BrandtModule(build_classes(11, 1))
+    else:
+        module = request.getfixturevalue(f"module{level}")
+    primes = [p for p in (3, 5, 7, 11, 13, 17, 19) if level % p]
+    lifts, _ = lift_eigenforms(module, eigendata, 30000)
+    for name, lifted in lifts.items():
+        ap = module.eigenvalues(list(lifted.phi), primes)
+        assert _shimura_mismatches(lifted.series, ap) == [], (level, name)
+        if level == 222 and name != "eis":
+            assert not lifted.series.coeffs
+            continue
+        # one coefficient off by one at the first n >= 1 where c(n) != 0
+        n = min(k for k in lifted.series.coeffs if k)
+        planted = QSeries(lifted.series.bound, {**lifted.series.coeffs, n: lifted.series.coeffs[n] + 1})
+        assert _shimura_mismatches(planted, ap)

@@ -145,3 +145,22 @@ def test_canonical_gram_is_symmetric_and_sorted():
     g = canonical_gram(((6, 1, 2), (1, 10, 0), (2, 0, 5)))
     assert g[0][1] == g[1][0] and g[0][2] == g[2][0] and g[1][2] == g[2][1]
     assert g[0][0] <= g[1][1] <= g[2][2]
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((0, 1, 0), (1, 0, 0), (0, 0, 1)),  # indefinite, with a zero diagonal
+        ((5, 6, 3), (6, 7, 3), (3, 3, 8)),  # indefinite, with a positive diagonal
+        ((1, 2, 0), (0, 1, 0), (0, 0, 1)),  # not symmetric
+        ((1, 0), (0, 1)),  # not 3x3
+        ((1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))),  # not an integer Gram
+    ],
+)
+def test_bad_ternary_grams_are_a_value_error(gram):
+    # before the check the first two reached greedy_reduce and divided by a
+    # zero diagonal; the third passed only an assert, which python -O strips
+    with pytest.raises(ValueError):
+        theta_series(TernaryLattice(gram), 10)
+    with pytest.raises(ValueError):
+        canonical_gram([list(row) for row in gram])
