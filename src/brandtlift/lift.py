@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import primitive_vector
-from .theta import QSeries, TernaryLattice, theta_series
+from .theta import QSeries, TernaryLattice, _integral, theta_series
 
 
 @dataclass(frozen=True)
@@ -45,18 +45,15 @@ def normalize_phi(phi) -> list[int]:
 def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
     """Exact linear combination sum(phi_i * theta_i).
 
-    phi must be integral; the truncation bound of the result is the minimum
-    of the input bounds.  Permuting (phi_i, theta_i) pairs jointly leaves
-    the output unchanged.  Entries whose series are one and the same object
-    are added up first, so each distinct series is read once.
+    phi must be integral, a ValueError otherwise; the truncation bound of
+    the result is the minimum of the input bounds.  Permuting
+    (phi_i, theta_i) pairs jointly leaves the output unchanged.  Entries
+    whose series are one and the same object are added up first, so each
+    distinct series is read once.
     """
     if len(phi) != len(thetas):
         raise ValueError(f"phi has {len(phi)} entries but there are {len(thetas)} theta series")
-    ints = []
-    for x in phi:
-        if x != int(x):
-            raise ValueError("phi must have integer entries")
-        ints.append(int(x))
+    ints = [_integral(x, "phi entry") for x in phi]
     bound = min((t.bound for t in thetas), default=0)
     # the summed entry of each distinct series object, in first-seen order
     shared: dict[int, list] = {}
@@ -78,13 +75,15 @@ def scale_congruent_pair(phi_f, phi_g, ell: int) -> tuple[list[int], list[int], 
     Searches signed multipliers c of least absolute value (positive first)
     with phi_f = c * phi_g entrywise mod ell, and returns
     (phi_f, c * phi_g, c).  When no unit works the vectors come back
-    unchanged with c = None.  This realizes the rescaling-by-a-unit step
-    that fixes a common normalization for a congruent pair.
+    unchanged with c = None.  The entries must be integral: any other
+    value is a ValueError, not truncated.  This realizes the
+    rescaling-by-a-unit step that fixes a common normalization for a
+    congruent pair.
     """
     if len(phi_f) != len(phi_g):
         raise ValueError("vectors must have equal length")
-    f = [int(x) for x in phi_f]
-    g = [int(x) for x in phi_g]
+    f = [_integral(x, "phi_f entry") for x in phi_f]
+    g = [_integral(x, "phi_g entry") for x in phi_g]
     for size in range(1, (ell + 1) // 2 + 1):
         for c in (size, -size):
             if all((a - c * b) % ell == 0 for a, b in zip(f, g)):

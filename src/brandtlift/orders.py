@@ -42,11 +42,9 @@ conj(alpha) N / Nm(N) with alpha minimal in N; its elements
 conj(alpha) x / Nm(N), x in N, have norm at least Nm(R)^2, which
 Nm(R) = conj(alpha) alpha / Nm(N) attains, so a unit u of O_L(R) gives the
 minimal vector u Nm(R), and the units are the x / Nm(R) over the minimal
-x of R that lie in O_L(R).  R = conj(alpha) N / Nm(N) is similar to N, so
-the images of N's reduced basis are a reduced basis of R.  And a type,
-the canonical Gram of a ternary lattice, is a GL_3(Z) invariant, so the
-classes whose reduced ternary Grams agree after a change of signs share
-one canonical search.
+x of R that lie in O_L(R).  And a type, the canonical Gram of a ternary
+lattice, is a GL_3(Z) invariant, so the classes whose reduced ternary
+Grams agree after a change of signs share one canonical search.
 
 At a prime p | N, J_p = pO + (the kernel mod p of the trace form of O) is
 the two-sided ideal of reduced norm p (Voight, GTM 288, ch. 23), and the
@@ -105,10 +103,13 @@ class OrderLattice:
 
     The rows are upper triangular with positive pivots on the diagonal.
     norm (an int in a class walk) is set for ideals at construction.
-    Equality and hashing ignore it and compare the lattice itself.
+    Equality and hashing ignore it and compare the lattice itself.  Every
+    cached value (reduced Gram, minimal vectors, alpha, ...) is computed
+    from (alg, den, rows) and norm alone, so equal lattices with one norm
+    give the same values however they were built.
     """
 
-    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_similar", "_mins", "_conj", "_alpha", "_right")
+    __slots__ = ("alg", "den", "rows", "norm", "_gram", "_red", "_mins", "_conj", "_alpha", "_right")
 
     def __init__(self, alg: AlgebraPresentation, den: int, rows, norm=None):
         self.alg = alg
@@ -117,8 +118,6 @@ class OrderLattice:
         self.norm = norm
         self._gram = None
         self._red = None
-        # (I, alpha row) when self = conj(alpha) I / Nm(I): see reduced_gram
-        self._similar = None
         self._mins = None
         self._conj = None
         self._alpha = None
@@ -179,6 +178,10 @@ class OrderLattice:
     def covolume(self) -> Fraction:
         return Fraction(self._det(), self.den**4)
 
+    def _covolume_ratio_is(self, other: "OrderLattice", num: int, den: int = 1) -> bool:
+        """Whether covol(self) / covol(other) = num / den, compared in integers."""
+        return den * self._det() * other.den**4 == num * other._det() * self.den**4
+
     def gram_int(self) -> list[list[int]]:
         """Integer Gram [tr(r_m conj(r_n))] over the numerator rows.
 
@@ -201,30 +204,9 @@ class OrderLattice:
         return self._gram
 
     def reduced_gram(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Length-reduced Gram with the unimodular basis change: (U G U^T, U).
-
-        A lattice R = conj(alpha) I / Nm(I) made by _reduce_ideal is similar
-        to I, so it takes I's reduction: the images conj(alpha) b / Nm(I) of
-        I's reduced basis b are a basis of R (U holds their coordinates in
-        R's HNF), and their Gram is I's reduced Gram times Nm(alpha_num) / g^2,
-        alpha_num the numerator row of alpha and g = den(I)^2 Nm(I) / den(R)
-        the content that from_rows divided out.  Any other lattice is greedy
-        reduced.
-        """
+        """Length-reduced Gram with the unimodular basis change: (U G U^T, U), greedy_reduce of gram_int."""
         if self._red is None:
-            if self._similar is None:
-                self._red = greedy_reduce(self.gram_int())
-            else:
-                source, row = self._similar
-                gram, umat = source.reduced_gram()
-                mul, d = self.alg.mul, source.den**2 * source.norm
-                crow, nm, g2 = _conj(row), self.alg.trace_pairing(row, row) // 2, (d // self.den) ** 2
-                coords = [self._solve(mul(crow, vec_mat(u, source.rows)), d) for u in umat]
-                scaled = [[divmod(nm * x, g2) for x in r] for r in gram]
-                if None in coords or any(rem for r in scaled for _, rem in r):
-                    raise RuntimeError("conj(alpha) I / Nm(I) does not take the reduced basis of I")
-                self._red = [[x for x, _ in r] for r in scaled], coords
-                self._similar = None
+            self._red = greedy_reduce(self.gram_int())
         return self._red
 
     def norm_form(self, n: int = 1) -> tuple[list[list[int]], int]:
@@ -537,14 +519,13 @@ def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
 def _reduce_ideal(ideal: OrderLattice) -> tuple[OrderLattice, list[int]]:
     """(conj(alpha) I / Nm(I), the numerator row of alpha), alpha minimal in I.
 
-    The lattice is checked by covol(small) Nm(I)^2 = Nm(small)^2 covol(I),
-    and takes I's reduced basis when its reduced Gram is first read
-    (OrderLattice.reduced_gram).
+    The lattice must have covolume (Nm(small) / Nm(I))^2 covol(I),
+    RuntimeError otherwise.
     """
     row = ideal.minimal_vector()
     small = _conj_quotient(ideal, row)
-    assert small._det() * ideal.norm**2 * ideal.den**4 == small.norm**2 * ideal._det() * small.den**4
-    small._similar = ideal, row
+    if not small._covolume_ratio_is(ideal, small.norm**2, ideal.norm**2):
+        raise RuntimeError("conj(alpha) I / Nm(I) has the wrong covolume")
     return small, row
 
 
@@ -603,7 +584,7 @@ def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> Orde
     rows = [[n * lhs.den * x for x in r] for r in crhs.rows]
     rows += [alg.mul(alpha, r) for r in crhs.rows]
     prod = OrderLattice.from_rows(alg, lhs.den * crhs.den * shrink, rows)
-    if shrink**4 * prod._det() * lhs.den**4 != rhs.norm**2 * lhs._det() * prod.den**4:
+    if not prod._covolume_ratio_is(lhs, rhs.norm**2, shrink**4):
         raise RuntimeError("Nm(I) O + alpha O is not I: the pair product covolume is off")
     return prod
 
@@ -653,7 +634,7 @@ def _two_sided_prime(order: OrderLattice, p: int) -> OrderLattice:
     two_sided = OrderLattice.from_rows(order.alg, order.den, rows, norm=p)
     mul, d = order.alg.mul, order.den * two_sided.den
     sides = ((mul(x, y), mul(y, x)) for x in order.rows for y in two_sided.rows)
-    if two_sided._det() * order.den**4 != p**2 * order._det() * two_sided.den**4 or any(
+    if not two_sided._covolume_ratio_is(order, p**2) or any(
         two_sided._solve(z, d) is None for side in sides for z in side
     ):
         raise RuntimeError(f"J_{p} is not a two-sided ideal of covolume {p}^2 covol(O)")
@@ -727,11 +708,7 @@ class ClassSet:
         Nm^2 covol(O), or one that reduces to a lattice of no class, is not
         such an ideal, and raises ValueError.
         """
-        base = self.reps[0]
-        # covol(ideal) = Nm^2 covol(O), in integers
-        if not isinstance(ideal.norm, int) or (
-            ideal._det() * base.den**4 != ideal.norm**2 * base._det() * ideal.den**4
-        ):
+        if not isinstance(ideal.norm, int) or not ideal._covolume_ratio_is(self.reps[0], ideal.norm**2):
             raise ValueError("_identify needs an ideal with an int norm Nm and covolume Nm^2 covol(O)")
         k = self._known.get(_reduce_ideal(ideal)[0])
         if k is None:
@@ -841,7 +818,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     mass.  The ClassSet keeps the forms as _known, in the final class
     order, for ClassSet._identify.
 
-    Four identities spare work that the plain walk repeats; the mass
+    Three identities spare work that the plain walk repeats; the mass
     certificate still checks every weight, and no step changes a rep, a
     weight, a type or the class order (module docstring):
 
@@ -858,12 +835,6 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
       count is w = 2 #{x minimal in R, one sign each : x / Nm(R) in O_L(R)},
       read off the minimal vectors that _reduced_forms enumerates too, not
       counted on O_L(R).
-    - R = conj(alpha) N / Nm(N) takes N's reduced basis, mapped by
-      conj(alpha) / Nm(N), with no Gram or reduction of its own
-      (OrderLattice.reduced_gram).  No output depends on which reduced
-      basis a rep has: _generator's alpha feeds only products certified by
-      their covolumes, the forms are a set of lattices, _identify takes
-      any minimal vector, and counts do not depend on the basis.
     - canonical_gram is a GL_3(Z) invariant, so it runs once per _type_key
       of the ternary Grams, not once per class.
     """

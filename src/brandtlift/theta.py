@@ -84,7 +84,7 @@ def _integral(x, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         n = None
     if n is None or n != x:
-        raise ValueError(f"non-integral {what} {x!r} in a q-series")
+        raise ValueError(f"non-integral {what} {x!r}; an integer is required")
     return n
 
 

@@ -109,6 +109,9 @@ def test_lift_input_validation():
         waldspurger_lift([1, 2, 3], thetas[:2])
     with pytest.raises(ValueError, match="integer"):
         waldspurger_lift([1, Fraction(1, 2), 0], thetas)
+    # the integrality rule of scale_congruent_pair: a ValueError, not an OverflowError
+    with pytest.raises(ValueError, match="non-integral phi entry inf"):
+        waldspurger_lift([1, float("inf"), 0], thetas)
     # integral rationals are accepted
     assert waldspurger_lift([Fraction(2), 0, 0], thetas).phi == (2, 0, 0)
 
@@ -145,6 +148,18 @@ def test_scale_congruent_pair_small_cases():
     assert scale_congruent_pair([0, 0], [0, 0], 5)[2] == 1
     with pytest.raises(ValueError):
         scale_congruent_pair([1], [1, 2], 5)
+
+
+def test_scale_congruent_pair_rejects_non_integral_entries():
+    # a float or a Fraction is not truncated into a "congruent" pair with f changed
+    with pytest.raises(ValueError, match="non-integral phi_f entry 2.7"):
+        scale_congruent_pair([2.7, 1], [2, 1], 5)
+    with pytest.raises(ValueError, match=r"non-integral phi_f entry Fraction\(5, 2\)"):
+        scale_congruent_pair([Fraction(5, 2), 1], [2, 1], 5)
+    with pytest.raises(ValueError, match="non-integral phi_g entry inf"):
+        scale_congruent_pair([2, 1], [float("inf"), 1], 5)
+    # integral values of other types are taken as their ints
+    assert scale_congruent_pair([Fraction(4, 2), 1.0], [2, 1], 5) == ([2, 1], [2, 1], 1)
 
 
 def test_metadata_shape(phi174_g, thetas174):

@@ -464,14 +464,17 @@ def _generator_candidates_pass(ideal) -> list[bool]:
 
 @pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes139"])
 def test_generator_of_a_fresh_copy_gives_the_sixteen_product_reference(fixture, request):
-    # a copy greedy reduces its own Gram, so its alpha comes from another
-    # basis than the rep's; it must lie in I, meet the gcd condition and
-    # give the pair products
+    # every derived value is a function of the lattice: a fresh copy of a
+    # rep has the rep's reduced basis, alpha and first minimal vector, and
+    # its alpha lies in I, meets the gcd condition and gives the pair products
     classes = request.getfixturevalue(fixture)
     base = classes.reps[0]
     for rep in classes.reps:
         copy = OrderLattice(rep.alg, rep.den, rep.rows, rep.norm)
         alpha = copy._generator()
+        assert copy.reduced_gram() == rep.reduced_gram()
+        assert alpha == rep._generator()
+        assert copy.minimal_vector() == rep.minimal_vector()
         assert rep._solve(alpha, rep.den) is not None
         quotient, rem = divmod(rep.alg.trace_pairing(alpha, alpha) // 2, rep.den**2 * rep.norm)
         assert rem == 0 and gcd(quotient, rep.norm) == 1
@@ -501,6 +504,22 @@ def test_pair_product_certificate_rejects_a_bad_generator(classes170):
     planted._alpha = [rep.norm * rep.den, 0, 0, 0]
     with pytest.raises(RuntimeError, match="covolume"):
         _pair_product(planted, rep)
+
+
+def test_reduce_ideal_certificate_rejects_a_wrong_covolume(classes170, monkeypatch):
+    # a conj(alpha) I / Nm(I) of index 2 in the true one fails the covolume
+    # certificate with a RuntimeError, which python -O keeps
+    conj_quotient = orders._conj_quotient
+
+    def halved(ideal, row):
+        small = conj_quotient(ideal, row)
+        rows = [[2 * x for x in small.rows[0]], *small.rows[1:]]
+        return OrderLattice.from_rows(small.alg, small.den, rows, small.norm)
+
+    monkeypatch.setattr(orders, "_conj_quotient", halved)
+    rep = next(r for r in classes170.reps if r.norm > 1)
+    with pytest.raises(RuntimeError, match="covolume"):
+        _reduce_ideal(rep)
 
 
 _fraction = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
@@ -779,15 +798,10 @@ def test_skipped_neighbours_lie_in_the_classes_the_walk_recorded(q, m, reduction
 
 @pytest.mark.parametrize("fixture", ["classes170", "classes174"])
 def test_reps_keep_a_reduced_basis_of_their_own_lattice(fixture, request):
-    # a rep conj(alpha) N / Nm(N) takes the images of N's reduced basis: its
-    # (reduced Gram, U) must still be (U G U^T, U) for its own Gram G, U unimodular
-    # (U G U^T, U) with |det U| = 1, that is, with an integer inverse; the
-    # basis is greedy reduced, as N's reduction scaled
+    # a rep conj(alpha) N / Nm(N) reduces its own Gram, whichever
+    # neighbour N it was reached from: its (reduced Gram, U) is greedy_reduce's
     for rep in request.getfixturevalue(fixture).reps:
-        gram, umat = rep.reduced_gram()
-        assert all(x.denominator == 1 for row in mat_inv(umat) for x in row)
-        assert gram == [vec_mat(vec_mat(u, rep.gram_int()), list(zip(*umat))) for u in umat]
-        assert greedy_reduce(gram)[0] == gram
+        assert rep.reduced_gram() == greedy_reduce(rep.gram_int())
 
 
 @settings(max_examples=60, deadline=None)
