@@ -17,7 +17,7 @@ from functools import cached_property
 from math import isqrt
 
 from .linalg import mat_vec, primitive_vector, rational_nullspace
-from .orders import ClassSet, _pair_form
+from .orders import ClassSet, _pair_product
 from .primes import isprime, primerange
 from .shortvec import vector_counts
 
@@ -97,10 +97,11 @@ class BrandtModule:
 
     An orbit holding either kind has it as its key: G maps a pair (i, i)
     to pairs (k, k), and a pair (0, j) sorts before every pair (i, j) with
-    i > 0.  The module keeps the reduced Gram of every key it builds and
-    the counts of every key to the largest degree counted, so a later row,
-    to any degree, builds no lattice again, and a row reads the counts of
-    the keys that earlier rows counted far enough.  eigenvector and
+    i > 0.  Every key's lattice carries its norm, so one unit rule serves
+    them all (_form).  The module keeps the reduced Gram of every key it
+    builds and the counts of every key to the largest degree counted, so a
+    later row, to any degree, builds no lattice again, and a row reads the
+    counts of the keys that earlier rows counted far enough.  eigenvector and
     discover_eigensystems remember the lines they certify; eigenvalues reads
     a_p on those lines from two rows of B(p), which count at most the
     2h - 1 pair lattices of the two rows, and checks any other vector on
@@ -165,18 +166,18 @@ class BrandtModule:
     def _form(self, i: int, j: int) -> tuple[list[list[int]], int]:
         """Reduced Gram of a lattice with the counts of I_i conj(I_j), i <= j, and its unit.
 
-        unit is the value of norm Nm_i Nm_j in the pair lattice's terms
-        (OrderLattice.norm_form).  The pairs (i, i) and (0, j) take the
-        lattices that the class walk built (see the class docstring); the
-        others build I_i conj(I_j).
+        The pairs (i, i) and (0, j) take the left order (norm 1) and I_j that
+        the walk built (see the class docstring), the others build I_i conj(I_j)
+        (norm Nm_i Nm_j); the unit is the value of the lattice's own norm.
         """
         classes = self.classes
         if i == j:
-            return classes.right_orders[i].norm_form()
-        if i == 0:
-            rep = classes.reps[j]
-            return rep.norm_form(rep.norm)
-        return _pair_form(classes.reps[i], classes.reps[j])
+            latt = classes.right_orders[i]
+        elif i == 0:
+            latt = classes.reps[j]
+        else:
+            latt = _pair_product(classes.reps[i], classes.reps[j])
+        return latt.norm_form(latt.norm)
 
     def _pair_counts(self, i: int, j: int, p: int) -> dict[int, int]:
         """Elements of I_i conj(I_j) with norm n Nm_i Nm_j, by n, for every n <= p at least.

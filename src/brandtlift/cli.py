@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .brandt import BrandtModule
 from .congruence import run_congruence_checks
-from .lift import lift_eigenforms
+from .lift import _require_prime_ell, lift_eigenforms
 from .orders import eichler_order, maximal_order, right_ideal_classes
 from .primes import isprime
 from .qalg import choose_presentation
@@ -51,8 +51,8 @@ def _eigendata(args) -> dict[str, list[tuple[int, int]]]:
 
     Runs before the module is built, so bad input fails before the class walk.
     """
-    if args.ell is not None and not isprime(args.ell):
-        raise ValueError(f"ell must be prime, got {args.ell}")
+    if args.ell is not None:
+        _require_prime_ell(args.ell)
     if args.bound is not None and args.bound < 0:
         raise ValueError(f"bound must be nonnegative, got {args.bound}")
     given = (("f", args.eigen_f), ("g", args.eigen_g))

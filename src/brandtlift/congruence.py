@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .brandt import BrandtModule
-from .lift import LiftResult, lift_eigenforms
+from .lift import LiftResult, _require_prime_ell, lift_eigenforms
 from .linalg import primitive_vector
-from .primes import factorint, isprime, primerange
+from .primes import factorint, primerange
 
 
 def sturm_bound(k: int, N: int) -> int:
@@ -60,6 +60,7 @@ class IrreducibilityVerdict:
 
 def check_eigenvalue_congruence(module: BrandtModule, phi_f, phi_g, ell: int) -> EigenvalueVerdict:
     """Compare eigenvalues of the two vectors mod ell for p up to Sturm."""
+    _require_prime_ell(ell)
     primes = tuple(primerange(2, sturm_bound(2, module.level) + 1))
     af, ag = module.eigenvalues(phi_f, primes), module.eigenvalues(phi_g, primes)
     first = next((p for p in primes if (af[p] - ag[p]) % ell), None)
@@ -74,6 +75,7 @@ def check_lift_congruence(wf, wg, ell: int) -> LiftVerdict:
     The all-zero flag marks the degenerate case where both series vanish
     identically mod ell, making the congruence trivially 0 = 0.
     """
+    _require_prime_ell(ell)
     sf = wf.series if isinstance(wf, LiftResult) else wf
     sg = wg.series if isinstance(wg, LiftResult) else wg
     if sf.bound != sg.bound:
@@ -90,6 +92,7 @@ def check_lift_congruence(wf, wg, ell: int) -> LiftVerdict:
 
 
 def check_norm_divisibility(module: BrandtModule, phi, ell: int) -> bool:
+    _require_prime_ell(ell)
     return module.pairing(phi, phi) % ell == 0
 
 
@@ -104,6 +107,7 @@ def irreducibility_heuristic(module: BrandtModule, phi, ell: int, bound: int) ->
     a_p is read at every prime p <= bound, so the rows read are counted
     once, to the largest of them; the scan skips the primes dividing ell*N.
     """
+    _require_prime_ell(ell)
     a = module.eigenvalues(phi, primerange(2, bound + 1))
     witness = next((p for p in a if (ell * module.level) % p and (a[p] - (1 + p)) % ell), None)
     return IrreducibilityVerdict(witness is not None, witness)
@@ -194,8 +198,7 @@ def run_congruence_checks(
     bound: int = 100,
 ) -> CongruenceReport:
     """Full pipeline: eigenvectors, lifts, and every check, in one report."""
-    if not isprime(ell):
-        raise ValueError(f"ell must be prime, got {ell}")
+    _require_prime_ell(ell)
     classes = module.classes
     sturm = sturm_bound(2, module.level)
     irr_bound = max(sturm, 20)

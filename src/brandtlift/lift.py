@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import primitive_vector
+from .primes import isprime
 from .theta import QSeries, TernaryLattice, _integral, theta_series
 
 
@@ -69,17 +70,24 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
     return LiftResult(series=QSeries(bound, acc), phi=tuple(ints))
 
 
+def _require_prime_ell(ell: int) -> None:
+    """ValueError unless ell is prime: every congruence check mod ell asks this first."""
+    if not isprime(ell):
+        raise ValueError(f"ell must be prime, got {ell}")
+
+
 def scale_congruent_pair(phi_f, phi_g, ell: int) -> tuple[list[int], list[int], int | None]:
     """Rescale phi_g by the unit making it congruent to phi_f mod ell.
 
     Searches signed multipliers c of least absolute value (positive first)
     with phi_f = c * phi_g entrywise mod ell, and returns
     (phi_f, c * phi_g, c).  When no unit works the vectors come back
-    unchanged with c = None.  The entries must be integral: any other
-    value is a ValueError, not truncated.  This realizes the
+    unchanged with c = None.  ell must be prime and the entries integral:
+    anything else is a ValueError, not truncated.  This realizes the
     rescaling-by-a-unit step that fixes a common normalization for a
     congruent pair.
     """
+    _require_prime_ell(ell)
     if len(phi_f) != len(phi_g):
         raise ValueError("vectors must have equal length")
     f = [_integral(x, "phi_f entry") for x in phi_f]

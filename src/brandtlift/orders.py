@@ -5,13 +5,13 @@ integer matrix whose rows are coordinates in the 1, i, j, k basis, so
 lattice equality is tuple equality.  The integer rows are the only
 representation: products, norms and structure constants mod p run on them
 through the algebra's product and trace pairing, and membership is forward
-substitution on the triangular HNF.  Ideal norms are ints.  Fraction
-appears only at the API edge (covolume, ideal_norm), in the mass and in
-the JSON output.  On top sit the three construction stages: saturating
-the obvious order to a maximal one, cutting an Eichler order of
-square-free level as Z + eO + pO one prime p at a time, and walking the
-p-neighbor graph to enumerate the right ideal classes with their unit
-weights, certified complete by the mass formula.
+substitution on the triangular HNF.  Ideal norms are ints, each set by the
+call that builds the ideal.  Fraction appears only at the API edge
+(covolume, ideal_norm), in the mass and in the JSON output.  On top sit the
+three construction stages: saturating the obvious order to a maximal one,
+cutting an Eichler order of square-free level as Z + eO + pO one prime p at
+a time, and walking the p-neighbor graph to enumerate the right ideal
+classes with their unit weights, certified complete by the mass formula.
 
 The walk prime p does not divide the level, so O/pO is M_2(F_p) for the
 Eichler order O, and a right ideal I, being locally principal, has I/pI
@@ -102,7 +102,7 @@ class OrderLattice:
     """Full rank-4 lattice (rows) / den in the algebra, rows in canonical HNF.
 
     The rows are upper triangular with positive pivots on the diagonal.
-    norm (an int in a class walk) is set for ideals at construction.
+    norm (an int in a class walk) is set for ideals by the call that builds them.
     Equality and hashing ignore it and compare the lattice itself.  Every
     cached value (reduced Gram, minimal vectors, alpha, ...) is computed
     from (alg, den, rows) and norm alone, so equal lattices with one norm
@@ -289,14 +289,10 @@ class OrderLattice:
         prods = [mul(x, y) for x in self.rows for y in other.rows]
         return OrderLattice.from_rows(self.alg, self.den * other.den, prods)
 
-    def _mul_row(self, xrow, d: int) -> "OrderLattice":
-        """The element xrow / d (d > 0) times the lattice, on the left."""
-        mul = self.alg.mul
-        return OrderLattice.from_rows(self.alg, self.den * d, [mul(xrow, r) for r in self.rows])
-
     def conjugated(self) -> "OrderLattice":
+        """conj(self), computed once per lattice; conjugation keeps the reduced norm, so it has self's norm."""
         if self._conj is None:
-            self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows])
+            self._conj = OrderLattice.from_rows(self.alg, self.den, [_conj(r) for r in self.rows], self.norm)
         return self._conj
 
     def reduced_discriminant(self) -> int:
@@ -509,11 +505,10 @@ def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int],
 def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
     """conj(alpha) I / Nm(I) for alpha = row / den in I, with its norm Nm(alpha) / Nm(I)."""
     # conj(alpha) / Nm(I) = conj(row) / (den Nm(I))
-    d = ideal.den * ideal.norm
-    norm, rem = divmod(ideal.alg.trace_pairing(row, row) // 2, ideal.den * d)
+    alg, d, crow = ideal.alg, ideal.den * ideal.norm, _conj(row)
+    norm, rem = divmod(alg.trace_pairing(row, row) // 2, ideal.den * d)
     assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
-    small = ideal._mul_row(_conj(row), d)
-    return OrderLattice(small.alg, small.den, small.rows, norm)
+    return OrderLattice.from_rows(alg, ideal.den * d, [alg.mul(crow, r) for r in ideal.rows], norm)
 
 
 def _reduce_ideal(ideal: OrderLattice) -> tuple[OrderLattice, list[int]]:
@@ -570,20 +565,20 @@ def _returning_span(rep: OrderLattice, beta, alpha, d_alpha: int, source: OrderL
 
 
 def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> OrderLattice:
-    """lhs * conj(rhs) / shrink, for integral right ideals of one order O with int norms.
+    """lhs * conj(rhs) / shrink, with its norm, for integral right ideals of one order O with int norms.
 
     lhs = Nm(lhs) O + alpha O (alpha from _generator) and O conj(rhs) = conj(rhs),
     so the product is Nm(lhs) conj(rhs) + alpha conj(rhs): 8 rows, the first 4
     already triangular.  Those rows always span a sublattice of lhs conj(rhs),
     which has covolume Nm(rhs)^2 covol(lhs); equal covolumes certify equality.
-    With rhs = lhs and shrink = Nm(lhs) this is the left order, since
-    I conj(I) = Nm(I) O_L(I).
+    Its norm is Nm(lhs) Nm(rhs) / shrink^2, exact for shrink = 1 and for
+    rhs = lhs, shrink = Nm(lhs): the left order, as I conj(I) = Nm(I) O_L(I).
     """
     alg, n, alpha = lhs.alg, lhs.norm, lhs._generator()
     crhs = rhs.conjugated()
     rows = [[n * lhs.den * x for x in r] for r in crhs.rows]
     rows += [alg.mul(alpha, r) for r in crhs.rows]
-    prod = OrderLattice.from_rows(alg, lhs.den * crhs.den * shrink, rows)
+    prod = OrderLattice.from_rows(alg, lhs.den * crhs.den * shrink, rows, n * rhs.norm // shrink**2)
     if not prod._covolume_ratio_is(lhs, rhs.norm**2, shrink**4):
         raise RuntimeError("Nm(I) O + alpha O is not I: the pair product covolume is off")
     return prod
@@ -592,25 +587,12 @@ def _pair_product(lhs: OrderLattice, rhs: OrderLattice, shrink: int = 1) -> Orde
 def _right_order(ideal: OrderLattice) -> OrderLattice:
     """O_R(I) = conj(I) I / Nm(I) for an invertible ideal, computed once per lattice.
 
-    conj(I) with I's norm is a right O_L(I)-ideal, so this is its _pair_product with itself.
+    conj(I), with I's norm, is a right O_L(I)-ideal, so this is its _pair_product with itself.
     """
     if ideal._right is None:
         c = ideal.conjugated()
-        c = OrderLattice(c.alg, c.den, c.rows, ideal.norm)
         ideal._right = _pair_product(c, c, ideal.norm)
     return ideal._right
-
-
-def _pair_form(lhs: OrderLattice, rhs: OrderLattice) -> tuple[list[list[int]], int]:
-    """Reduced Gram of lhs * conj(rhs) and its value at norm Nm(lhs) Nm(rhs) (norm_form).
-
-    Both are integral right ideals of one Eichler order O with int norms.  The
-    product is built by _pair_product from the two-generator form
-    lhs = Nm(lhs) O + alpha O, valid for any alpha in lhs with
-    gcd(Nm(alpha)/Nm(lhs), Nm(lhs)) = 1, and from I conj(I) = Nm(I) O_L(I)
-    (Voight, Quaternion Algebras, GTM 288, ch. 16-17).
-    """
-    return _pair_product(lhs, rhs).norm_form(lhs.norm * rhs.norm)
 
 
 def _two_sided_prime(order: OrderLattice, p: int) -> OrderLattice:
@@ -760,10 +742,9 @@ class ClassSet:
                     continue
                 b = (g & -g).bit_length() - 1
                 src, p = phi(g ^ (1 << b)), primes[b]
-                rep = self.reps[src]
-                prod = _pair_product(rep, two_sided[b])
+                prod = _pair_product(self.reps[src], two_sided[b])
                 try:
-                    k = self._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p))
+                    k = self._identify(prod)
                 except ValueError as exc:
                     raise RuntimeError(f"W_{p}: {exc}") from exc
                 if self.weights[k] != self.weights[src] or self._types[k] != self._types[src]:
@@ -864,7 +845,7 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
         left = _pair_product(rep, rep, rep.norm)
         # the units of O_L(I) are the x / Nm(I), x minimal in I, that lie in it
         least, mins = rep._minimal_rows()
-        if least != 2 * (rep.den * rep.norm) ** 2:
+        if least != rep.norm_form(rep.norm**2)[1]:
             raise RuntimeError("a class rep's least norm is not Nm(I)^2")
         w = 2 * sum(left._solve(x, rep.den * rep.norm) is not None for x in mins)
         forms = _reduced_forms(rep, w)

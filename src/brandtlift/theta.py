@@ -89,7 +89,7 @@ def _integral(x, what: str) -> int:
 
 
 def parse_qseries(text: str) -> tuple[QSeries, str | None]:
-    """Read the plain text format back; returns (series, header line or None)."""
+    """(series, header line or None) from the text format; ValueError for an exponent listed twice or above bound=."""
     header = None
     coeffs = {}
     bound = None
@@ -104,9 +104,14 @@ def parse_qseries(text: str) -> tuple[QSeries, str | None]:
                     bound = int(tok.split("=", 1)[1])
             continue
         n, c = line.split()
-        coeffs[int(n)] = int(c)
+        n = int(n)
+        if n in coeffs:
+            raise ValueError(f"exponent {n} listed twice")
+        coeffs[n] = int(c)
     if bound is None:
         bound = max(coeffs, default=0)
+    elif coeffs and max(coeffs) > bound:
+        raise ValueError(f"exponent {max(coeffs)} above the header's bound={bound}")
     return QSeries(bound, coeffs), header
 
 

@@ -37,7 +37,7 @@ from sympy import primerange
 
 from brandtlift.brandt import _DISCOVER_PMAX, _restrict_kernel
 from brandtlift.linalg import _xgcd, mat_vec, vec_mat
-from brandtlift.orders import OrderLattice, _pair_form, _pair_product, _two_sided_prime
+from brandtlift.orders import OrderLattice, _pair_product, _two_sided_prime
 from brandtlift.shortvec import exists_value, iter_short_vectors
 from brandtlift.theta import TernaryLattice, _det3
 
@@ -305,7 +305,7 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
 def ref_brandt_matrices(classes, bound: int) -> dict:
     """{r: entries of B(r)} for every prime r <= bound, from one count of every pair.
 
-    Every I_i conj(I_j) with i <= j is built by _pair_form, with no forms
+    Every I_i conj(I_j) with i <= j is built by _pair_product, with no forms
     from the class walk, and counted once to norm bound Nm_i Nm_j, with no
     count read off another row.  B(r)[i][j] is the count at norm
     r Nm_i Nm_j over w_i, as a Fraction, so a count that w_i does not
@@ -315,7 +315,8 @@ def ref_brandt_matrices(classes, bound: int) -> dict:
     counts = {}
     for i in range(h):
         for j in range(i, h):
-            gram, unit = _pair_form(classes.reps[i], classes.reps[j])
+            prod = _pair_product(classes.reps[i], classes.reps[j])
+            gram, unit = prod.norm_form(prod.norm)
             raw = vector_counts(gram, bound * unit)
             counts[i, j] = counts[j, i] = {r: raw.get(r * unit, 0) for r in primerange(2, bound + 1)}
     return {
@@ -370,7 +371,8 @@ def ref_equivalent_ideals(lhs, rhs) -> bool:
         raise ValueError("equivalent_ideals needs integral right ideals with int norms")
     if ref_right_order(lhs) != ref_right_order(rhs):
         raise ValueError("equivalent_ideals needs right ideals of one order")
-    return exists_value(*_pair_form(lhs, rhs))
+    prod = _pair_product(lhs, rhs)
+    return exists_value(*prod.norm_form(prod.norm))
 
 
 def _unit_vectors(module) -> list[list[int]]:

@@ -66,7 +66,9 @@ def count_pair_lattice_builds(monkeypatch) -> Counter:
         builds[(lhs, rhs)] += 1
         return pair_product(lhs, rhs, shrink)
 
+    # the class set's products and the module's pair lattices
     monkeypatch.setattr(orders, "_pair_product", counted)
+    monkeypatch.setattr(brandt, "_pair_product", counted)
     return builds
 
 
@@ -112,14 +114,14 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     module = BrandtModule(classes170)
     builds = count_pair_lattice_builds(monkeypatch)
     units, bounds = [], record_count_bounds(monkeypatch)
-    pair_form = brandt._pair_form
+    pair_product = brandt._pair_product
 
-    def recorded_pair_form(lhs, rhs):
-        gram, unit = pair_form(lhs, rhs)
-        units.append(unit)
-        return gram, unit
+    def recorded_pair_product(lhs, rhs):
+        prod = pair_product(lhs, rhs)
+        units.append(prod.norm_form(prod.norm)[1])
+        return prod
 
-    monkeypatch.setattr(brandt, "_pair_form", recorded_pair_form)
+    monkeypatch.setattr(brandt, "_pair_product", recorded_pair_product)
     job(module)
     h = classes170.h
     # one pair lattice per orbit of the W_p on the pairs, its key: 52 of the
@@ -516,7 +518,12 @@ def test_walk_forms_give_the_matrices_of_built_pair_lattices(request, level):
     # module that builds every pair lattice I_i conj(I_j) gets the same B(p)
     classes = request.getfixturevalue(f"classes{level}")
     module, built = BrandtModule(classes), BrandtModule(classes)
-    built._form = lambda i, j: brandt._pair_form(classes.reps[i], classes.reps[j])
+
+    def build(i, j):
+        prod = brandt._pair_product(classes.reps[i], classes.reps[j])
+        return prod.norm_form(prod.norm)
+
+    built._form = build
     module.brandt_matrix(19)
     built.brandt_matrix(19)
     for p in primerange(2, 20):

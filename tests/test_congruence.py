@@ -17,7 +17,7 @@ from brandtlift.congruence import (
     sturm_bound,
 )
 from brandtlift.lift import scale_congruent_pair, waldspurger_lift
-from brandtlift import orders
+from brandtlift import brandt, orders
 from brandtlift.theta import QSeries
 
 from conftest import EIGEN_170_F, EIGEN_170_G, build_classes
@@ -190,6 +190,29 @@ def test_run_congruence_checks_validates_ell(module170):
         run_congruence_checks(module170, EIGEN_170_F, EIGEN_170_G, 4)
 
 
+@pytest.mark.parametrize("ell", [1, 0, -5, 4])
+def test_every_check_mod_ell_rejects_a_non_prime_ell(ell):
+    # N=11 (h=2): ell = 1 passed every check vacuously, ell = 0 divided by
+    # zero, ell = -5 missed the unit c = 2, and check_lift_congruence raised
+    # StopIteration; each now raises the ValueError that the report raises
+    module = BrandtModule(build_classes(11, 1))
+    phi_f, phi_g = [1, -1], [3, 2]
+    sf, sg = QSeries(10, {1: 2, 3: 4}), QSeries(10, {1: 1, 3: 2})
+    checks = [
+        lambda: scale_congruent_pair(phi_f, phi_g, ell),
+        lambda: check_eigenvalue_congruence(module, phi_f, phi_g, ell),
+        lambda: check_lift_congruence(sf, sg, ell),
+        lambda: check_norm_divisibility(module, phi_f, ell),
+        lambda: irreducibility_heuristic(module, phi_f, ell, 20),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=f"ell must be prime, got {ell}"):
+            check()
+    # the same inputs at ell = 5
+    assert scale_congruent_pair(phi_f, phi_g, 5)[2] == 2
+    assert check_lift_congruence(sf, sg, 5).witness_c == 2
+
+
 def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
     # N=222: the Sturm bound 76 puts T_61 ... T_73 among the degrees the
     # check reads; the module keeps the pair forms of its count pass, so
@@ -209,7 +232,9 @@ def test_check_above_count_bound_builds_each_pair_lattice_once(monkeypatch):
         builds[(lhs, rhs)] += 1
         return pair_product(lhs, rhs, shrink)
 
+    # the class set's products and the module's pair lattices
     monkeypatch.setattr(orders, "_pair_product", counted)
+    monkeypatch.setattr(brandt, "_pair_product", counted)
     report = run_congruence_checks(module, [(5, -4)], [(5, 2)], 3, bound=10)
     assert report.sturm == 76
     assert report.eigenvalue_check.compared_primes[-1] == 73

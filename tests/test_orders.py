@@ -497,6 +497,28 @@ def test_generator_falls_back_to_the_sorted_search_on_real_reps():
             assert _pair_product(rep, rep, rep.norm) == classes.right_orders[k]
 
 
+@pytest.mark.parametrize("fixture", ["classes170", "classes174", "classes222", "classes139"])
+def test_every_ideal_is_built_with_its_norm(fixture, request):
+    # the call that builds an ideal sets its norm, and it is the covolume's:
+    # pair products, left and right orders, the walk's reduced forms,
+    # conjugates and the products I J_p of the Atkin-Lehner map
+    classes = request.getfixturevalue(fixture)
+    base = classes.reps[0]
+    for lhs in classes.reps:
+        assert lhs.conjugated().norm == lhs.norm
+        assert _right_order(lhs).norm == 1
+        for rhs in classes.reps:
+            prod = _pair_product(lhs, rhs)
+            assert prod.norm == lhs.norm * rhs.norm == ideal_norm(prod, base)
+    assert all(order.norm == 1 for order in classes.right_orders)
+    assert all(ideal_norm(form, base) == form.norm for form in classes._known)
+    for p in factorint(classes.q * classes.M):
+        two_sided = _two_sided_prime(base, p)
+        for rep in classes.reps:
+            prod = _pair_product(rep, two_sided)
+            assert prod.norm == rep.norm * p == ideal_norm(prod, base)
+
+
 def test_pair_product_certificate_rejects_a_bad_generator(classes170):
     rep = next(r for r in classes170.reps if r.norm > 1)
     planted = OrderLattice(rep.alg, rep.den, rep.rows, rep.norm)
@@ -821,8 +843,8 @@ def test_left_multiples_reduce_into_their_class_forms(classes170, classes174, cl
     nm, rem = divmod(value, 2 * order.den**2)
     assert rem == 0
     assume(nm > 1)
-    moved = rep._mul_row(vec_mat(coords, order.rows), order.den)
-    moved = OrderLattice(moved.alg, moved.den, moved.rows, nm * rep.norm)
+    x = vec_mat(coords, order.rows)
+    moved = OrderLattice.from_rows(rep.alg, rep.den * order.den, [rep.alg.mul(x, r) for r in rep.rows], nm * rep.norm)
     assert moved != rep
     reduced, _ = _reduce_ideal(moved)
     assert reduced in _reduced_forms(rep, classes.weights[i])

@@ -46,6 +46,17 @@ def test_negative_exponent_is_a_value_error():
     assert QSeries(4, {-1: 0, 0: 1}).coeffs == {0: 1}
 
 
+def test_parse_qseries_drops_no_coefficient_of_a_file():
+    # an exponent above the header's bound, or listed twice, was dropped or overwritten
+    with pytest.raises(ValueError, match="exponent 7 above the header's bound=5"):
+        parse_qseries("# bound=5\n1 2\n7 3\n")
+    with pytest.raises(ValueError, match="exponent 3 listed twice"):
+        parse_qseries("# bound=9\n3 5\n3 7\n")
+    # an exponent at the bound is kept, and QSeries itself still truncates
+    assert parse_qseries("# bound=5\n1 2\n5 3\n")[0].coeffs == {1: 2, 5: 3}
+    assert QSeries(5, {1: 2, 7: 3}).coeffs == {1: 2}
+
+
 def test_non_integral_entries_are_a_value_error():
     # a Fraction or a float is not truncated to an int, whether a coefficient or an exponent
     with pytest.raises(ValueError, match=r"non-integral coefficient Fraction\(3, 2\)"):
