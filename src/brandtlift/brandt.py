@@ -77,17 +77,18 @@ class BrandtModule:
     The Atkin-Lehner involutions W_p (p | N) permute the classes:
     I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p.
     ClassSet._atkin_lehner gives the group G that they generate, as class
-    permutations, from one map of each of its orbits.  If
+    permutations, and the map of each of its orbits on the classes.  If
     I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p, then
     I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
     up to scale, with the same counts at norm n Nm_Wi Nm_Wj (Voight, GTM 288,
     ch. 23; Pizer, J. Algebra 64 (1980)).  So G keeps every B(n)[i, j],
     and the module counts one pair lattice per orbit of G on the unordered
-    pairs {i, j}: the orbit's least sorted pair, its key (_key).  G is
-    read once, at the first count or split (_group), so a module that
-    counts nothing pays nothing for it.  The class walk has already built the lattices of two kinds
-    of keys, so only the other keys are built (_form), by two identities
-    for locally principal ideals (Voight, GTM 288, ch. 16-17):
+    pairs {i, j}: the orbit's least sorted pair, its key (_key).  G and
+    its orbit map are read once, at the first count or split (_group), so a
+    module that counts nothing pays nothing for them.  The class walk has
+    already built the lattices of two kinds of keys, so only the other keys
+    are built (_form), by two identities for locally principal ideals
+    (Voight, GTM 288, ch. 16-17):
 
     - I conj(I) = Nm(I) O_L(I), so the pair (i, i) counts the left order
       right_orders[i] at norm n where the pair lattice has norm n Nm_i^2;
@@ -109,13 +110,14 @@ class BrandtModule:
 
     G commutes with every B(n), so the module is the direct sum of the
     sign spaces of G, one for each character, and each B(n) keeps each of
-    them (_sign_spaces).  A sign space has at most one basis vector per
-    orbit of G on the classes, and B(p) on it is a small integer matrix read
-    from the rows of the orbits' least classes (_orbit_matrix).  So
-    eigenvector and discover_eigensystems cut their kernels by one step,
-    _cut, in each sign space, in orbit coordinates, and lift the result to
-    a class function: at N=2310 the 192 classes fall into 32 sign spaces of
-    dimension at most 10.  They count only the rows of the orbits' least classes, each
+    them (_sign_spaces, built once per module from the orbit map).  A sign
+    space has at most one basis vector per orbit of G on the classes, and
+    B(p) on it is a small integer matrix read from the rows of the orbits'
+    least classes (_orbit_matrix).  So eigenvector and
+    discover_eigensystems cut their kernels by one step, _cut, in each sign
+    space, in orbit coordinates, and lift the result to a class function:
+    at N=2310 the 192 classes fall into 32 sign spaces of dimension at
+    most 10.  They count only the rows of the orbits' least classes, each
     once, to their largest degree: every pair is in the orbit of a pair
     (i0, k), so those rows count every key.
     """
@@ -136,12 +138,13 @@ class BrandtModule:
         self._eigenlines: set[tuple[int, ...]] = set()
 
     @cached_property
-    def _group(self) -> list[tuple[int, ...]]:
-        """G, as |G| class permutations, read once from the class set's orbit map.
+    def _group(self) -> tuple[list[tuple[int, ...]], list[tuple[int, dict[int, int], list[int]]]]:
+        """(G, orbits), read once from ClassSet._atkin_lehner.
 
-        ClassSet._atkin_lehner gives it: G[s] for s a bitmask over the
-        sorted primes of N, W_p = G[1 << b] for p the b-th.  The pair keys
-        (_key) and the sign spaces (_sign_spaces) both read this one table.
+        G[s] for s a bitmask over the sorted primes of N, W_p = G[1 << b]
+        for p the b-th, and the map (i0, {k: g}, H) of each orbit.  The pair
+        keys (_key) read G; the sign spaces and the rows that eigenvalues
+        and discover_eigensystems pick read the orbits.
         """
         return self.classes._atkin_lehner()
 
@@ -153,7 +156,7 @@ class BrandtModule:
         orbit, whose pairs are its images under the elements of G.
         """
         if self._keys is None:
-            h, group = self.h, self._group
+            h, group = self.h, self._group[0]
             keys = [[None] * h for _ in range(h)]
             for a in range(h):
                 for b in range(a, h):
@@ -249,22 +252,22 @@ class BrandtModule:
         for p, _ in eigendata:
             if not isprime(p):
                 raise ValueError(f"need a prime degree, got {p}")
-        bases = self._sign_spaces()
-        pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
+        pieces = [((), t, _identity(len(basis))) for t, basis in self._sign_spaces.items()]
         for p, ap in sorted(eigendata, key=lambda pair: pair[0], reverse=True):
-            pieces = self._cut(bases, pieces, p, [ap])
+            pieces = self._cut(pieces, p, [ap])
         dim = sum(len(coords) for _, _, coords in pieces)
         if not dim:
             raise ValueError("no such eigenform for the given eigendata")
         if dim > 1:
             raise ValueError(f"underdetermined eigendata: residual dimension {dim}")
         [(_, t, coords)] = pieces
-        vec = primitive_vector(self._lift(bases[t], coords[0]))
+        vec = primitive_vector(self._lift(self._sign_spaces[t], coords[0]))
         self._eigenlines.add(tuple(vec))
         return vec
 
+    @cached_property
     def _sign_spaces(self) -> dict[int, list[tuple[int, dict[int, int]]]]:
-        """The nonzero sign spaces of G, as {t: basis}, by character t.
+        """The nonzero sign spaces of G, as {t: basis}, by character t, built once from the orbits.
 
         G is elementary abelian, and (W phi)_i = phi_{W(i)} is its action
         on class functions.  Its characters are chi_t(s) = (-1)^|t & s|, t
@@ -272,22 +275,14 @@ class BrandtModule:
         the sign space of chi_t holds the phi with W phi = chi_t(W) phi for
         every W in G; there W_p acts by the sign chi_t(W_p).  Every B(n)
         commutes with G (class docstring), so it keeps each sign space.
-        The orbit of i0, its least class, is {G[s][i0]}, and its stabilizer
-        is H = {s : G[s][i0] = i0}.  The basis holds one (i0, e_O) for each
-        orbit O with H in the kernel of chi_t, e_O being chi_t(s) at class
-        G[s][i0] ({class: sign}, 0 elsewhere).  An orbit of |G/H| classes
+        Each orbit O comes from the orbit map (_group) as (i0, {k: s}, H),
+        s the least element sending i0 to k.  The basis holds one (i0, e_O)
+        for each O with H in the kernel of chi_t, e_O being chi_t(s) at
+        class k ({class: sign}, 0 elsewhere).  An orbit of |G/H| classes
         lies in the |G/H| sign spaces trivial on H, so the dimensions add
         up to h.
         """
-        group = self._group
-        orbits, seen = [], set()
-        for i0 in range(self.h):
-            if i0 not in seen:
-                at = {}
-                for s, perm in enumerate(group):
-                    at.setdefault(perm[i0], s)
-                seen.update(at)
-                orbits.append((i0, at, [s for s, perm in enumerate(group) if perm[i0] == i0]))
+        group, orbits = self._group
         spaces = {}
         for t in range(len(group)):
             basis = [
@@ -308,20 +303,20 @@ class BrandtModule:
         rows = [self._row(i0, p) for i0, _ in basis]
         return [[sum(row[k] * x for k, x in e.items()) for _, e in basis] for row in rows]
 
-    def _cut(self, bases, pieces, p: int, values) -> list[tuple]:
+    def _cut(self, pieces, p: int, values) -> list[tuple]:
         """Each piece cut by the kernels of B(p) - a, a in values: the pieces (prefix + (a,), t, sub).
 
-        A piece (prefix, t, coords) is a subspace of the sign space bases[t]
-        of character t, given by the orbit coordinates of a basis; it is the
-        joint eigenspace in that sign space of the eigenvalues prefix at the
-        degrees cut before, so B(p), which commutes with those matrices,
-        keeps it.  Its B(p) image is read from B(p) on the sign space, built
-        once per character (_orbit_matrix).  A zero kernel gives no piece.
+        A piece (prefix, t, coords) is a subspace of the sign space of
+        character t (_sign_spaces), in orbit coordinates: its joint
+        eigenspace of the eigenvalues prefix at the degrees cut before, so
+        B(p), which commutes with those matrices, keeps it.  Its B(p) image
+        is read from B(p) on the sign space, built once per character
+        (_orbit_matrix).  A zero kernel gives no piece.
         """
         mats, out = {}, []
         for prefix, t, coords in pieces:
             if t not in mats:
-                mats[t] = self._orbit_matrix(bases[t], p)
+                mats[t] = self._orbit_matrix(self._sign_spaces[t], p)
             images = [mat_vec(mats[t], c) for c in coords]
             filled = 0
             for a in values:
@@ -355,9 +350,9 @@ class BrandtModule:
         with phi_i != 0, and a_p = (row_i . phi) / phi_i.  One rule picks
         them: rows nonzero on every certified line first, so lines read one
         after another share the two rows and their at most 2h - 1 keys
-        (_row), and the second row outside the W_p orbit of the first where
-        the support allows, as a row in that orbit reads the same counts
-        (_key).  Such a line is a one-dimensional joint eigenspace of the
+        (_row), and the second row outside the first's orbit of G (_group)
+        where the support allows, as a row in that orbit reads the same
+        counts (_key).  Such a line is a one-dimensional joint eigenspace of the
         eigendata's matrices, which commute with B(p) at square-free level
         (Pizer 1980), so phi is a B(p) eigenvector; the second row checks
         the first (RuntimeError).
@@ -379,10 +374,10 @@ class BrandtModule:
         certified = len(support) > 1 and tuple(primitive_vector(phi)) in self._eigenlines
         if certified:
             first, *rest = sorted(support, key=lambda k: not all(v[k] for v in self._eigenlines))
-            # a row in the W_p orbit of the first reads the same counts, so it
+            # a row in the orbit of G of the first reads the same counts, so it
             # checks nothing: the second comes from another orbit if one is nonzero
-            orbit = self._key(first, first)
-            rows = [first, next((k for k in rest if self._key(k, k) != orbit), rest[0])]
+            orbit = next(at for _, at, _ in self._group[1] if first in at)
+            rows = [first, next((k for k in rest if k not in orbit), rest[0])]
             for i in rows:
                 self._row(i, top)
         else:
@@ -450,22 +445,21 @@ class BrandtModule:
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
         primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if self.level % p]
-        bases = self._sign_spaces()
         if primes:
             # the rows that _orbit_matrix reads, each counted once, to the top prime
-            for i0 in sorted({i0 for basis in bases.values() for i0, _ in basis}):
+            for i0, _, _ in self._group[1]:
                 self._row(i0, primes[-1])
-        pieces = [((), t, _identity(len(basis))) for t, basis in bases.items()]
+        pieces = [((), t, _identity(len(basis))) for t, basis in self._sign_spaces.items()]
         for p in primes:
             dims = _dimensions(pieces)
             candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
             # a prefix of dimension 1 is split no further
             lines = [piece for piece in pieces if dims[piece[0]] == 1]
             rest = [piece for piece in pieces if dims[piece[0]] > 1]
-            pieces = lines + self._cut(bases, rest, p, candidates)
+            pieces = lines + self._cut(rest, p, candidates)
         dims = _dimensions(pieces)
         vectors = [
-            primitive_vector(self._lift(bases[t], coords[0]))
+            primitive_vector(self._lift(self._sign_spaces[t], coords[0]))
             for prefix, t, coords in pieces
             if dims[prefix] == 1
         ]

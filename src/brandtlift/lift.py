@@ -2,13 +2,13 @@
 
 The lift of a vector phi on the class set is sum(phi_i * theta_i), taken
 with exact integer coefficients.  theta_i depends only on the type of class
-i (the canonical Gram of its ternary lattice), so each type's series is
-built once and shared, and the entries of phi on one series are added up
-before its coefficients are read.  Because eigenvectors are only defined up
-to scale, the module also provides the unit rescaling mod ell that aligns
-two congruent eigenvectors entrywise, which is how printed data and pairing
-values at a fixed normalization are reproduced.  lift_eigenforms chains the
-two: eigendata to eigenvectors, the pair aligned mod ell, then the lifts.
+i (the canonical Gram of its ternary lattice), so lift_eigenforms adds up
+the entries of phi over each type and sums one series per type.  Because
+eigenvectors are only defined up to scale, the module also provides the
+unit rescaling mod ell that aligns two congruent eigenvectors entrywise,
+which is how printed data and pairing values at a fixed normalization are
+reproduced.  lift_eigenforms chains the two: eigendata to eigenvectors, the
+pair aligned mod ell, then the lifts.
 """
 
 from __future__ import annotations
@@ -48,22 +48,17 @@ def waldspurger_lift(phi, thetas: list[QSeries]) -> LiftResult:
 
     phi must be integral, a ValueError otherwise; the truncation bound of
     the result is the minimum of the input bounds.  Permuting
-    (phi_i, theta_i) pairs jointly leaves the output unchanged.  Entries
-    whose series are one and the same object are added up first, so each
-    distinct series is read once.
+    (phi_i, theta_i) pairs jointly leaves the output unchanged.  A zero
+    entry's series is not read.
     """
     if len(phi) != len(thetas):
         raise ValueError(f"phi has {len(phi)} entries but there are {len(thetas)} theta series")
     ints = [_integral(x, "phi entry") for x in phi]
     bound = min((t.bound for t in thetas), default=0)
-    # the summed entry of each distinct series object, in first-seen order
-    shared: dict[int, list] = {}
-    for c, t in zip(ints, thetas):
-        shared.setdefault(id(t), [0, t])[0] += c
     # one pass over each series' coefficients; QSeries drops zeros and n > bound
     acc: dict[int, int] = {}
     get = acc.get
-    for c, t in shared.values():
+    for c, t in zip(ints, thetas):
         if c:
             for n, a in t.coeffs.items():
                 acc[n] = get(n, 0) + c * a
@@ -106,13 +101,13 @@ def lift_eigenforms(
 
     Each name gets the primitive eigenvector of its (p, a_p) pairs.  With
     ell given and both forms present, g is rescaled by the unit c of
-    scale_congruent_pair.  The theta series are built once per type, to
-    the given bound, on the canonical Gram that ClassSet keeps for each
-    class, and every class of a type gets that same QSeries.  A type
-    whose entries sum to 0 in every eigenvector is not enumerated: its
-    classes share one empty QSeries, which waldspurger_lift skips as it
-    skips any zero sum.  Returns ({name: LiftResult}, c), with c None when
-    nothing was rescaled.
+    scale_congruent_pair.  Each eigenvector's entries are added up over
+    each type, the canonical Gram that ClassSet keeps for each class, and
+    its lift is waldspurger_lift of those sums against one theta series per
+    type, built once to the given bound.  A type whose entries sum to 0 in
+    every eigenvector is not enumerated: it gets the empty series, which
+    waldspurger_lift skips.  Each LiftResult keeps the class vector phi.
+    Returns ({name: LiftResult}, c), with c None when nothing was rescaled.
     """
     # the largest degree of either form first: one count pass serves both
     degrees = [p for data in eigendata.values() for p, _ in data]
@@ -122,18 +117,13 @@ def lift_eigenforms(
     c = None
     if ell is not None and "f" in phis and "g" in phis:
         _, phis["g"], c = scale_congruent_pair(phis["f"], phis["g"], ell)
-    types = module.classes._types
     # the entries of each phi summed over each type, in first-seen order
     sums: dict[tuple, list[int]] = {}
-    for gram, *entries in zip(types, *phis.values()):
-        acc = sums.setdefault(gram, [0] * len(entries))
-        for n, x in enumerate(entries):
-            acc[n] += x
+    for gram, *entries in zip(module.classes._types, *phis.values()):
+        sums[gram] = [a + x for a, x in zip(sums.get(gram, [0] * len(entries)), entries)]
     # a type that sums to 0 in every phi adds nothing to any lift
-    empty = QSeries(bound)
-    by_type = {
-        gram: theta_series(TernaryLattice(gram), bound) if any(s) else empty
-        for gram, s in sums.items()
-    }
-    thetas = [by_type[gram] for gram in types]
-    return {name: waldspurger_lift(phi, thetas) for name, phi in phis.items()}, c
+    thetas = [theta_series(TernaryLattice(gram), bound) if any(s) else QSeries(bound) for gram, s in sums.items()]
+    return {
+        name: LiftResult(waldspurger_lift(column, thetas).series, tuple(phi))
+        for (name, phi), column in zip(phis.items(), zip(*sums.values()))
+    }, c

@@ -668,7 +668,7 @@ class ClassSet:
     (the walk's key, see right_ideal_classes); _identify reads it.  Neither
     is part of the JSON, of the repr or of equality.  _atkin_lehner gives
     the group G that the Atkin-Lehner involutions W_p, p | N, generate, as
-    class permutations, mapped one orbit at a time.
+    class permutations, and the map of each of its orbits.
     """
 
     presentation: AlgebraPresentation
@@ -697,8 +697,8 @@ class ClassSet:
             raise ValueError("the ideal reduces to no class's lattice: not a right ideal of the base order")
         return k
 
-    def _atkin_lehner(self) -> list[tuple[int, ...]]:
-        """The group G that the W_p, p | N, generate, as |G| class permutations.
+    def _atkin_lehner(self) -> tuple[list[tuple[int, ...]], list[tuple[int, dict[int, int], list[int]]]]:
+        """(G, orbits): the group G that the W_p, p | N, generate, as |G| class permutations, and its orbits.
 
         W_p sends class i to the class of I_i J_p.  The J_p are commuting
         two-sided ideals with J_p^2 = pO, so G is elementary abelian, and
@@ -710,11 +710,13 @@ class ClassSet:
         g + s already labelled, for s in the stabilizer H found so far, is
         skipped.  Any other g, with lowest bit e_b, names the class k of
         I_src J_{p_b}, src = phi(g + e_b): if k is already labelled at g',
-        g + g' joins H, else phi(g) = k.  An orbit of t classes costs
-        t - 1 + dim H products, not r t, and G[s](phi(g)) = phi(g + s) for
-        every s.  As conj(J_p) = J_p, I_src J_p is the pair product
-        Nm(I_src) J_p + alpha J_p, certified by its covolume (_pair_product,
-        _two_sided_prime).
+        g + g' joins H, else phi(g) = k.  A skipped g reaches a class
+        labelled at a smaller g, so each class is labelled by the least g
+        reaching it.  orbits holds each orbit's map (i0, {k: g}, H), in
+        increasing i0, then g.  An orbit of t classes costs t - 1 + dim H
+        products, not r t, and G[s](phi(g)) = phi(g + s) for every s.  As
+        conj(J_p) = J_p, I_src J_p is the pair product Nm(I_src) J_p +
+        alpha J_p, certified by its covolume (_pair_product, _two_sided_prime).
 
         Each image becomes the next source, so _identify must name every rep
         by its own class first; an image must keep its source's weight and
@@ -728,6 +730,7 @@ class ClassSet:
         size = 1 << len(primes)
         perms = [[None] * self.h for _ in range(size)]
         orbit = [None] * self.h  # class: (its orbit's least class, its g)
+        orbits = []
 
         def phi(g):  # the class of g in the orbit being mapped
             return next(label[g ^ s] for s in stab if g ^ s in label)
@@ -761,7 +764,8 @@ class ClassSet:
             for g, k in label.items():
                 for s, perm in enumerate(perms):
                     perm[k] = phi(g ^ s)
-        return [tuple(perm) for perm in perms]
+            orbits.append((i0, {k: g for g, k in label.items()}, stab))
+        return [tuple(perm) for perm in perms], orbits
 
     def to_json_dict(self) -> dict:
         def mat(latt):

@@ -89,11 +89,14 @@ def _integral(x, what: str) -> int:
 
 
 def parse_qseries(text: str) -> tuple[QSeries, str | None]:
-    """(series, header line or None) from the text format; ValueError for an exponent listed twice or above bound=."""
-    header = None
-    coeffs = {}
-    bound = None
-    for line in text.splitlines():
+    """(series, header or None) from '#' lines, the last the header, and '<exponent> <coefficient>' lines.
+
+    A '#' line may set the bound as bound=B.  ValueError for a second bound=,
+    for a bound= or data line that is not integers (naming its line), and
+    for an exponent listed twice or above the bound.
+    """
+    header, coeffs, bound = None, {}, None
+    for num, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -101,13 +104,21 @@ def parse_qseries(text: str) -> tuple[QSeries, str | None]:
             header = line
             for tok in line[1:].split():
                 if tok.startswith("bound="):
-                    bound = int(tok.split("=", 1)[1])
+                    try:
+                        value = int(tok[len("bound="):])
+                    except ValueError:
+                        raise ValueError(f"line {num}: {tok} is not bound=<integer>") from None
+                    if bound is not None:
+                        raise ValueError(f"a second bound: bound={bound}, then bound={value}")
+                    bound = value
             continue
-        n, c = line.split()
-        n = int(n)
+        try:
+            n, c = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {num}: {line!r} is not '<exponent> <coefficient>', two integers") from None
         if n in coeffs:
             raise ValueError(f"exponent {n} listed twice")
-        coeffs[n] = int(c)
+        coeffs[n] = c
     if bound is None:
         bound = max(coeffs, default=0)
     elif coeffs and max(coeffs) > bound:

@@ -8,7 +8,10 @@ counts, the class order and every output byte stay.  ref_brandt_matrices is
 the all-pairs count pass that BrandtModule ran before it read B(p) off its
 rows; test_brandt.py pins the Brandt matrices to it.  ref_atkin_lehner is
 the per-class W_p that ClassSet ran before its orbit map; test_orders.py
-pins the orbit map's permutations to it.  ref_right_order and
+pins the orbit map's permutations to it.  ref_sign_spaces is the split of
+the classes into the Atkin-Lehner sign spaces that BrandtModule made by
+scanning G's permutations before it read ClassSet's orbit map;
+test_brandt.py pins the module's sign spaces to it.  ref_right_order and
 ref_equivalent_ideals are the sixteen-product right order and the
 pair-lattice search that orders ran before both went through the
 two-generator product and the walk's reduced-form key; test_orders.py pins
@@ -328,8 +331,8 @@ def ref_brandt_matrices(classes, bound: int) -> dict:
 def ref_atkin_lehner(classes, p: int) -> tuple[int, ...]:
     """W_p at p | N as a permutation: class i goes to the class of I_i J_p.
 
-    Every I_i J_p is built, as the pair product Nm(I_i) J_p + alpha J_p, and
-    named by ClassSet._identify.  W_p must be an involution that keeps each
+    Every I_i J_p is built, as the pair product Nm(I_i) J_p + alpha J_p with
+    its norm Nm(I_i) p, and named by ClassSet._identify.  W_p must be an involution that keeps each
     class's weight and type; RuntimeError otherwise, as for a product in no
     class.
     """
@@ -337,14 +340,43 @@ def ref_atkin_lehner(classes, p: int) -> tuple[int, ...]:
     perm = []
     for rep in classes.reps:
         prod = _pair_product(rep, two_sided)
+        assert prod.norm == rep.norm * p
         try:
-            perm.append(classes._identify(OrderLattice(prod.alg, prod.den, prod.rows, rep.norm * p)))
+            perm.append(classes._identify(prod))
         except ValueError as exc:
             raise RuntimeError(f"W_{p}: {exc}") from exc
     for i, k in enumerate(perm):
         if perm[k] != i or classes.weights[k] != classes.weights[i] or classes._types[k] != classes._types[i]:
             raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
     return tuple(perm)
+
+
+def ref_sign_spaces(group) -> dict[int, list[tuple[int, dict[int, int]]]]:
+    """The nonzero sign spaces of G, as {t: [(i0, e_O)]}, with the orbits read off G itself.
+
+    Each orbit is found by scanning all |G| permutations from its least
+    class i0: e_O is chi_t(s) = (-1)^|t & s| at class G[s][i0], for s the
+    least element reaching that class, in increasing s, and an orbit is in
+    the sign space of chi_t when its stabilizer is in the kernel of chi_t.
+    """
+    orbits, seen = [], set()
+    for i0 in range(len(group[0])):
+        if i0 not in seen:
+            at = {}
+            for s, perm in enumerate(group):
+                at.setdefault(perm[i0], s)
+            seen.update(at)
+            orbits.append((i0, at, [s for s, perm in enumerate(group) if perm[i0] == i0]))
+    spaces = {}
+    for t in range(len(group)):
+        basis = [
+            (i0, {k: -1 if (t & s).bit_count() & 1 else 1 for k, s in at.items()})
+            for i0, at, stab in orbits
+            if not any((t & s).bit_count() & 1 for s in stab)
+        ]
+        if basis:
+            spaces[t] = basis
+    return spaces
 
 
 # (lattice, norm): its right order, as the library kept it once per lattice

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
@@ -10,7 +11,7 @@ from brandtlift.brandt import BrandtModule, eigenvectors
 from brandtlift.congruence import check_eigenvalue_congruence, sturm_bound
 from brandtlift.lift import lift_eigenforms
 
-from reference_kernels import ref_brandt_matrices, ref_discover_eigensystems, ref_eigenvector
+from reference_kernels import ref_brandt_matrices, ref_discover_eigensystems, ref_eigenvector, ref_sign_spaces
 from conftest import (
     EIGEN_170_F,
     EIGEN_170_G,
@@ -284,20 +285,31 @@ def reference(request, level, top):
 
 
 def test_one_module_maps_the_atkin_lehner_group_once(classes170, monkeypatch):
-    # the pair keys and the sign spaces read one table G
-    calls = []
+    # the pair keys and the sign spaces read one table G and its orbit map,
+    # and the sign spaces are built once for every cut of the module
+    calls, built = [], []
     atkin_lehner = orders.ClassSet._atkin_lehner
+    sign_spaces = BrandtModule._sign_spaces.func
 
     def counted(classes):
         calls.append(classes)
         return atkin_lehner(classes)
 
+    def counted_spaces(module):
+        built.append(module)
+        return sign_spaces(module)
+
     monkeypatch.setattr(orders.ClassSet, "_atkin_lehner", counted)
+    prop = cached_property(counted_spaces)
+    prop.__set_name__(BrandtModule, "_sign_spaces")
+    monkeypatch.setattr(BrandtModule, "_sign_spaces", prop)
     module = BrandtModule(classes170)
     module.eigenvector(EIGEN_170_F)
+    module.eigenvector(EIGEN_170_G)
     module.discover_eigensystems()
     module.brandt_matrix(23)
     assert calls == [classes170]
+    assert built == [module]
 
 
 @pytest.mark.parametrize("level", [170, 330, 2310])
@@ -305,7 +317,11 @@ def test_sign_spaces_split_the_module_by_atkin_lehner_signs(request, level):
     classes = request.getfixturevalue(f"classes{level}")
     module, h = BrandtModule(classes), classes.h
     primes = primefactors(classes.q * classes.M)
-    spaces = module._sign_spaces()
+    spaces = module._sign_spaces
+    # the characters, the basis order and each e_O's class order of the scan of G
+    expected = ref_sign_spaces(module._group[0])
+    assert [(t, [(i0, list(e.items())) for i0, e in basis]) for t, basis in spaces.items()] == [
+        (t, [(i0, list(e.items())) for i0, e in basis]) for t, basis in expected.items()]
     assert sum(len(basis) for basis in spaces.values()) == h
     for t, basis in spaces.items():
         # one e_O per orbit, 1 at the orbit's least class, on disjoint supports
@@ -314,7 +330,7 @@ def test_sign_spaces_split_the_module_by_atkin_lehner_signs(request, level):
         assert len({k for _, e in basis for k in e}) == sum(len(e) for _, e in basis)
         # W_p e_O = chi_t(W_p) e_O, (W phi)_i = phi_{W(i)}
         for b, p in enumerate(primes):
-            w, sign = module._group[1 << b], -1 if t >> b & 1 else 1
+            w, sign = module._group[0][1 << b], -1 if t >> b & 1 else 1
             for _, e in basis:
                 dense = [e.get(k, 0) for k in range(h)]
                 assert [dense[w[i]] for i in range(h)] == [sign * x for x in dense], (t, p)
@@ -360,7 +376,7 @@ def test_matrices_match_the_all_pairs_reference(request, level, top):
 
 def atkin_lehner(classes) -> dict:
     """{p: W_p} at every p | N, as class permutations: W_p is G[1 << b], p the b-th prime."""
-    group = classes._atkin_lehner()
+    group, _ = classes._atkin_lehner()
     return {p: group[1 << b] for b, p in enumerate(primefactors(classes.q * classes.M))}
 
 

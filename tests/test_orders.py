@@ -966,7 +966,7 @@ def test_two_sided_prime_that_is_not_two_sided_fails(classes170, monkeypatch):
 
 def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, monkeypatch):
     # W_5 is G[1 << 1] over the sorted primes 2, 5, 17
-    w, h = classes170._atkin_lehner()[1 << 1], classes170.h
+    w, h = classes170._atkin_lehner()[0][1 << 1], classes170.h
     # entries x and y swapped, with W_5(x) outside {x, y}: _identify now
     # names the reps of classes W_5(x) and W_5(y) by each other's class
     x, y = next((x, y) for x in range(h) for y in range(x + 1, h) if w[x] not in (x, y))
@@ -986,9 +986,11 @@ def test_atkin_lehner_permutation_with_two_entries_swapped_fails(classes170, mon
 def test_orbit_map_matches_the_per_class_reference(level, request):
     # r = 1, 3, 3, 3 and 4 primes: the orbit map names t - 1 + dim H
     # products per orbit, the reference one per class and prime.  G is a
-    # group under XOR of bitmasks, and its generators are the reference W_p
+    # group under XOR of bitmasks, and its generators are the reference W_p.
+    # The orbit map names each class once, by the least s with G[s](i0) = k,
+    # with the stabilizer of i0
     classes = build_classes(11, 1) if level == 11 else request.getfixturevalue(f"classes{level}")
-    group, h = classes._atkin_lehner(), classes.h
+    (group, orbits), h = classes._atkin_lehner(), classes.h
     primes = sorted(factorint(level))
     assert len(group) == 1 << len(primes)
     assert group[0] == tuple(range(h))
@@ -998,6 +1000,15 @@ def test_orbit_map_matches_the_per_class_reference(level, request):
             assert all(perm[other[i]] == group[s ^ t][i] for i in range(h)), (s, t)
     for b, p in enumerate(primes):
         assert group[1 << b] == ref_atkin_lehner(classes, p)
+    assert sorted(k for _, at, _ in orbits for k in at) == list(range(h))
+    assert [i0 for i0, _, _ in orbits] == sorted(i0 for i0, _, _ in orbits)
+    for i0, at, stab in orbits:
+        assert min(at) == i0
+        least = {}
+        for s, perm in enumerate(group):
+            least.setdefault(perm[i0], s)
+        assert list(at.items()) == list(least.items())
+        assert sorted(stab) == [s for s, perm in enumerate(group) if perm[i0] == i0]
 
 
 def test_every_same_type_transposition_of_identify_fails(classes170, monkeypatch):

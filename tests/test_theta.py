@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from brandtlift.cli import main
 from brandtlift.theta import (
     QSeries,
     TernaryLattice,
@@ -55,6 +56,24 @@ def test_parse_qseries_drops_no_coefficient_of_a_file():
     # an exponent at the bound is kept, and QSeries itself still truncates
     assert parse_qseries("# bound=5\n1 2\n5 3\n")[0].coeffs == {1: 2, 5: 3}
     assert QSeries(5, {1: 2, 7: 3}).coeffs == {1: 2}
+
+
+def test_parse_qseries_names_a_second_bound_and_the_line_of_a_bad_entry(capsys):
+    # the whole stdout of lift: a '# metadata' line, then the header and the series
+    assert main(["lift", "--q", "11", "--m", "1", "--eigen-f", "2:-2", "--bound", "20"]) == 0
+    out = capsys.readouterr().out
+    series, header = parse_qseries(out)
+    assert out.startswith("# metadata ") and header == "# N=11 q=11 M=1 bound=20"
+    assert series == parse_qseries(out.split("\n", 1)[1])[0] and series.bound == 20 and series.coeffs
+    # a second bound= was kept over the first
+    with pytest.raises(ValueError, match="a second bound: bound=5, then bound=9"):
+        parse_qseries("# bound=5\n# bound=9\n7 1\n")
+    # bare unpack and int() messages, with no line
+    for text, line in (("1 2 3\n", 1), ("1\n", 1), ("a 2\n", 1), ("# x\n\n1 1\n3 b\n", 4)):
+        with pytest.raises(ValueError, match=f"^line {line}: .* is not '<exponent> <coefficient>', two integers$"):
+            parse_qseries(text)
+    with pytest.raises(ValueError, match="^line 1: bound=x is not bound=<integer>$"):
+        parse_qseries("# bound=x\n1 1\n")
 
 
 def test_non_integral_entries_are_a_value_error():
