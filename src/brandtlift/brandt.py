@@ -33,11 +33,6 @@ def _restrict_kernel(basis, images, a: int) -> list[list[int]]:
     ]
 
 
-def _identity(d: int) -> list[list[int]]:
-    """The unit vectors of d orbit coordinates: the whole sign space, where every cut starts."""
-    return [[int(a == b) for b in range(d)] for a in range(d)]
-
-
 def _dimensions(pieces) -> Counter:
     """Total dimension of the pieces (prefix, t, coords) of each prefix of eigenvalues."""
     dims = Counter()
@@ -114,12 +109,11 @@ class BrandtModule:
     space has at most one basis vector per orbit of G on the classes, and
     B(p) on it is a small integer matrix read from the rows of the orbits'
     least classes (_orbit_matrix).  So eigenvector and
-    discover_eigensystems cut their kernels by one step, _cut, in each sign
-    space, in orbit coordinates, and lift the result to a class function:
-    at N=2310 the 192 classes fall into 32 sign spaces of dimension at
-    most 10.  They count only the rows of the orbits' least classes, each
-    once, to their largest degree: every pair is in the orbit of a pair
-    (i0, k), so those rows count every key.
+    discover_eigensystems take one route: _pieces counts those rows, each
+    once, to the search's largest degree, and gives the whole sign spaces;
+    _cut cuts their kernels in each sign space, in orbit coordinates; _line
+    lifts a final line to a class function and certifies it.  At N=2310 the
+    192 classes fall into 32 sign spaces of dimension at most 10.
     """
 
     def __init__(self, classes: ClassSet):
@@ -242,18 +236,19 @@ class BrandtModule:
 
         eigendata is a list of (p, a_p) pairs; the intersection of the
         kernels of B(p) - a_p must be one-dimensional.  Every p is checked
-        first; then the sign spaces of G are cut by each (p, [a_p]),
-        largest degree first (_cut), so each orbit row read is counted
-        once, to that degree, and no other row is counted.  The joint
-        eigenspace is the sum of the pieces, its dimension the sum of theirs.
+        first; then the orbit rows are counted once, to the largest degree
+        (_pieces), and the sign spaces of G are cut by each (p, [a_p]) in
+        the order given (_cut), which reads those rows and counts no other.
+        The joint eigenspace is the sum of the pieces, its dimension the sum
+        of theirs; its one line is certified (_line).
         """
         if not eigendata:
             raise ValueError("eigendata must contain at least one (p, a_p) pair")
         for p, _ in eigendata:
             if not isprime(p):
                 raise ValueError(f"need a prime degree, got {p}")
-        pieces = [((), t, _identity(len(basis))) for t, basis in self._sign_spaces.items()]
-        for p, ap in sorted(eigendata, key=lambda pair: pair[0], reverse=True):
+        pieces = self._pieces(max(p for p, _ in eigendata))
+        for p, ap in eigendata:
             pieces = self._cut(pieces, p, [ap])
         dim = sum(len(coords) for _, _, coords in pieces)
         if not dim:
@@ -261,9 +256,7 @@ class BrandtModule:
         if dim > 1:
             raise ValueError(f"underdetermined eigendata: residual dimension {dim}")
         [(_, t, coords)] = pieces
-        vec = primitive_vector(self._lift(self._sign_spaces[t], coords[0]))
-        self._eigenlines.add(tuple(vec))
-        return vec
+        return self._line(t, coords[0])
 
     @cached_property
     def _sign_spaces(self) -> dict[int, list[tuple[int, dict[int, int]]]]:
@@ -329,12 +322,34 @@ class BrandtModule:
                         break
         return out
 
-    def _lift(self, basis, coords) -> list[int]:
-        """The class function sum c_O e_O of orbit coordinates c in the sign space of basis."""
+    def _pieces(self, top: int | None) -> list[tuple]:
+        """The whole sign spaces as pieces ((), t, unit vectors), the orbit rows counted to top first.
+
+        The cuts read only the rows of the orbits' least classes
+        (_orbit_matrix), and every pair is in the orbit of a pair (i0, k), so
+        counting them here, to the search's largest degree, counts each key
+        once.  top None (no degree to cut at) counts nothing.
+        """
+        if top is not None:
+            for i0, _, _ in self._group[1]:
+                self._row(i0, top)
+        return [
+            ((), t, [[int(a == b) for b in range(len(basis))] for a in range(len(basis))])
+            for t, basis in self._sign_spaces.items()
+        ]
+
+    def _line(self, t: int, coords) -> list[int]:
+        """The primitive class vector sum c_O e_O of orbit coordinates c in sign space t.
+
+        The caller's piece is a one-dimensional joint eigenspace of the
+        module, so the vector joins the certified lines (eigenvalues).
+        """
         vec = [0] * self.h
-        for c, (_, e) in zip(coords, basis):
+        for c, (_, e) in zip(coords, self._sign_spaces[t]):
             for k, x in e.items():
                 vec[k] = c * x
+        vec = primitive_vector(vec)
+        self._eigenlines.add(tuple(vec))
         return vec
 
     def eigenvalue_of(self, phi, p: int) -> int:
@@ -358,6 +373,12 @@ class BrandtModule:
         the first (RuntimeError).
         Any other vector is checked on all h rows, with ValueError at the
         first prime where it is not an eigenvector.
+
+        At p | N it reads the Atkin-Lehner sign: a_p = -w_p at a prime
+        exactly dividing the level, at q and at p | M alike.  The tests pin
+        the class permutations W_p to it at N=170, 174 and 222: at p | M,
+        B(p) phi = -W_p phi on every line discover_eigensystems reports but
+        the Eisenstein line, and B(q) is the permutation matrix of W_q.
         """
         if len(phi) != self.h:
             raise ValueError(f"eigenvector needs length h={self.h}, got {len(phi)}")
@@ -409,47 +430,23 @@ class BrandtModule:
                 rows[r] = self._certified_row(i, [c.get(r, 0) for c in counts], r)
         return rows[p]
 
-    def atkin_lehner_sign(self, phi, p: int) -> int:
-        """Atkin-Lehner sign at p dividing the level: -lambda, lambda the B(p) eigenvalue of phi.
-
-        That is the weight-2 rule a_p = -w_p at a prime exactly dividing the
-        level, at q and at p | M alike.  The class permutations W_p, the
-        generators of the group G that ClassSet._atkin_lehner() maps one
-        orbit at a time, satisfy two identities, which the tests pin at
-        N=170, 174 and 222: at p | M, B(p) phi = -W_p phi on each line
-        that discover_eigensystems reports but the Eisenstein line, so
-        -lambda is the W_p eigenvalue of phi; and B(q) is the permutation
-        matrix of W_q, so lambda is the W_q eigenvalue of phi.
-        """
-        if self.level % p != 0:
-            raise ValueError(f"{p} does not divide the level {self.level}")
-        lam = self.eigenvalue_of(phi, p)
-        if lam not in (1, -1):
-            raise ValueError(f"U_{p} eigenvalue {lam} is not a sign; not a newform vector")
-        return -lam
-
     def discover_eigensystems(self) -> list[tuple[dict[int, int], list[int]]]:
         """Search for rational eigensystems using the primes p < 20 coprime to the level.
 
-        Cuts the sign spaces of G (_cut), prime by prime in increasing
-        order, by the integer eigenvalues a in [-2 isqrt(p), 2 isqrt(p)] and
-        a = p+1 (the Eisenstein direction).  The pieces of all sign spaces
-        with one prefix of eigenvalues make up that prefix's joint eigenspace
-        in the whole module; a prefix whose pieces have total dimension 1 is
-        split no further.  Each such line is a one-dimensional joint
-        eigenspace, as eigenvector certifies, so it is added to the certified
-        lines and reported with its eigenvalues read from two rows
-        (eigenvalues).  The cuts read only the rows of the orbits' least
-        classes, counted first, each once, to the top prime.  That range is narrower than the
+        Cuts the sign spaces of G (_pieces, counted to the top prime; _cut),
+        prime by prime in increasing order, by the integer eigenvalues a in
+        [-2 isqrt(p), 2 isqrt(p)] and a = p+1 (the Eisenstein direction).
+        The pieces of all sign spaces with one prefix of eigenvalues make up
+        that prefix's joint eigenspace in the whole module; a prefix whose
+        pieces have total dimension 1 is split no further.  Each such line
+        is a one-dimensional joint eigenspace, as eigenvector certifies, so
+        all are certified (_line) before any is reported with its eigenvalues
+        read from two rows (eigenvalues).  That range is narrower than the
         Ramanujan bound |a_p| <= 2 sqrt(p) wherever 2 isqrt(p) < isqrt(4p):
         at p = 3 it leaves out a_3 = +-3, so N=170's form g (a_3 = 3) is not found.
         """
         primes = [p for p in primerange(2, _DISCOVER_PMAX + 1) if self.level % p]
-        if primes:
-            # the rows that _orbit_matrix reads, each counted once, to the top prime
-            for i0, _, _ in self._group[1]:
-                self._row(i0, primes[-1])
-        pieces = [((), t, _identity(len(basis))) for t, basis in self._sign_spaces.items()]
+        pieces = self._pieces(max(primes, default=None))
         for p in primes:
             dims = _dimensions(pieces)
             candidates = list(range(-2 * isqrt(p), 2 * isqrt(p) + 1)) + [p + 1]
@@ -458,13 +455,8 @@ class BrandtModule:
             rest = [piece for piece in pieces if dims[piece[0]] > 1]
             pieces = lines + self._cut(rest, p, candidates)
         dims = _dimensions(pieces)
-        vectors = [
-            primitive_vector(self._lift(self._sign_spaces[t], coords[0]))
-            for prefix, t, coords in pieces
-            if dims[prefix] == 1
-        ]
-        # each is a one-dimensional joint eigenspace, the lines eigenvector certifies
-        self._eigenlines.update(tuple(vec) for vec in vectors)
+        # every line is certified before the first read: the rows read depend on them
+        vectors = [self._line(t, coords[0]) for prefix, t, coords in pieces if dims[prefix] == 1]
         out = [(self.eigenvalues(vec, primes), vec) for vec in vectors]
         return sorted(out, key=lambda t: sorted(t[0].items()))
 

@@ -39,15 +39,17 @@ class QSeries:
     """Truncated q-expansion with exact integer coefficients.
 
     Coefficients are known exactly for exponents n <= bound; zero
-    coefficients are never stored, so equality is structural.  Exponents
-    and coefficients must be integral: any other value is a ValueError,
-    not truncated.
+    coefficients are never stored, so equality is structural.  The bound
+    must be nonnegative, and exponents and coefficients integral: any
+    other value is a ValueError, not truncated.
     """
 
     bound: int
     coeffs: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.bound < 0:
+            raise ValueError(f"negative bound {self.bound} in a q-series")
         coeffs = self.coeffs
         if {*map(type, coeffs), *map(type, coeffs.values())} - {int}:
             coeffs = {_integral(n, "exponent"): _integral(c, "coefficient") for n, c in coeffs.items()}

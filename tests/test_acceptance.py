@@ -88,11 +88,12 @@ def test_criterion_3_hecke_eigenvalues(module170, module174,
         for p, ap in table.items():
             if module.eigenvalue_of(phi, p) != ap:
                 bad.append((module.level, p))
+    # the Atkin-Lehner sign at p | N is minus the B(p) eigenvalue
     al_ok = all(
-        [module170.atkin_lehner_sign(phi, p) for p in (2, 5, 17)] == [1, 1, -1]
+        [-module170.eigenvalue_of(phi, p) for p in (2, 5, 17)] == [1, 1, -1]
         for phi in (phi170_f, phi170_g)
     ) and all(
-        [module174.atkin_lehner_sign(phi, p) for p in (2, 3, 29)] == [1, -1, 1]
+        [-module174.eigenvalue_of(phi, p) for p in (2, 3, 29)] == [1, -1, 1]
         for phi in (phi174_f, phi174_g)
     )
     ok = not bad and al_ok

@@ -102,15 +102,17 @@ def test_one_count_pass_serves_every_smaller_degree(classes174, monkeypatch):
 
 
 @pytest.mark.parametrize("job, degree", [
-    (lambda module: module.eigenvector(EIGEN_170_F), 7),
-    # the pairs are cut largest degree first, in whichever order they come
-    (lambda module: module.eigenvector(EIGEN_170_F[::-1]), 7),
+    (EIGEN_170_F, 7),
+    # the orbit rows are counted to the largest degree before the first cut,
+    # and the pairs are cut in whichever order they come, a repeated one too
+    (EIGEN_170_F[::-1], 7),
+    ([(3, -2), (7, 2), (3, -2)], 7),
     (lambda module: module.discover_eigensystems(), 19),
     # the form with the smaller degrees comes first by name
     (lambda module: lift_eigenforms(module, {"f": EIGEN_170_G, "g": EIGEN_170_F}, 10), 7),
-], ids=["eigenvector", "eigenvector-reversed", "discover", "lift_eigenforms"])
+], ids=["eigenvector", "eigenvector-reversed", "eigenvector-repeated", "discover", "lift_eigenforms"])
 def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
-    classes170, monkeypatch, job, degree
+    classes170, phi170_f, monkeypatch, job, degree
 ):
     module = BrandtModule(classes170)
     builds = count_pair_lattice_builds(monkeypatch)
@@ -123,7 +125,11 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
         return prod
 
     monkeypatch.setattr(brandt, "_pair_product", recorded_pair_product)
-    job(module)
+    if callable(job):
+        job(module)
+    else:
+        # N=170's f eigendata in any order, one pair repeated or not
+        assert module.eigenvector(job) == phi170_f
     h = classes170.h
     # one pair lattice per orbit of the W_p on the pairs, its key: 52 of the
     # h(h+1)/2 = 300 pairs.  The 28 keys (i, i) and (0, j) take the Grams
@@ -342,7 +348,8 @@ def test_sign_spaces_split_the_module_by_atkin_lehner_signs(request, level):
             mat = module._orbit_matrix(basis, p)
             for b, (_, e) in enumerate(basis):
                 image = [sum(x * cols[k][i] for k, x in e.items()) for i in range(h)]
-                assert image == module._lift(basis, [row[b] for row in mat]), p
+                column = [row[b] for row in mat]
+                assert image == [sum(c * f.get(i, 0) for c, (_, f) in zip(column, basis)) for i in range(h)], p
 
 
 @pytest.mark.parametrize("level", [170, 174, 222, 290, 330])
@@ -614,15 +621,6 @@ def test_ramified_eigenvalues(module170, module174, phi170_f, phi170_g, phi174_f
         assert module174.eigenvalue_of(phi, 2) == -1
         assert module174.eigenvalue_of(phi, 3) == 1
         assert module174.eigenvalue_of(phi, 29) == -1
-
-
-def test_atkin_lehner_signs(module170, module174, phi170_f, phi170_g, phi174_f, phi174_g):
-    for phi in (phi170_f, phi170_g):
-        assert [module170.atkin_lehner_sign(phi, p) for p in (2, 5, 17)] == [1, 1, -1]
-    for phi in (phi174_f, phi174_g):
-        assert [module174.atkin_lehner_sign(phi, p) for p in (2, 3, 29)] == [1, -1, 1]
-    with pytest.raises(ValueError):
-        module170.atkin_lehner_sign(phi170_f, 3)
 
 
 def test_eigenvector_matches_reference_up_to_symmetry(phi170_f, phi170_g, phi174_f, phi174_g):

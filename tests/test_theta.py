@@ -45,6 +45,11 @@ def test_negative_exponent_is_a_value_error():
     with pytest.raises(ValueError, match="negative exponent -1"):
         QSeries(4, {-1: 2, 0: 1})
     assert QSeries(4, {-1: 0, 0: 1}).coeffs == {0: 1}
+    # a negative bound was kept, and every coefficient dropped below it
+    with pytest.raises(ValueError, match="negative bound -1 in a q-series"):
+        QSeries(-1, {0: 1})
+    with pytest.raises(ValueError, match="negative bound -3 in a q-series"):
+        parse_qseries("# bound=-3\n")
 
 
 def test_parse_qseries_drops_no_coefficient_of_a_file():
