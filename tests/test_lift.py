@@ -93,13 +93,9 @@ def test_lift_joint_permutation_invariance():
 
 
 def test_lift_zero_vector():
-    a, b, c = synthetic_thetas()
-    result = waldspurger_lift([0, 0, 0], [a, b, c])
+    result = waldspurger_lift([0, 0, 0], synthetic_thetas())
     assert result.series == QSeries(12, {})
     assert result.phi == (0, 0, 0)
-    # entries that cancel on one series object passed twice leave it out
-    cancel = waldspurger_lift([1, 0, -1], [a, b, a])
-    assert cancel.series == QSeries(12, {}) and cancel.phi == (1, 0, -1)
 
 
 def test_lift_bound_is_minimum():
@@ -195,6 +191,20 @@ def test_lift_eigenforms_174(module174, phi174_f, phi174_g, thetas174):
         lifts, c = lift_eigenforms(module174, pair, 99, ell=ell)
         assert c is None
         assert lifts == primitive
+
+
+def test_lift_adds_up_entries_of_shared_series():
+    a, b, c = synthetic_thetas()
+    b_copy = QSeries(12, dict(b.coeffs))
+    assert b_copy == b and b_copy is not b
+    phi = [3, -1, 2, 5, -2, 1]
+    # a twice as one object, b once as itself and once as an equal copy
+    shared = [a, b, a, b_copy, c, a]
+    distinct = [QSeries(t.bound, dict(t.coeffs)) for t in shared]
+    assert waldspurger_lift(phi, shared) == waldspurger_lift(phi, distinct)
+    # entries that cancel on one shared object leave its series out
+    cancel = waldspurger_lift([1, 0, -1, 0, 0, 0], shared)
+    assert cancel.series == QSeries(12, {}) and cancel.phi == (1, 0, -1, 0, 0, 0)
 
 
 @pytest.fixture(scope="module")
