@@ -64,23 +64,22 @@ class HeckeMatrix:
 class BrandtModule:
     """The Brandt matrices of one class set, kept as certified rows.
 
-    Every count goes through _row: row i, asked at degree p, reads the
-    counts of the h pair lattices I_i conj(I_k) to norm p and keeps row i
-    of B(r) for every prime r <= p.  These certified rows are the only
-    matrix state: brandt_matrix(p) is a view of the h rows at p.
-
     The Atkin-Lehner involutions W_p (p | N) permute the classes:
     I_i J_p is in class W_p(i), for J_p the two-sided prime of norm p.
     ClassSet._atkin_lehner gives the group G that they generate, as class
-    permutations, and the map of each of its orbits on the classes.  If
-    I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p, then
+    permutations, and the map of each of its orbits on the classes, read
+    once, at the first count or split (_group), and indexed by class
+    (_index).  If I_{Wi} = x I_i J_p and I_{Wj} = y I_j J_p, then
     I_{Wi} conj(I_{Wj}) = p x (I_i conj(I_j)) conj(y), the same lattice
     up to scale, with the same counts at norm n Nm_Wi Nm_Wj (Voight, GTM 288,
-    ch. 23; Pizer, J. Algebra 64 (1980)).  So G keeps every B(n)[i, j],
-    and the module counts one pair lattice per orbit of G on the unordered
-    pairs {i, j}: the orbit's least sorted pair, its key (_key).  G and
-    its orbit map are read once, at the first count or split (_group), so a
-    module that counts nothing pays nothing for them.  The class walk has
+    ch. 23; Pizer, J. Algebra 64 (1980)).  So G keeps every B(n)[i, j].
+    The module counts one pair lattice per orbit of G on the unordered
+    pairs {i, j}, the orbit's least sorted pair, its key, read off the
+    orbit map (_key); and only the rows of the orbits' least classes: row
+    i0, asked at degree p, counts the h pairs (i0, k) to norm p and keeps
+    row i0 of B(r) for every prime r <= p (_row).  These certified rows are
+    the only matrix state: any other row is one of them read through G,
+    and brandt_matrix(p) is a view of the h rows at p.  The class walk has
     already built the lattices of two kinds of keys, so only the other keys
     are built (_form), by two identities for locally principal ideals
     (Voight, GTM 288, ch. 16-17):
@@ -95,13 +94,11 @@ class BrandtModule:
     to pairs (k, k), and a pair (0, j) sorts before every pair (i, j) with
     i > 0.  Every key's lattice carries its norm, so one unit rule serves
     them all (_form).  The module keeps the reduced Gram of every key it
-    builds and the counts of every key to the largest degree counted, so a
-    later row, to any degree, builds no lattice again, and a row reads the
-    counts of the keys that earlier rows counted far enough.  eigenvector and
+    builds and its counts to the largest degree counted, so no lattice is
+    built twice and no count made twice to one degree.  eigenvector and
     discover_eigensystems remember the lines they certify; eigenvalues reads
-    a_p on those lines from two rows of B(p), which count at most the
-    2h - 1 pair lattices of the two rows, and checks any other vector on
-    all h rows.
+    a_p on those lines from two rows of B(p), at most 2h - 1 pair lattices,
+    and checks any other vector on all h rows.
 
     G commutes with every B(n), so the module is the direct sum of the
     sign spaces of G, one for each character, and each B(n) keeps each of
@@ -120,13 +117,11 @@ class BrandtModule:
         self.classes = classes
         self.h = classes.h
         self.level = classes.q * classes.M
-        # keys[i][j]: the key of the orbit of {i, j}, from the first count on (_key)
-        self._keys: list[list[tuple[int, int]]] | None = None
         # key: _form(*key), a reduced Gram with the counts of I_i conj(I_j) and its unit
         self._forms: dict[tuple[int, int], tuple[list[list[int]], int]] = {}
         # key: (degree d, {n: elements of norm n Nm_i Nm_j}) for every n <= d
         self._counts: dict[tuple[int, int], tuple[int, dict[int, int]]] = {}
-        # i: {prime r: row i of B(r)}, for every prime up to the degree row i was counted to
+        # i0: {prime r: row i0 of B(r)}, i0 an orbit's least class, for every prime up to its degree
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}
         # primitive vectors that eigenvector certified as one-dimensional joint eigenspaces
         self._eigenlines: set[tuple[int, ...]] = set()
@@ -136,29 +131,31 @@ class BrandtModule:
         """(G, orbits), read once from ClassSet._atkin_lehner.
 
         G[s] for s a bitmask over the sorted primes of N, W_p = G[1 << b]
-        for p the b-th, and the map (i0, {k: g}, H) of each orbit.  The pair
-        keys (_key) read G; the sign spaces and the rows that eigenvalues
-        and discover_eigensystems pick read the orbits.
+        for p the b-th, and the map (i0, {k: g}, H) of each orbit, which the
+        keys, the rows and eigenvalues read by class (_index).
         """
         return self.classes._atkin_lehner()
 
-    def _key(self, i: int, j: int) -> tuple[int, int]:
-        """The least sorted pair in the orbit of {i, j} under G (see the class docstring).
+    @cached_property
+    def _index(self) -> dict[int, tuple[int, int, list[int]]]:
+        """{k: (i0, g, H)}: the orbit map (_group) by class, g the least element with G[g](i0) = k."""
+        return {k: (i0, g, stab) for i0, at, stab in self._group[1] for k, g in at.items()}
 
-        The first call reads G (_group) and keys all h^2 pairs: the pairs in
-        increasing order, each one not yet keyed being the least of its
-        orbit, whose pairs are its images under the elements of G.
+    def _key(self, i: int, j: int) -> tuple[int, int]:
+        """The least sorted pair in the orbit of {i, j} under G, read off the orbit map (_index).
+
+        Its first class is L, the lesser of the least classes of the orbits
+        of i and j; say a, of i and j, is in L's orbit and b is the other.
+        Each element of G is its own inverse, so g_a + H, H the stabilizer
+        of L, sends a to L, and the key is (L, the least image of b under
+        them); if b is in L's orbit too, the images of a under g_b + H
+        compete.  A key costs |H| images, and no h x h table is kept.
         """
-        if self._keys is None:
-            h, group = self.h, self._group[0]
-            keys = [[None] * h for _ in range(h)]
-            for a in range(h):
-                for b in range(a, h):
-                    if keys[a][b] is None:
-                        for s in group:
-                            keys[s[a]][s[b]] = keys[s[b]][s[a]] = (a, b)
-            self._keys = keys
-        return self._keys[i][j]
+        group, index = self._group[0], self._index
+        a, b = sorted((i, j), key=lambda k: index[k][0])
+        lead, g, stab = index[a]
+        moves = [(g, b), (index[b][1], a)] if index[b][0] == lead else [(g, b)]
+        return lead, min(group[x ^ s][y] for x, y in moves for s in stab)
 
     def _form(self, i: int, j: int) -> tuple[list[list[int]], int]:
         """Reduced Gram of a lattice with the counts of I_i conj(I_j), i <= j, and its unit.
@@ -218,7 +215,7 @@ class BrandtModule:
         return tuple(c // w[i] for c in raw)
 
     def brandt_matrix(self, p: int) -> HeckeMatrix:
-        """Degree-p Brandt matrix: a view of its h certified rows (_row)."""
+        """Degree-p Brandt matrix: a view of its h rows, each an orbit's certified row (_row)."""
         if not isprime(p):
             raise ValueError(f"need a prime degree, got {p}")
         kind = "U_p" if self.level % p == 0 else "T_p"
@@ -365,14 +362,13 @@ class BrandtModule:
         with phi_i != 0, and a_p = (row_i . phi) / phi_i.  One rule picks
         them: rows nonzero on every certified line first, so lines read one
         after another share the two rows and their at most 2h - 1 keys
-        (_row), and the second row outside the first's orbit of G (_group)
-        where the support allows, as a row in that orbit reads the same
-        counts (_key).  Such a line is a one-dimensional joint eigenspace of the
-        eigendata's matrices, which commute with B(p) at square-free level
-        (Pizer 1980), so phi is a B(p) eigenvector; the second row checks
-        the first (RuntimeError).
-        Any other vector is checked on all h rows, with ValueError at the
-        first prime where it is not an eigenvector.
+        (_row), and the second row outside the first's orbit of G where the
+        support allows (_index), as a row in that orbit is the first's row
+        read through G.  Such a line is a one-dimensional joint eigenspace
+        of the eigendata's matrices, which commute with B(p) at square-free
+        level (Pizer 1980), so phi is a B(p) eigenvector; the second row
+        checks the first (RuntimeError).  Any other vector is checked on all
+        h rows, with ValueError at the first prime where it is not one.
 
         At p | N it reads the Atkin-Lehner sign: a_p = -w_p at a prime
         exactly dividing the level, at q and at p | M alike.  The tests pin
@@ -395,10 +391,8 @@ class BrandtModule:
         certified = len(support) > 1 and tuple(primitive_vector(phi)) in self._eigenlines
         if certified:
             first, *rest = sorted(support, key=lambda k: not all(v[k] for v in self._eigenlines))
-            # a row in the orbit of G of the first reads the same counts, so it
-            # checks nothing: the second comes from another orbit if one is nonzero
-            orbit = next(at for _, at, _ in self._group[1] if first in at)
-            rows = [first, next((k for k in rest if k not in orbit), rest[0])]
+            lead = self._index[first][0]
+            rows = [first, next((k for k in rest if self._index[k][0] != lead), rest[0])]
             for i in rows:
                 self._row(i, top)
         else:
@@ -417,12 +411,18 @@ class BrandtModule:
         return out
 
     def _row(self, i: int, p: int) -> tuple[int, ...]:
-        """Row i of B(p), p prime, from the counts of the h pairs (i, k) to norm p.
+        """Row i of B(p), p prime: row i0 of the least class of i's orbit, read through G.
 
-        A miss keeps row i of B(r) for every prime r <= p, each certified
-        (_certified_row).  A pair whose key is already counted to p is read,
-        not counted again (_pair_counts).
+        A miss at i0 counts the h pairs (i0, k) to norm p, a key already
+        counted to p being read (_pair_counts), and keeps row i0 of B(r),
+        certified (_certified_row), for every prime r <= p.  G keeps B(r)
+        and g, the element with G[g](i0) = i (_index), is its own inverse,
+        so B(r)[i][k] = B(r)[i0][G[g][k]].
         """
+        i0, g, _ = self._index[i]
+        if i != i0:
+            row = self._row(i0, p)
+            return tuple(row[k] for k in self._group[0][g])
         rows = self._rows.setdefault(i, {})
         if p not in rows:
             counts = [self._pair_counts(i, k, p) for k in range(self.h)]

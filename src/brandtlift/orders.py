@@ -397,7 +397,8 @@ def _split_idempotent(order: OrderLattice, mats, p: int) -> list[int]:
     def norm_mod(c):
         # reduced norm of the element with coordinates c is c G c^T / (2 den^2)
         total = sum(c[m] * gram[m][n] * c[n] for m in range(4) for n in range(4))
-        assert total % scale == 0
+        if total % scale:
+            raise RuntimeError(f"a reduced norm c G c^T / {scale} is not an integer")
         return total // scale % p
 
     x = next((c for c in _projective_points(p) if norm_mod(c) == 0), None)
@@ -507,7 +508,8 @@ def _conj_quotient(ideal: OrderLattice, row) -> OrderLattice:
     # conj(alpha) / Nm(I) = conj(row) / (den Nm(I))
     alg, d, crow = ideal.alg, ideal.den * ideal.norm, _conj(row)
     norm, rem = divmod(alg.trace_pairing(row, row) // 2, ideal.den * d)
-    assert rem == 0, "Nm(alpha) / Nm(I) is not an integer"
+    if rem:
+        raise RuntimeError("Nm(alpha) / Nm(I) is not an integer")
     return OrderLattice.from_rows(alg, ideal.den * d, [alg.mul(crow, r) for r in ideal.rows], norm)
 
 

@@ -147,7 +147,8 @@ def trace_zero_lattice(order) -> TernaryLattice:
     # tr(x conj(y)) / 2 for the members vecs / den
     scale = 2 * den**2
     gram = [[alg.trace_pairing(x, y) for y in vecs] for x in vecs]
-    assert all(t % scale == 0 for row in gram for t in row)
+    if any(t % scale for row in gram for t in row):
+        raise RuntimeError("a trace-zero Gram entry tr(x conj(y)) / 2 is not an integer")
     return TernaryLattice(tuple(tuple(t // scale for t in row) for row in gram))
 
 

@@ -42,6 +42,11 @@ def classes139():
 
 
 @pytest.fixture(scope="session")
+def classes2003():
+    return build_classes(2003, 1)
+
+
+@pytest.fixture(scope="session")
 def classes2310():
     return build_classes(2, 1155)
 

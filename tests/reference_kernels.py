@@ -11,7 +11,9 @@ the per-class W_p that ClassSet ran before its orbit map; test_orders.py
 pins the orbit map's permutations to it.  ref_sign_spaces is the split of
 the classes into the Atkin-Lehner sign spaces that BrandtModule made by
 scanning G's permutations before it read ClassSet's orbit map;
-test_brandt.py pins the module's sign spaces to it.  ref_right_order and
+test_brandt.py pins the module's sign spaces to it.  ref_keys is the h x h
+table of pair keys that BrandtModule filled from G's permutations before
+_key read the orbit map; test_brandt.py pins _key to it.  ref_right_order and
 ref_equivalent_ideals are the sixteen-product right order and the
 pair-lattice search that orders ran before both went through the
 two-generator product and the walk's reduced-form key; test_orders.py pins
@@ -305,25 +307,28 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
 
 
 
-def ref_brandt_matrices(classes, bound: int) -> dict:
+def ref_brandt_matrices(classes, bound: int, rows=None) -> dict:
     """{r: entries of B(r)} for every prime r <= bound, from one count of every pair.
 
-    Every I_i conj(I_j) with i <= j is built by _pair_product, with no forms
-    from the class walk, and counted once to norm bound Nm_i Nm_j, with no
-    count read off another row.  B(r)[i][j] is the count at norm
-    r Nm_i Nm_j over w_i, as a Fraction, so a count that w_i does not
-    divide cannot match an integer entry.
+    Every I_i conj(I_j) of the rows asked (all h rows if rows is None) is
+    built by _pair_product once per unordered pair, with no forms from the
+    class walk, and counted once to norm bound Nm_i Nm_j, with no count read
+    off another row.  B(r)[i][j] is the count at norm r Nm_i Nm_j over w_i,
+    as a Fraction, so a count that w_i does not divide cannot match an
+    integer entry.
     """
     h, w = classes.h, classes.weights
+    rows = range(h) if rows is None else rows
     counts = {}
-    for i in range(h):
-        for j in range(i, h):
-            prod = _pair_product(classes.reps[i], classes.reps[j])
-            gram, unit = prod.norm_form(prod.norm)
-            raw = vector_counts(gram, bound * unit)
-            counts[i, j] = counts[j, i] = {r: raw.get(r * unit, 0) for r in primerange(2, bound + 1)}
+    for i in rows:
+        for j in range(h):
+            if (i, j) not in counts:
+                prod = _pair_product(classes.reps[i], classes.reps[j])
+                gram, unit = prod.norm_form(prod.norm)
+                raw = vector_counts(gram, bound * unit)
+                counts[i, j] = counts[j, i] = {r: raw.get(r * unit, 0) for r in primerange(2, bound + 1)}
     return {
-        r: tuple(tuple(Fraction(counts[i, j][r], w[i]) for j in range(h)) for i in range(h))
+        r: tuple(tuple(Fraction(counts[i, j][r], w[i]) for j in range(h)) for i in rows)
         for r in primerange(2, bound + 1)
     }
 
@@ -349,6 +354,21 @@ def ref_atkin_lehner(classes, p: int) -> tuple[int, ...]:
         if perm[k] != i or classes.weights[k] != classes.weights[i] or classes._types[k] != classes._types[i]:
             raise RuntimeError(f"W_{p} is not an involution keeping weights and types at class {i}")
     return tuple(perm)
+
+
+def ref_keys(group, h: int) -> list[list[tuple[int, int]]]:
+    """keys[i][j]: the least sorted pair in the orbit of {i, j} under G, from a scan of all h^2 pairs.
+
+    The pairs are taken in increasing order; each one not yet keyed is the
+    least of its orbit, whose pairs are its images under the elements of G.
+    """
+    keys = [[None] * h for _ in range(h)]
+    for a in range(h):
+        for b in range(a, h):
+            if keys[a][b] is None:
+                for s in group:
+                    keys[s[a]][s[b]] = keys[s[b]][s[a]] = (a, b)
+    return keys
 
 
 def ref_sign_spaces(group) -> dict[int, list[tuple[int, dict[int, int]]]]:

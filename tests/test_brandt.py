@@ -11,7 +11,13 @@ from brandtlift.brandt import BrandtModule, eigenvectors
 from brandtlift.congruence import check_eigenvalue_congruence, sturm_bound
 from brandtlift.lift import lift_eigenforms
 
-from reference_kernels import ref_brandt_matrices, ref_discover_eigensystems, ref_eigenvector, ref_sign_spaces
+from reference_kernels import (
+    ref_brandt_matrices,
+    ref_discover_eigensystems,
+    ref_eigenvector,
+    ref_keys,
+    ref_sign_spaces,
+)
 from conftest import (
     EIGEN_170_F,
     EIGEN_170_G,
@@ -150,7 +156,7 @@ def test_eigen_searches_count_each_pair_lattice_once_to_their_largest_degree(
     assert len(bounds) == len(forms)
     assert all(bound == degree * unit for bound, (_, unit) in zip(bounds, forms))
     leaders = {i for i in range(h) if module._key(i, i) == (i, i)}
-    assert len(leaders) == 5 and leaders <= set(module._rows)
+    assert len(leaders) == 5 and leaders == set(module._rows)
     assert all(max(rows) == degree for rows in module._rows.values())
 
 
@@ -234,14 +240,15 @@ def test_row_eigenvalues_match_the_full_matrices(request, level):
             assert module.eigenvalue_of([-3 * x for x in phi], p) == a
     # two rows served both forms at every degree past the eigendata; the
     # others are the orbits' least classes, whose rows eigenvector read at
-    # the eigendata's degree, and no full matrix is made
+    # the eigendata's degree, and no full matrix is made.  Only those
+    # classes' rows are ever counted, the two read among them
     reached = rows_counted_to(module, top)
     assert len(reached) == 2
     assert all(set(module._rows[i]) == set(primerange(2, top + 1)) for i in reached)
     degree = max(p for data in CHECK_LEVELS[level] for p, _ in data)
     assert all(rows_counted_to(module, p) == reached for p in primerange(degree + 1, top + 1))
     leaders = {i for i in range(module.h) if module._key(i, i) == (i, i)}
-    assert set(module._rows) == leaders | set(reached) and len(module._rows) < module.h
+    assert set(module._rows) == leaders
     assert all(set(rows) == set(primerange(2, degree + 1))
                for i, rows in module._rows.items() if i not in reached)
 
@@ -381,6 +388,44 @@ def test_matrices_match_the_all_pairs_reference(request, level, top):
         assert module.brandt_matrix(r).entries == ref[r], r
 
 
+@pytest.mark.parametrize("level", [170, 174, 222, 330, 2310, 2003])
+def test_pair_keys_match_the_table_of_the_group(request, level):
+    # _key reads the orbit map; the table scans all h^2 pairs under G
+    module = BrandtModule(request.getfixturevalue(f"classes{level}"))
+    h = module.h
+    table = ref_keys(module._group[0], h)
+    assert [[module._key(i, j) for j in range(h)] for i in range(h)] == table
+
+
+@pytest.mark.parametrize("level, orbits", [(170, 5), (2310, 10)])
+def test_full_matrix_certifies_only_the_orbit_leaders_rows(request, monkeypatch, level, orbits):
+    # each row of an orbit's least class is counted and certified once for
+    # the 8 primes up to 19; every other row is one of those read through G
+    classes = request.getfixturevalue(f"classes{level}")
+    certified, certified_row = [], BrandtModule._certified_row
+
+    def recorded(module, i, raw, r):
+        certified.append((i, r))
+        return certified_row(module, i, raw, r)
+
+    monkeypatch.setattr(BrandtModule, "_certified_row", recorded)
+    module = BrandtModule(classes)
+    module.brandt_matrix(19)
+    leaders = [i0 for i0, _, _ in module._group[1]]
+    assert len(leaders) == orbits
+    assert sorted(certified) == [(i, r) for i in leaders for r in primerange(2, 20)]
+    if level == 170:
+        ref, rows = reference(request, level, 19), range(classes.h)
+    else:
+        # the all-pairs reference on the last class of each orbit, none of them a leader
+        rows = [max(at) for _, at, _ in module._group[1]]
+        assert not set(rows) & set(leaders)
+        ref = ref_brandt_matrices(classes, 19, rows)
+    for r in primerange(2, 20):
+        entries = module.brandt_matrix(r).entries
+        assert [entries[i] for i in rows] == list(ref[r]), r
+
+
 def atkin_lehner(classes) -> dict:
     """{p: W_p} at every p | N, as class permutations: W_p is G[1 << b], p the b-th prime."""
     group, _ = classes._atkin_lehner()
@@ -438,8 +483,10 @@ def test_uncertified_vectors_keep_the_full_check(classes174):
         module.eigenvalues(mixed, primerange(2, sturm_bound(2, 174) + 1))
     with pytest.raises(ValueError, match="not a B\\(7\\) eigenvector"):
         module.eigenvalue_of(mixed, 7)
-    # the full check counted every row to the Sturm prime
-    assert rows_counted_to(module, prevprime(sturm_bound(2, 174) + 1)) == list(range(module.h))
+    # the full check read every row to the Sturm prime: the orbits' least
+    # classes counted theirs, and each other row is its least class's read through G
+    leaders = [i0 for i0, _, _ in module._group[1]]
+    assert rows_counted_to(module, prevprime(sturm_bound(2, 174) + 1)) == leaders
 
 
 def plant_counts(monkeypatch, module, extras):
@@ -742,10 +789,11 @@ def test_discover_finds_both_newforms(request, level, form):
 def test_discover_certifies_its_lines_and_counts_only_the_rows_it_reads(classes170):
     # the splits read the rows of the orbits' least classes, each counted to
     # B(19); every line found is a one-dimensional joint eigenspace, so its
-    # a_p are read from two rows, not from all h
+    # a_p are read from two rows, not from all h, and those two are rows of
+    # the same least classes, read through G
     module = BrandtModule(classes170)
     found = module.discover_eigensystems()
     assert all(tuple(vec) in module._eigenlines for _, vec in found)
     leaders = {i for i in range(module.h) if module._key(i, i) == (i, i)}
-    assert leaders <= set(module._rows) and len(module._rows) <= len(leaders) + 2 < module.h
+    assert set(module._rows) == leaders
     assert all(max(module._rows[i]) == 19 for i in module._rows)

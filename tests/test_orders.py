@@ -528,6 +528,22 @@ def test_pair_product_certificate_rejects_a_bad_generator(classes170):
         _pair_product(planted, rep)
 
 
+def test_norm_divisions_reject_a_non_integral_quotient(classes170):
+    # each floor division of a norm is guarded by a RuntimeError, which
+    # python -O keeps: O with the norm 2 planted, so Nm(1) / Nm(O) = 1/2
+    base = classes170.reps[0]
+    halved = OrderLattice.from_rows(base.alg, base.den, base.rows, 2)
+    with pytest.raises(RuntimeError, match="Nm\\(alpha\\) / Nm\\(I\\) is not an integer"):
+        orders._conj_quotient(halved, [base.den, 0, 0, 0])
+    # a Gram planted with 1 more at (0, 0): the first point mod 5, e_0, has
+    # c G c^T one past a multiple of 2 den^2
+    planted = OrderLattice.from_rows(base.alg, base.den, base.rows)
+    planted._gram = [row[:] for row in base.gram_int()]
+    planted._gram[0][0] += 1
+    with pytest.raises(RuntimeError, match="reduced norm .* is not an integer"):
+        _split_idempotent(planted, _right_action_matrices(base, base), 5)
+
+
 def test_reduce_ideal_certificate_rejects_a_wrong_covolume(classes170, monkeypatch):
     # a conj(alpha) I / Nm(I) of index 2 in the true one fails the covolume
     # certificate with a RuntimeError, which python -O keeps

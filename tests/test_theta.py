@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from brandtlift.cli import main
+from brandtlift.orders import OrderLattice
 from brandtlift.theta import (
     QSeries,
     TernaryLattice,
@@ -115,6 +116,15 @@ def test_trace_zero_determinants(classes170, classes174):
         for order in cs.right_orders:
             lat = trace_zero_lattice(order)
             assert lat.determinant() == 4 * level * level
+
+
+def test_trace_zero_lattice_rejects_a_non_integral_gram(classes170):
+    # (1/3) Z^4 is no order: 2 e_1 / 3 has norm 4/9, which python -O must
+    # not floor into a Gram entry
+    alg = classes170.reps[0].alg
+    thirds = OrderLattice.from_rows(alg, 3, [[int(i == j) for j in range(4)] for i in range(4)])
+    with pytest.raises(RuntimeError, match="not an integer"):
+        trace_zero_lattice(thirds)
 
 
 def test_theta_support_and_parity(classes174):
