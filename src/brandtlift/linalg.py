@@ -11,13 +11,17 @@ One Gauss-Jordan routine serves one elimination per field: rref_mod over
 F_p, and rational_nullspace and mat_inv over Q.  HNF and the Bareiss
 leading minors are separate integer algorithms.
 
-The two Gram kernels that every lattice and every short-vector walk goes
-through, greedy_reduce and leading_minors, are generated: for each size n
-one template writes the loop out as straight-line code on local variables,
-built from integer indices only, which is compiled on first use and kept.
-The generated code performs the loop's operations in the loop's order, so
-the results are the loop's bit for bit; tests/reference_kernels.py keeps a
-loop version of each, and the tests compare the kernels with them.
+Three kernels are generated: the two Gram kernels that every lattice and
+every short-vector walk goes through, greedy_reduce and leading_minors,
+and hnf, which gives every lattice its canonical rows.  For each size n
+(each row width for hnf) one template writes the algorithm out as
+straight-line code on local variables, built from integer indices only,
+which is compiled on first use and kept.  The Gram kernels perform
+the loop's operations in the loop's order, so their results are the
+loop's bit for bit.  hnf's kernel clears the rows in an order of its own;
+its result is the loop's because the HNF of a row span is unique.
+tests/reference_kernels.py keeps a loop version of each, and the tests
+compare the kernels with them.
 """
 
 from __future__ import annotations
@@ -42,66 +46,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form with zero rows dropped.
-
-    Pivots are positive, pivot columns strictly increase, and entries above
-    each pivot are reduced into [0, pivot).  The result is the canonical
-    basis of the row span, so two integer matrices generate the same lattice
-    iff their HNFs are equal.
-    """
-    m = [list(row) for row in rows]
-    if not m:
-        return []
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        # the pivot row and its entry a are carried through the column and
-        # stored as row r once the rows below are cleared
-        prow, m[piv] = m[piv], m[r]
-        a = prow[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            b = row[c]
-            if b == 0:
-                continue
-            if b % a == 0:
-                # the pivot divides the entry: one row subtraction clears it,
-                # and the HNF, being unique, comes out the same
-                q = b // a
-                m[i] = [y - q * x for x, y in zip(prow, row)]
-                continue
-            g, s, t = _xgcd(a, b)
-            # unimodular 2-row mix: new r-row has entry g, new i-row entry 0
-            u, v = a // g, b // g
-            m[i] = [u * y - v * x for x, y in zip(prow, row)]
-            prow, a = [s * x + t * y for x, y in zip(prow, row)], g
-        if a < 0:
-            prow, a = [-x for x in prow], -a
-        m[r] = prow
-        for i in range(r):
-            q = m[i][c] // a
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], prow)]
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in m[:r] if any(row)]
-
-
 class _Kernels(dict):
-    """Generated kernels by dimension n, each compiled on first use and kept.
+    """Generated kernels by size n, each compiled on first use and kept.
 
-    source(n) writes the straight-line text of the kernel for n x n input
-    from integer indices only; it is compiled under the file name
-    <linalg.NAME n=N>, which tracebacks show.
+    source(n) writes the straight-line text of the kernel for size n (an
+    n x n Gram, or rows of width n for hnf) from integer indices only; it
+    is compiled under the file name <linalg.NAME n=N>, which tracebacks
+    show.  The kernels call no helper but _xgcd.
     """
 
     def __init__(self, name: str, source):
@@ -109,10 +60,103 @@ class _Kernels(dict):
         self.name, self.source = name, source
 
     def __missing__(self, n: int):
-        namespace: dict = {}
+        namespace: dict = {"_xgcd": _xgcd}
         exec(compile(self.source(n), f"<linalg.{self.name} n={n}>", "exec"), namespace)
         kernel = self[n] = namespace[self.name]
         return kernel
+
+
+def _hnf_source(w: int) -> str:
+    """hnf for rows of width w, each row cleared by straight-line code on locals.
+
+    The pivot row of column c is kept in p{c}_{j}, j >= c, all 0 while
+    column c has none.  Each row is read into x{j} and cleared column by
+    column: at its first nonzero entry with no pivot yet, the rest of the
+    row becomes the pivot row and the next row is read; else the entry is
+    cleared into the pivot row, by one subtraction when the pivot divides
+    it and by the unimodular 2 x 2 mix of _xgcd otherwise, touching only
+    the entries right of column c.  Then, column by column, the pivot is
+    made positive and the earlier pivot rows are reduced into [0, pivot),
+    which leaves the entries left of column c alone.  The pivot rows are
+    returned in column order; a column without one gives no row.
+    """
+
+    def p(c: int, j: int) -> str:
+        return f"p{c}_{j}"
+
+    def x(j: int) -> str:
+        return f"x{j}"
+
+    def assign(targets, values) -> str:
+        return f"{', '.join(targets)} = {', '.join(values)}"
+
+    lines = ["def hnf(rows):"]
+    if not w:
+        return "\n".join(lines + ["    return []"]) + "\n"
+    lines.append("    " + " = ".join(p(c, j) for c in range(w) for j in range(c, w)) + " = 0")
+    lines.append(f"    for {', '.join(x(j) for j in range(w))}, in rows:")
+    for c in range(w):
+        span, right = range(c, w), range(c + 1, w)
+        pc, xc = p(c, c), x(c)
+        lines += [
+            f"        if {xc}:",
+            f"            if not {pc}:",
+            "                " + assign([p(c, j) for j in span], [x(j) for j in span]),
+            "                continue",
+            f"            if {xc} % {pc}:",
+        ]
+        if not right:
+            # the last column: the pivot becomes the gcd and nothing is left to mix
+            lines.append(f"                {pc} = _xgcd({pc}, {xc})[0]")
+            continue
+        mix = [f"s * {p(c, j)} + t * {x(j)}" for j in right] + [f"u * {x(j)} - v * {p(c, j)}" for j in right]
+        lines += [
+            f"                g, s, t = _xgcd({pc}, {xc})",
+            f"                u, v = {pc} // g, {xc} // g",
+            "                " + assign([p(c, j) for j in right] + [x(j) for j in right], mix),
+            f"                {pc} = g",
+            "            else:",
+            f"                q = {xc} // {pc}",
+            *(f"                {x(j)} -= q * {p(c, j)}" for j in right),
+        ]
+    for c in range(w):
+        span = range(c, w)
+        lines += [
+            f"    if {p(c, c)}:",
+            f"        if {p(c, c)} < 0:",
+            "            " + assign([p(c, j) for j in span], [f"-{p(c, j)}" for j in span]),
+        ]
+        for e in range(c):
+            lines += [f"        q = {p(e, c)} // {p(c, c)}", "        if q:"]
+            lines += [f"            {p(e, j)} -= q * {p(c, j)}" for j in span]
+    lines.append("    out = []")
+    for c in range(w):
+        row = ", ".join(["0"] * c + [p(c, j) for j in range(c, w)])
+        lines += [f"    if {p(c, c)}:", f"        out.append([{row}])"]
+    lines.append("    return out")
+    return "\n".join(lines) + "\n"
+
+
+_HNF = _Kernels("hnf", _hnf_source)
+
+
+def hnf(rows: list[list[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form with zero rows dropped.
+
+    Pivots are positive, pivot columns strictly increase, and entries above
+    each pivot are reduced into [0, pivot).  The result is the canonical
+    basis of the row span, so two integer matrices generate the same lattice
+    iff their HNFs are equal (Cohen, GTM 138, 2.4.2).
+
+    Each row is cleared by straight-line code on local variables, one
+    kernel per row width generated by _hnf_source and compiled on first
+    use.  It does not repeat the loop's operations in order; it returns the
+    loop's matrix because the HNF of a row span is unique, and
+    tests/reference_kernels.py keeps the loop as the reference.
+    """
+    if not rows:
+        return []
+    return _HNF[len(rows[0])](rows)
 
 
 def _minors_source(n: int) -> str:

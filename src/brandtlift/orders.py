@@ -284,7 +284,8 @@ class OrderLattice:
 
     def multiply(self, other: "OrderLattice") -> "OrderLattice":
         """The product from all 16 row products; no library path calls it, perfbench's tracer wraps it."""
-        assert self.alg == other.alg
+        if self.alg != other.alg:
+            raise ValueError("lattices of two different algebras")
         mul = self.alg.mul
         prods = [mul(x, y) for x in self.rows for y in other.rows]
         return OrderLattice.from_rows(self.alg, self.den * other.den, prods)
@@ -368,7 +369,8 @@ def maximal_order(alg: AlgebraPresentation) -> OrderLattice:
         d = order.reduced_discriminant()
         if d == q:
             return order
-        assert d % q == 0
+        if d % q:
+            raise RuntimeError(f"reduced discriminant {d} is not a multiple of q={q}")
         p = min(factorint(d // q).keys())
         singles = list(_projective_points(p))
         # index p: one p-denominator element; index p^2 fallback: two, which
@@ -424,14 +426,17 @@ def _level_raise(order: OrderLattice, p: int) -> OrderLattice:
     mats = _right_action_matrices(order, order)
     idem = _split_idempotent(order, mats, p)
     ee = vec_mat(idem, _right_mult(mats, idem))
-    assert all((x - y) % p == 0 for x, y in zip(ee, idem)), "not idempotent mod p"
+    if any((x - y) % p for x, y in zip(ee, idem)):
+        raise RuntimeError(f"the split element is not idempotent mod {p}")
     rows = [[p * x for x in row] for row in order.rows]
     rows.append([order.den, 0, 0, 0])
     # e b_m has the coordinates vec_mat(idem, mats[m])
     rows += [vec_mat(vec_mat(idem, m), order.rows) for m in mats]
     sub = OrderLattice.from_rows(order.alg, order.den, rows)
-    assert sub.is_order()
-    assert sub.reduced_discriminant() == p * order.reduced_discriminant()
+    if not sub.is_order():
+        raise RuntimeError(f"Z + eO + {p}O is not an order")
+    if sub.reduced_discriminant() != p * order.reduced_discriminant():
+        raise RuntimeError(f"Z + eO + {p}O does not have {p} times the reduced discriminant")
     return sub
 
 
@@ -458,7 +463,8 @@ def _right_action_matrices(ideal: OrderLattice, base: OrderLattice) -> list[list
     mats = []
     for r in base.rows:
         rows = [ideal._solve(mul(v, r), d) for v in ideal.rows]
-        assert None not in rows, "lattice is not a right ideal"
+        if None in rows:
+            raise RuntimeError("lattice is not a right ideal")
         mats.append(rows)
     return mats
 
@@ -486,15 +492,18 @@ def _neighbors(ideal: OrderLattice, base: OrderLattice, p: int, idem: list[int],
     """
     mats = _right_action_matrices(ideal, base)
     image, piv = rref_mod(_right_mult(mats, idem), p)
-    assert len(piv) == 2, "image of the idempotent is not 2-dimensional"
+    if len(piv) != 2:
+        raise RuntimeError("image of the idempotent is not 2-dimensional")
     b1, b2 = image
     lines = [b2] + [[(x + t * y) % p for x, y in zip(b1, b2)] for t in range(p)]
     subs = set()
     for v in lines:
         span, piv = rref_mod([vec_mat(v, m) for m in mats], p)
-        assert len(piv) == 2, "cyclic submodule is not 2-dimensional"
+        if len(piv) != 2:
+            raise RuntimeError("cyclic submodule is not 2-dimensional")
         subs.add(tuple(map(tuple, span)))
-    assert len(subs) == p + 1, f"expected {p + 1} neighbor submodules, found {len(subs)}"
+    if len(subs) != p + 1:
+        raise RuntimeError(f"expected {p + 1} neighbor submodules, found {len(subs)}")
     scaled = [[p * x for x in row] for row in ideal.rows]
     for span in sorted(subs):
         if span in skip:
@@ -828,7 +837,8 @@ def right_ideal_classes(base: OrderLattice) -> ClassSet:
     alg = base.alg
     N = base.reduced_discriminant()
     ram = finite_ramified_primes(alg.a, alg.b)
-    assert len(ram) == 1
+    if len(ram) != 1:
+        raise RuntimeError(f"the algebra is ramified at {len(ram)} finite primes, not 1")
     q = ram[0]
     M = N // q
     target_mass = eichler_mass(q, M)

@@ -144,11 +144,13 @@ class QuaternionElement:
         return QuaternionElement(self.alg, tuple(coeffs))
 
     def __add__(self, other: "QuaternionElement") -> "QuaternionElement":
-        assert self.alg == other.alg
+        if self.alg != other.alg:
+            raise ValueError("elements of two different algebras")
         return self._wrap(s + o for s, o in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "QuaternionElement") -> "QuaternionElement":
-        assert self.alg == other.alg
+        if self.alg != other.alg:
+            raise ValueError("elements of two different algebras")
         return self._wrap(s - o for s, o in zip(self.coeffs, other.coeffs))
 
     def __neg__(self) -> "QuaternionElement":
@@ -156,7 +158,8 @@ class QuaternionElement:
 
     def __mul__(self, other):
         if isinstance(other, QuaternionElement):
-            assert self.alg == other.alg
+            if self.alg != other.alg:
+                raise ValueError("elements of two different algebras")
             return self._wrap(self.alg.mul(self.coeffs, other.coeffs))
         return self._wrap(s * Fraction(other) for s in self.coeffs)
 

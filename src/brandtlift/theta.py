@@ -209,7 +209,8 @@ def canonical_gram(gram) -> tuple[tuple[int, int, int], ...]:
                 key = (q1, q2, q3, b12, _dot(v1, gv3), _dot(v2, gv3))
                 if best is None or key < best:
                     best = key
-    assert best is not None, "no unimodular triple found; gram was not a basis form"
+    if best is None:
+        raise ValueError("no unimodular triple found; gram was not a basis form")
     q1, q2, q3, b12, b13, b23 = best
     return ((q1, b12, b13), (b12, q2, b23), (b13, b23, q3))
 

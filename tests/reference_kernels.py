@@ -32,7 +32,10 @@ ref_generator are its two uses, and test_orders.py pins minimal_vector and
 _generator's fallback to them.  leading_minors is the Bareiss loop that
 brandtlift.linalg ran before it generated straight-line code per
 dimension, as it now does for greedy_reduce; test_kernels.py pins both
-generated kernels to the loops here.
+generated kernels to the loops here.  hnf is now generated too, one kernel
+per row width, and test_kernels.py pins it to the loop here.  Unlike
+the Gram kernels it does not repeat the loop's operations in order: it
+returns the loop's rows because the HNF of a row span is unique.
 """
 
 from fractions import Fraction

@@ -2,10 +2,10 @@
 
 hnf, OrderLattice._solve, greedy_reduce, leading_minors, _runs,
 vector_counts, canonical_gram and trace_zero_lattice have fast paths
-(greedy_reduce and leading_minors are generated per dimension); the class reps
-depend on greedy_reduce's U and on the walk order of _runs, and the class
-order on canonical_gram, so the outputs must match entry for entry and in
-order, not just as sets.
+(hnf is generated per row width, greedy_reduce and leading_minors per
+dimension); the class reps depend on greedy_reduce's U and on the walk
+order of _runs, and the class order on canonical_gram, so the outputs must
+match entry for entry and in order, not just as sets.
 """
 
 from fractions import Fraction
@@ -36,19 +36,23 @@ def _positive_definite(g) -> bool:
 
 @st.composite
 def integer_matrices(draw):
-    """Up to 8 x 4, with negative entries, zero rows and rows dependent on earlier ones."""
-    ncols = draw(st.integers(1, 4))
-    entry = st.integers(-60, 60)
+    """0 to 10 rows of width 1 to 6, with zero rows and rows dependent on earlier ones.
+
+    Entries are small or beyond +-2^64, and a row may come as a tuple.
+    """
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-60, 60) | st.integers(-(2**80), 2**80)
     rows = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["free", "free", "zero", "dependent"]))
         if kind == "zero":
-            rows.append([0] * ncols)
+            row = [0] * ncols
         elif kind == "dependent" and rows:
             cs = draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
-            rows.append([sum(c * r[k] for c, r in zip(cs, rows)) for k in range(ncols)])
+            row = [sum(c * r[k] for c, r in zip(cs, rows)) for k in range(ncols)]
         else:
-            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+            row = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        rows.append(tuple(row) if draw(st.booleans()) else row)
     return rows
 
 
@@ -58,6 +62,20 @@ def test_hnf_matches_the_reference(m):
     assert hnf(m) == ref.hnf(m)
 
 
+def test_hnf_of_no_rows():
+    assert hnf([]) == ref.hnf([]) == []
+
+
+def _triangular(draw, scale: int) -> list[list[int]]:
+    """4 upper triangular rows with positive pivots and entries above them in [0, pivot), times scale."""
+    rows = []
+    for i in range(4):
+        pivot = draw(st.integers(1, 40))
+        above = [draw(st.integers(0, pivot - 1)) for _ in range(3 - i)]
+        rows.append([scale * x for x in [0] * i + [pivot] + above])
+    return rows
+
+
 @st.composite
 def triangular_then_free_rows(draw):
     """4 upper triangular rows with positive pivots, scaled, then 4 or 2 free rows.
@@ -65,12 +83,7 @@ def triangular_then_free_rows(draw):
     The shapes of the HNF inputs of _pair_product (Nm(I) den conj(J) and the
     4 rows alpha conj(J)) and of _neighbors (p I and the 2 rows of a span).
     """
-    scale = draw(st.integers(1, 30))
-    rows = []
-    for i in range(4):
-        pivot = draw(st.integers(1, 40))
-        above = [draw(st.integers(0, pivot - 1)) for _ in range(3 - i)]
-        rows.append([scale * x for x in [0] * i + [pivot] + above])
+    rows = _triangular(draw, draw(st.integers(1, 30)))
     free = st.lists(st.integers(-300, 300), min_size=4, max_size=4)
     return rows + [draw(free) for _ in range(draw(st.sampled_from([4, 2])))]
 
@@ -78,6 +91,28 @@ def triangular_then_free_rows(draw):
 @settings(max_examples=100, deadline=None)
 @given(m=triangular_then_free_rows())
 def test_hnf_matches_the_reference_on_product_and_neighbour_shapes(m):
+    assert hnf(m) == ref.hnf(m)
+
+
+@st.composite
+def den_row_shapes(draw):
+    """The HNF inputs that start from 1 = (den, 0, 0, 0) / den, in 9 or 5 rows.
+
+    _level_raise: p O (4 triangular rows times p), then (den, 0, 0, 0), then
+    the 4 rows of e O.  trace_zero_lattice: (den, 0, 0, 0) first, then 2 R
+    (4 triangular rows times 2), with den a divisor of the rows' entries or not.
+    """
+    den = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        rows = _triangular(draw, draw(st.sampled_from([2, 3, 5, 7, 11, 13, 29, 37])))
+        free = st.lists(st.integers(-(2**20), 2**20), min_size=4, max_size=4)
+        return rows + [[den, 0, 0, 0]] + [draw(free) for _ in range(4)]
+    return [(den, 0, 0, 0)] + _triangular(draw, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=den_row_shapes())
+def test_hnf_matches_the_reference_on_level_raise_and_trace_zero_shapes(m):
     assert hnf(m) == ref.hnf(m)
 
 
@@ -163,8 +198,16 @@ def test_the_empty_gram():
     assert greedy_reduce([]) == ref.greedy_reduce([]) == ([], [])
 
 
-@pytest.mark.parametrize("name, cache", [("greedy_reduce", "_GREEDY"), ("leading_minors", "_MINORS")])
+def _inputs(name: str) -> list[list[list[int]]]:
+    """Inputs of every kernel size n < 6: n x n identities, and to hnf 1 to 3 rows of width n."""
+    if name == "hnf":
+        return [[[int(i == j) for j in range(n)] for i in range(k)] for n in range(6) for k in range(1, 4)]
+    return [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(6)]
+
+
+@pytest.mark.parametrize("name, cache", [("greedy_reduce", "_GREEDY"), ("leading_minors", "_MINORS"), ("hnf", "_HNF")])
 def test_each_kernel_is_compiled_once_per_dimension(monkeypatch, name, cache):
+    # hnf's kernels are kept by row width, whatever the number of rows
     kernels = getattr(linalg, cache)
     fresh = type(kernels)(kernels.name, kernels.source)
     monkeypatch.setattr(linalg, cache, fresh)
@@ -176,8 +219,8 @@ def test_each_kernel_is_compiled_once_per_dimension(monkeypatch, name, cache):
 
     monkeypatch.setattr(linalg, "compile", counting_compile, raising=False)
     for _ in range(3):
-        for n in range(6):
-            getattr(linalg, name)([[int(i == j) for j in range(n)] for i in range(n)])
+        for m in _inputs(name):
+            getattr(linalg, name)(m)
     assert compiled == [f"<linalg.{name} n={n}>" for n in range(6)]
     assert sorted(fresh) == list(range(6))
 

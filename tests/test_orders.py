@@ -1044,3 +1044,103 @@ def test_every_same_type_transposition_of_identify_fails(classes170, monkeypatch
         monkeypatch.setattr(ClassSet, "_identify", swapped)
         with pytest.raises(RuntimeError):
             classes170._atkin_lehner()
+
+
+# Each library check below raises an exception that python -O keeps, not an
+# assert that it strips: one planted fault per check.
+
+
+def test_maximal_order_rejects_a_discriminant_off_q(monkeypatch):
+    # a reduced discriminant that q = 11 does not divide, where floor division
+    # would pass a wrong cofactor on to factorint
+    monkeypatch.setattr(OrderLattice, "reduced_discriminant", lambda self: 7)
+    with pytest.raises(RuntimeError, match="7 is not a multiple of q=11"):
+        maximal_order(choose_presentation(11))
+
+
+def test_level_raise_rejects_an_element_that_is_not_idempotent(monkeypatch):
+    # 2e squares to 4e, which is not 2e mod 5
+    split = orders._split_idempotent
+    monkeypatch.setattr(orders, "_split_idempotent", lambda order, mats, p: [2 * x % p for x in split(order, mats, p)])
+    with pytest.raises(RuntimeError, match="not idempotent mod 5"):
+        _level_raise(maximal_order(choose_presentation(17)), 5)
+
+
+def test_level_raise_rejects_a_suborder_that_is_not_an_order(monkeypatch):
+    order = maximal_order(choose_presentation(17))
+    monkeypatch.setattr(OrderLattice, "is_order", lambda self: False)
+    with pytest.raises(RuntimeError, match="is not an order"):
+        _level_raise(order, 5)
+
+
+def test_level_raise_rejects_a_suborder_of_the_wrong_discriminant(monkeypatch):
+    # the lattice built is O itself, an order of discriminant q, not 5 q
+    order = maximal_order(choose_presentation(17))
+    monkeypatch.setattr(OrderLattice, "from_rows", classmethod(lambda cls, alg, den, rows, norm=None: order))
+    with pytest.raises(RuntimeError, match="does not have 5 times the reduced discriminant"):
+        _level_raise(order, 5)
+
+
+def test_right_action_rejects_a_lattice_that_is_not_a_right_ideal(classes170):
+    # O with its first basis row doubled: an index-2 sublattice that O does not map into itself
+    base = classes170.reps[0]
+    rows = [[2 * x for x in base.rows[0]], *base.rows[1:]]
+    planted = OrderLattice.from_rows(base.alg, base.den, rows)
+    with pytest.raises(RuntimeError, match="lattice is not a right ideal"):
+        _right_action_matrices(planted, base)
+
+
+def _neighbour_setup(classes):
+    """(O, the walk prime 3 of N=170, a rank-1 idempotent of O mod 3)."""
+    base = classes.reps[0]
+    return base, 3, _split_idempotent(base, _right_action_matrices(base, base), 3)
+
+
+def test_neighbors_reject_an_image_that_is_not_a_plane(classes170):
+    # e = 0 maps O/3O onto 0
+    base, p, _ = _neighbour_setup(classes170)
+    with pytest.raises(RuntimeError, match="image of the idempotent is not 2-dimensional"):
+        next(_neighbors(base, base, p, [0, 0, 0, 0]))
+
+
+def test_neighbors_reject_a_cyclic_submodule_that_is_not_a_plane(classes170, monkeypatch):
+    # the echelon form of the first cyclic submodule loses a row
+    base, p, idem = _neighbour_setup(classes170)
+    calls = []
+
+    def planted(rows, q):
+        calls.append(rows)
+        span, piv = rref_mod(rows, q)
+        return (span[:1], piv[:1]) if len(calls) == 2 else (span, piv)
+
+    monkeypatch.setattr(orders, "rref_mod", planted)
+    with pytest.raises(RuntimeError, match="cyclic submodule is not 2-dimensional"):
+        next(_neighbors(base, base, p, idem))
+
+
+def test_neighbors_reject_a_wrong_number_of_submodules(classes170, monkeypatch):
+    # every line gives the first line's submodule: 1 of the p + 1 = 4
+    base, p, idem = _neighbour_setup(classes170)
+    first = []
+
+    def planted(rows, q):
+        result = rref_mod(rows, q)
+        first.append(result)
+        return first[1] if len(first) > 1 else result
+
+    monkeypatch.setattr(orders, "rref_mod", planted)
+    with pytest.raises(RuntimeError, match="expected 4 neighbor submodules, found 1"):
+        next(_neighbors(base, base, p, idem))
+
+
+def test_class_walk_rejects_an_algebra_ramified_at_two_primes(classes170, monkeypatch):
+    base = classes170.reps[0]
+    monkeypatch.setattr(orders, "finite_ramified_primes", lambda a, b: [2, 17])
+    with pytest.raises(RuntimeError, match="ramified at 2 finite primes"):
+        right_ideal_classes(base)
+
+
+def test_multiply_rejects_lattices_of_two_algebras():
+    one, other = (standard_order(choose_presentation(q)) for q in (11, 17))
+    with pytest.raises(ValueError, match="two different algebras"):
+        one.multiply(other)

@@ -221,3 +221,13 @@ def test_certify_presentation_matches_the_ramified_set():
             assert certify_presentation(a, b, q) == (ram == [q])
     with pytest.raises(ValueError):
         certify_presentation(-1, -1, 4)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_elements_of_two_algebras_do_not_combine(op):
+    # a ValueError, which python -O keeps: (-1, -1) and (-1, -3) multiply
+    # the same coordinates by different rules
+    x = AlgebraPresentation(-1, -1).element(1, 2, 3, 4)
+    y = AlgebraPresentation(-1, -3).element(1, 2, 3, 4)
+    with pytest.raises(ValueError, match="two different algebras"):
+        getattr(x, f"__{op}__")(y)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from brandtlift import theta
 from brandtlift.cli import main
 from brandtlift.orders import OrderLattice
 from brandtlift.theta import (
@@ -209,3 +210,11 @@ def test_bad_ternary_grams_are_a_value_error(gram):
         theta_series(TernaryLattice(gram), 10)
     with pytest.raises(ValueError):
         canonical_gram([list(row) for row in gram])
+
+
+def test_canonical_gram_without_a_unimodular_triple_is_a_value_error(monkeypatch):
+    # a short-vector search that finds nothing leaves no basis to choose:
+    # a ValueError, which python -O keeps
+    monkeypatch.setattr(theta, "iter_short_vectors", lambda g, cap: iter(()))
+    with pytest.raises(ValueError, match="no unimodular triple"):
+        canonical_gram([[2, 1, 0], [1, 2, 0], [0, 0, 3]])
