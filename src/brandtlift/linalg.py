@@ -16,7 +16,8 @@ every short-vector walk goes through, greedy_reduce and leading_minors,
 and hnf, which gives every lattice its canonical rows.  For each size n
 (each row width for hnf) one template writes the algorithm out as
 straight-line code on local variables, built from integer indices only,
-which is compiled on first use and kept.  The Gram kernels perform
+which is compiled on first use and kept by _Kernels; shortvec's walks are
+compiled and kept the same way.  The Gram kernels perform
 the loop's operations in the loop's order, so their results are the
 loop's bit for bit.  hnf's kernel clears the rows in an order of its own;
 its result is the loop's because the HNF of a row span is unique.
@@ -49,20 +50,22 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class _Kernels(dict):
     """Generated kernels by size n, each compiled on first use and kept.
 
-    source(n) writes the straight-line text of the kernel for size n (an
-    n x n Gram, or rows of width n for hnf) from integer indices only; it
-    is compiled under the file name <linalg.NAME n=N>, which tracebacks
-    show.  The kernels call no helper but _xgcd.
+    name is "module.function".  source(n) writes the straight-line text of
+    the kernel for size n (an n x n Gram, or rows of width n for hnf) from
+    integer indices only; it is compiled under the file name <name n=N>,
+    which tracebacks show, and runs in a fresh copy of namespace, the only
+    helpers it may call besides the builtins: _xgcd for hnf, and isqrt, lcm
+    and leading_minors for the short-vector walks of shortvec.
     """
 
-    def __init__(self, name: str, source):
+    def __init__(self, name: str, source, namespace: dict | None = None):
         super().__init__()
-        self.name, self.source = name, source
+        self.name, self.source, self.namespace = name, source, namespace or {}
 
     def __missing__(self, n: int):
-        namespace: dict = {"_xgcd": _xgcd}
-        exec(compile(self.source(n), f"<linalg.{self.name} n={n}>", "exec"), namespace)
-        kernel = self[n] = namespace[self.name]
+        namespace = dict(self.namespace)
+        exec(compile(self.source(n), f"<{self.name} n={n}>", "exec"), namespace)
+        kernel = self[n] = namespace[self.name.rpartition(".")[2]]
         return kernel
 
 
@@ -137,7 +140,7 @@ def _hnf_source(w: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HNF = _Kernels("hnf", _hnf_source)
+_HNF = _Kernels("linalg.hnf", _hnf_source, {"_xgcd": _xgcd})
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -189,7 +192,7 @@ def _minors_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MINORS = _Kernels("leading_minors", _minors_source)
+_MINORS = _Kernels("linalg.leading_minors", _minors_source)
 
 
 def leading_minors(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -381,7 +384,7 @@ def _greedy_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-_GREEDY = _Kernels("greedy_reduce", _greedy_source)
+_GREEDY = _Kernels("linalg.greedy_reduce", _greedy_source)
 
 
 def greedy_reduce(gram: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

@@ -35,7 +35,11 @@ dimension, as it now does for greedy_reduce; test_kernels.py pins both
 generated kernels to the loops here.  hnf is now generated too, one kernel
 per row width, and test_kernels.py pins it to the loop here.  Unlike
 the Gram kernels it does not repeat the loop's operations in order: it
-returns the loop's rows because the HNF of a row span is unique.
+returns the loop's rows because the HNF of a row span is unique.  The
+short-vector walk is generated per dimension as well, as nested loops, one
+kernel returning the runs and one counting them by class; test_kernels.py
+pins _runs, iter_short_vectors and vector_counts to the recursive _runs and
+the plain vector_counts here, order included.
 """
 
 from fractions import Fraction

@@ -1,11 +1,14 @@
 """The lattice kernels return exactly what their reference copies return.
 
 hnf, OrderLattice._solve, greedy_reduce, leading_minors, _runs,
-vector_counts, canonical_gram and trace_zero_lattice have fast paths
-(hnf is generated per row width, greedy_reduce and leading_minors per
-dimension); the class reps depend on greedy_reduce's U and on the walk
-order of _runs, and the class order on canonical_gram, so the outputs must
-match entry for entry and in order, not just as sets.
+iter_short_vectors, vector_counts, canonical_gram and trace_zero_lattice
+have fast paths (hnf is generated per row width, greedy_reduce and
+leading_minors per dimension, and the short-vector walk per dimension,
+once returning its runs and once counting them); the class reps depend on
+greedy_reduce's U and on the walk order of _runs, through the first minimal
+vector that iter_short_vectors yields, and the class order on
+canonical_gram, so the outputs must match entry for entry and in order,
+not just as sets.
 """
 
 from fractions import Fraction
@@ -15,10 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from brandtlift import linalg
+from brandtlift import linalg, shortvec
 from brandtlift.linalg import greedy_reduce, hnf, leading_minors
 from brandtlift.orders import OrderLattice, _type_key
-from brandtlift.shortvec import _runs, vector_counts
+from brandtlift.shortvec import _runs, iter_short_vectors, vector_counts
 from brandtlift.theta import canonical_gram, trace_zero_lattice
 
 
@@ -196,21 +199,39 @@ def test_leading_minors_matches_the_reference(data, n):
 def test_the_empty_gram():
     assert leading_minors([]) == ref.leading_minors([]) == ([1], [])
     assert greedy_reduce([]) == ref.greedy_reduce([]) == ([], [])
+    assert _runs([], 5) == list(ref._runs([], 5)) == []
+    assert vector_counts([], 5) == ref.vector_counts([], 5) == {}
+    assert list(iter_short_vectors([], 5)) == []
 
 
-def _inputs(name: str) -> list[list[list[int]]]:
-    """Inputs of every kernel size n < 6: n x n identities, and to hnf 1 to 3 rows of width n."""
+def _inputs(name: str) -> list[tuple]:
+    """Arguments for every kernel size n < 6: n x n identities, to hnf 1 to 3
+    rows of width n, and to the walks an identity and the bound 2."""
     if name == "hnf":
-        return [[[int(i == j) for j in range(n)] for i in range(k)] for n in range(6) for k in range(1, 4)]
-    return [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(6)]
+        return [([[int(i == j) for j in range(n)] for i in range(k)],) for n in range(6) for k in range(1, 4)]
+    grams = [[[int(i == j) for j in range(n)] for i in range(n)] for n in range(6)]
+    if name in ("_runs", "vector_counts"):
+        return [(g, 2) for g in grams]
+    return [(g,) for g in grams]
 
 
-@pytest.mark.parametrize("name, cache", [("greedy_reduce", "_GREEDY"), ("leading_minors", "_MINORS"), ("hnf", "_HNF")])
+@pytest.mark.parametrize(
+    "name, cache",
+    [
+        ("greedy_reduce", "_GREEDY"),
+        ("leading_minors", "_MINORS"),
+        ("hnf", "_HNF"),
+        ("_runs", "_RUNS"),
+        ("vector_counts", "_COUNTS"),
+    ],
+)
 def test_each_kernel_is_compiled_once_per_dimension(monkeypatch, name, cache):
-    # hnf's kernels are kept by row width, whatever the number of rows
-    kernels = getattr(linalg, cache)
-    fresh = type(kernels)(kernels.name, kernels.source)
-    monkeypatch.setattr(linalg, cache, fresh)
+    # hnf's kernels are kept by row width, whatever the number of rows; the
+    # walk has one kernel per dimension for each of its two emitters
+    module = shortvec if cache in ("_RUNS", "_COUNTS") else linalg
+    kernels = getattr(module, cache)
+    fresh = type(kernels)(kernels.name, kernels.source, kernels.namespace)
+    monkeypatch.setattr(module, cache, fresh)
     compiled = []
 
     def counting_compile(source, filename, mode):
@@ -219,10 +240,14 @@ def test_each_kernel_is_compiled_once_per_dimension(monkeypatch, name, cache):
 
     monkeypatch.setattr(linalg, "compile", counting_compile, raising=False)
     for _ in range(3):
-        for m in _inputs(name):
-            getattr(linalg, name)(m)
-    assert compiled == [f"<linalg.{name} n={n}>" for n in range(6)]
+        for args in _inputs(name):
+            getattr(module, name)(*args)
+    assert compiled == [f"<{kernels.name} n={n}>" for n in range(6)]
     assert sorted(fresh) == list(range(6))
+
+
+def _norm(g, x) -> int:
+    return sum(x[i] * g[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,7 +259,11 @@ def test_runs_and_counts_match_the_reference(data, n):
     assume(_positive_definite(g))
     g = greedy_reduce(g)[0]
     bound = data.draw(st.integers(0, 3 * max(g[k][k] for k in range(n))))
-    assert list(_runs(g, bound)) == list(ref._runs(g, bound))
+    runs = list(ref._runs(g, bound))
+    assert list(_runs(g, bound)) == runs
+    # every rep is the first minimal vector in this order
+    vectors = [(x0,) + tail for tail, lo, hi, _, _ in runs for x0 in range(lo, hi + 1)]
+    assert list(iter_short_vectors(g, bound)) == [(x, _norm(g, x)) for x in vectors]
     counts = vector_counts(g, bound)
     expected = ref.vector_counts(g, bound)
     assert counts == expected and list(counts) == list(expected)

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 from brandtlift.linalg import leading_minors, mat_inv
-from brandtlift.shortvec import exists_value, iter_short_vectors, vector_counts
+from brandtlift.shortvec import _runs, exists_value, iter_short_vectors, vector_counts
 
 
 def ldl(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
@@ -234,6 +234,30 @@ def test_fractional_gram():
             exists_value(g, 1)
     assert vector_counts([[2, 0], [0, 2]], Fraction(9, 2)) == {2: 4, 4: 4}
     assert not exists_value([[1]], Fraction(1, 2))
+
+
+def test_asymmetric_gram():
+    # x G x^T of [[2, 3], [-1, 2]] is 2x^2 + 2xy + 2y^2, with counts {2: 6, 6: 6};
+    # a walk that read one triangle would count another form
+    assert vector_counts([[2, 1], [1, 2]], 6) == {2: 6, 6: 6}
+    rng = random.Random(5)
+    grams = [[[2, 3], [-1, 2]]]
+    for n in (3, 4, 5):
+        g = random_pd_gram(rng, n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                h = [list(row) for row in g]
+                h[j][i] += 1
+                grams.append(h)
+    for g in grams:
+        with pytest.raises(ValueError, match="not symmetric"):
+            vector_counts(g, 6)
+        with pytest.raises(ValueError, match="not symmetric"):
+            list(iter_short_vectors(g, 6))
+        with pytest.raises(ValueError, match="not symmetric"):
+            _runs(g, 6)
+        with pytest.raises(ValueError, match="not symmetric"):
+            exists_value(g, 2)
 
 
 def _assert_matches_reference(g, bound):
